@@ -39,7 +39,6 @@ from .parcels import (
     ActivityScheme,
     Parcel,
     SpatialIndex,
-    haversine,
     load_parcels,
     nearest_parcel,
     nearest_parcel_scan,

@@ -87,6 +87,20 @@ def label_for(parcel_key: int, activity_code: int, home_parcel_id: int) -> str:
     return ACTIVITY_LABELS[activity_code]
 
 
+def _check_closed_walk(n: int, edges) -> None:
+    """Raise when a network of more than one node has a node lacking an
+    incoming or an outgoing edge, which no closed walk can produce."""
+    if n <= 1:
+        return
+    indeg = [0] * n
+    outdeg = [0] * n
+    for u, v in edges:
+        outdeg[u] += 1
+        indeg[v] += 1
+    if not all(indeg[i] >= 1 and outdeg[i] >= 1 for i in range(n)):
+        raise RuntimeError("closed walk produced a node without both edge directions")
+
+
 def build_daily_network(day: UserDay, home: HomeAssignment):
     """Build the day's directed network, or reject it with a reason.
 
@@ -111,16 +125,7 @@ def build_daily_network(day: UserDay, home: HomeAssignment):
         walk.append(node_index[key])
     edges = frozenset(zip(walk, walk[1:]))
 
-    n = len(node_index)
-    if n > 1:
-        indeg = [0] * n
-        outdeg = [0] * n
-        for u, v in edges:
-            outdeg[u] += 1
-            indeg[v] += 1
-        assert all(indeg[i] >= 1 and outdeg[i] >= 1 for i in range(n)), (
-            "closed walk produced a node without both edge directions"
-        )
+    _check_closed_walk(len(node_index), edges)
 
     keys = tuple(sorted(node_index, key=node_index.get))
     return (

@@ -4,11 +4,19 @@ Parcels are simple polygons (holes treated as outside) carrying a land-use
 category that maps to one of twelve activity codes. Nearest-parcel lookups
 run against a bulk-loaded R-tree whose results are, by construction,
 identical to a linear scan; the tree is purely an accelerator.
+
+A lookup first asks the tree only for the parcels whose bbox holds the
+point and returns the smallest-id one that contains it. Those parcels are
+exactly the ones the full radius search would probe first (distance lower
+bound 0, in id order), and a containing parcel there is its final answer,
+so the probe returns the same hit. Only a point that no parcel contains
+pays for the radius search.
 """
 
 import json
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .geo import (
     METERS_PER_DEGREE,
@@ -122,10 +130,6 @@ def _merge_bbox(boxes):
     )
 
 
-def _bbox_intersects(a, b) -> bool:
-    return a[0] <= b[2] and b[0] <= a[2] and a[1] <= b[3] and b[1] <= a[3]
-
-
 class SpatialIndex:
     """Sort-tile-recursive packed R-tree over parcel bounding boxes."""
 
@@ -160,19 +164,26 @@ class SpatialIndex:
         return nodes[0]
 
     def query_bbox(self, bbox) -> list:
-        """All parcels whose bounding box intersects the query box."""
+        """All parcels whose bounding box intersects the query box.
+
+        Depth-first walk; a node's children are tested against the query
+        before they are pushed, and a leaf's parcels before they are kept.
+        """
         out = []
         if self._root is None:
             return out
+        qlat0, qlon0, qlat1, qlon1 = bbox
         stack = [self._root]
         while stack:
             node = stack.pop()
-            if not _bbox_intersects(node.bbox, bbox):
-                continue
             if node.parcels is not None:
-                out.extend(p for p in node.parcels if _bbox_intersects(p.bbox, bbox))
+                items, dest = node.parcels, out
             else:
-                stack.extend(node.children)
+                items, dest = node.children, stack
+            for item in items:
+                b = item.bbox
+                if b[0] <= qlat1 and qlat0 <= b[2] and b[1] <= qlon1 and qlon0 <= b[3]:
+                    dest.append(item)
         return out
 
 
@@ -280,6 +291,11 @@ def _best_parcel_scan(lat, lon, parcels):
     return best
 
 
+# Closer to 0 degrees than this, two distinct coordinates can differ by so
+# little that the haversine bound between them underflows to 0.0.
+_PROBE_MIN_ABS_DEG = 1e-100
+
+
 def _radius_bbox(lat, lon, radius_m):
     # conservative degree box: any point within radius_m falls inside it
     dlat = radius_m / METERS_PER_DEGREE * 1.001
@@ -298,6 +314,17 @@ def nearest_parcel(lat: float, lon: float, index: SpatialIndex,
     """
     if radius_m <= 0:
         raise ValueError("radius_m must be positive")
+    # Containment first. The parcels whose bbox holds the point are exactly
+    # the candidates whose bound is 0 in _best_parcel: a bbox that excludes
+    # the point gives a positive haversine bound. _best_parcel probes those
+    # first, in id order, and nothing after a distance-0 hit can beat
+    # (0, its id), so the first contained one in id order is its answer too.
+    # Within _PROBE_MIN_ABS_DEG of 0 degrees that bound can underflow to 0,
+    # so there the full query alone decides.
+    if abs(lat) >= _PROBE_MIN_ABS_DEG and abs(lon) >= _PROBE_MIN_ABS_DEG:
+        for parcel in sorted(index.query_bbox((lat, lon, lat, lon)), key=attrgetter("parcel_id")):
+            if point_polygon_distance_m(lat, lon, parcel.exterior, parcel.holes) == 0.0:
+                return NearestHit(parcel.parcel_id, parcel.activity_code, 0.0)
     candidates = index.query_bbox(_radius_bbox(lat, lon, radius_m))
     best = _best_parcel(lat, lon, candidates, radius_m)
     if best is None or best[0][0] > radius_m:
@@ -316,8 +343,3 @@ def nearest_parcel_scan(lat: float, lon: float, parcels,
         return None
     (dist, _), parcel = best
     return NearestHit(parcel.parcel_id, parcel.activity_code, dist)
-
-
-def haversine(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
-    """Great-circle meters; exposed here as the pipeline distance primitive."""
-    return haversine_m(lat1, lon1, lat2, lon2)

@@ -7,6 +7,7 @@ from motifmine.annotate import HomeAssignment, UserDay
 from motifmine.motifs import (
     ABM,
     LBM,
+    _check_closed_walk,
     abm_reduce,
     build_daily_network,
     canonical_signature,
@@ -67,6 +68,12 @@ class TestBuildDailyNetwork:
         day = day_from_parcels([(1, 1), (2, 6), (1, 1)])
         net, reason = build_daily_network(day, HomeAssignment("u1", None, "unknown"))
         assert net is None and reason == "no_home"
+
+    def test_closed_walk_check_raises_without_assert(self):
+        # an explicit raise, so the check also runs under python -O
+        _check_closed_walk(2, frozenset({(0, 1), (1, 0)}))
+        with pytest.raises(RuntimeError, match="closed walk"):
+            _check_closed_walk(2, frozenset({(0, 1)}))
 
     def test_labels_home_vs_other_residential(self):
         day = day_from_parcels([(1, 1), (9, 1), (1, 1)])

@@ -3,11 +3,14 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from motifmine.geo import METERS_PER_DEGREE
 from motifmine.parcels import (
     ActivityScheme,
     NearestHit,
+    Parcel,
     SpatialIndex,
     load_parcels,
     nearest_parcel,
@@ -181,3 +184,128 @@ def test_query_bbox_matches_brute_force():
             and p.bbox[1] <= box[3] and box[1] <= p.bbox[3]
         }
         assert got == expected
+
+
+# Grid worlds share exact vertex floats between neighbours, so points can sit
+# exactly on a shared edge or vertex.
+GRID_LAT0, GRID_LON0, GRID_STEP = 41.90, -87.70, 0.001
+
+
+def grid_ring(row0, col0, row1, col1):
+    lat0, lat1 = GRID_LAT0 + row0 * GRID_STEP, GRID_LAT0 + row1 * GRID_STEP
+    lon0, lon1 = GRID_LON0 + col0 * GRID_STEP, GRID_LON0 + col1 * GRID_STEP
+    return ((lat0, lon0), (lat0, lon1), (lat1, lon1), (lat1, lon0))
+
+
+def grid_parcel(parcel_id, row, col, code=1, holes=()):
+    return Parcel(parcel_id, grid_ring(row, col, row + 1, col + 1), tuple(holes), "x", code)
+
+
+def query_counter(index):
+    """Count the index's bbox queries: 1 when the containment probe answers,
+    2 when the join falls through to the radius query."""
+    calls = []
+    query = index.query_bbox
+
+    def counted(bbox):
+        calls.append(bbox)
+        return query(bbox)
+
+    index.query_bbox = counted
+    return calls
+
+
+def assert_join_matches_scan(lat, lon, parcels, index=None):
+    index = index or SpatialIndex(parcels, leaf_size=4)
+    hit = nearest_parcel(lat, lon, index)
+    assert hit == nearest_parcel_scan(lat, lon, parcels)
+    return hit
+
+
+class TestContainmentProbe:
+    def test_overlapping_parcels_smaller_id_wins(self):
+        big = Parcel(5, grid_ring(0, 0, 3, 3), (), "x", 6)
+        small = Parcel(3, grid_ring(1, 1, 2, 2), (), "x", 9)
+        parcels = [big, small]
+        index = SpatialIndex(parcels)
+        calls = query_counter(index)
+        lat, lon = GRID_LAT0 + 1.5 * GRID_STEP, GRID_LON0 + 1.5 * GRID_STEP
+        hit = assert_join_matches_scan(lat, lon, parcels, index)
+        assert hit == NearestHit(3, 9, 0.0)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("row, col", [(1, 1.5), (1.5, 1), (1, 1), (2, 2), (0, 1)])
+    def test_point_on_shared_edge_or_vertex(self, row, col):
+        parcels = [grid_parcel(10 - 3 * r - c, r, c, code=1 + r * 3 + c)
+                   for r in range(3) for c in range(3)]
+        lat, lon = GRID_LAT0 + row * GRID_STEP, GRID_LON0 + col * GRID_STEP
+        hit = assert_join_matches_scan(lat, lon, parcels)
+        assert hit.distance_m == 0.0
+
+    def test_point_in_hole_of_one_parcel_inside_another(self):
+        hole = grid_ring(1, 1, 2, 2)
+        outer = Parcel(1, grid_ring(0, 0, 3, 3), (hole,), "x", 6)
+        inner = Parcel(2, grid_ring(1.25, 1.25, 1.75, 1.75), (), "x", 9)
+        parcels = [outer, inner]
+        lat, lon = GRID_LAT0 + 1.5 * GRID_STEP, GRID_LON0 + 1.5 * GRID_STEP
+        assert assert_join_matches_scan(lat, lon, parcels) == NearestHit(2, 9, 0.0)
+        # in the hole but outside the inner parcel: both bboxes hold the
+        # point, neither polygon does, so the radius query decides
+        lat = GRID_LAT0 + 1.1 * GRID_STEP
+        index = SpatialIndex(parcels)
+        calls = query_counter(index)
+        hit = assert_join_matches_scan(lat, lon, parcels, index)
+        assert hit.parcel_id == 1 and hit.distance_m > 0.0
+        assert len(calls) == 2
+
+    def test_point_in_gap_takes_the_radius_query(self):
+        parcels = [grid_parcel(1, 0, 0), grid_parcel(2, 0, 2), grid_parcel(3, 1, 1)]
+        index = SpatialIndex(parcels)
+        calls = query_counter(index)
+        lat, lon = GRID_LAT0 + 0.3 * GRID_STEP, GRID_LON0 + 1.6 * GRID_STEP
+        hit = assert_join_matches_scan(lat, lon, parcels, index)
+        assert hit.parcel_id == 2 and hit.distance_m > 0.0
+        assert len(calls) == 2
+
+    def test_underflowing_bound_near_zero_degrees(self):
+        # parcel 1's bbox excludes the point by 1e-200 degrees, which the
+        # haversine bound and the polygon distance both round to 0 m; the
+        # scan then picks parcel 1 over the containing parcel 2
+        outside = Parcel(1, ((0.4, 1e-200), (0.4, 0.001), (0.6, 0.001), (0.6, 1e-200)),
+                         (), "x", 3)
+        containing = Parcel(2, ((0.4, -0.001), (0.4, 0.001), (0.6, 0.001), (0.6, -0.001)),
+                            (), "x", 5)
+        hit = assert_join_matches_scan(0.5, 0.0, [outside, containing])
+        assert hit == NearestHit(1, 3, 0.0)
+
+
+def probe_world():
+    """A 6x6 grid with gaps, a holed parcel, an overlapping parcel and ids
+    that do not follow the tree's order."""
+    rng = random.Random(9)
+    cells = [(r, c) for r in range(6) for c in range(6) if (r + 2 * c) % 7 != 3]
+    ids = list(range(1, len(cells) + 1))
+    rng.shuffle(ids)
+    parcels = []
+    for pid, (r, c) in zip(ids, cells):
+        holes = (grid_ring(r + 0.25, c + 0.25, r + 0.75, c + 0.75),) if (r, c) == (2, 2) else ()
+        parcels.append(grid_parcel(pid, r, c, code=pid % 12 + 1, holes=holes))
+    parcels.append(Parcel(len(cells) + 1, grid_ring(3, 3, 5, 5), (), "x", 4))
+    return parcels
+
+
+PROBE_WORLD = probe_world()
+PROBE_INDEX = SpatialIndex(PROBE_WORLD, leaf_size=4)
+
+grid_coord = st.one_of(
+    st.integers(-3, 9).map(float),  # on a grid line
+    st.integers(-12, 36).map(lambda q: q / 4.0),  # on a grid line or a hole edge
+    st.floats(-3.0, 9.0, allow_nan=False),  # anywhere
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(row=grid_coord, col=grid_coord)
+def test_join_matches_scan_on_edges_vertices_and_random_points(row, col):
+    lat, lon = GRID_LAT0 + row * GRID_STEP, GRID_LON0 + col * GRID_STEP
+    assert_join_matches_scan(lat, lon, PROBE_WORLD, PROBE_INDEX)

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import motifmine
 from motifmine import synth
 from motifmine.cli import main
 from motifmine.pipeline import (
@@ -129,6 +133,31 @@ class TestPipelineRun:
         report = json.loads(result["paths"]["correlation"].read_text())
         assert set(report) == {"n", "r", "p_value"}
         assert report["n"] == 2
+
+
+def test_full_run_with_zones_does_not_import_scipy_stats(world, tmp_path):
+    # importing scipy.stats costs most of a second per run; the correlation
+    # p-value needs only scipy.special
+    zones = [
+        geojson_polygon_feature(square_ring(41.43, -88.05, 4000), extra_props={"population": 900}),
+        geojson_polygon_feature(square_ring(41.47, -88.05, 4000), extra_props={"population": 500}),
+    ]
+    zone_path = write_geojson(tmp_path / "zones.geojson", zones)
+    paths = world["paths"]
+    argv = ["all", "--records", str(paths["records"]), "--parcels", str(paths["parcels"]),
+            "--boundary", str(paths["boundary"]), "--scheme", str(paths["scheme"]),
+            "--zones", str(zone_path), "--out", str(tmp_path / "out")]
+    script = ("import sys\n"
+              "from motifmine.cli import main\n"
+              f"print(main({argv!r}), 'scipy.stats' in sys.modules)\n")
+    src = str(Path(motifmine.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "out" / "correlation.json").exists()
+    assert proc.stdout.splitlines()[-1] == "0 False"
 
 
 class TestConfigPrecedence:
