@@ -32,7 +32,6 @@ from .motifs import (
     abm_reduce,
     build_daily_network,
     canonical_signature,
-    isomorphic,
     motif_census,
 )
 from .parcels import (

@@ -31,19 +31,22 @@ def _add_pipeline_args(p: argparse.ArgumentParser):
     p.add_argument("--radius", dest="radius_m", type=float, help="parcel join radius, m")
     p.add_argument("--max-speed", dest="max_speed_mps", type=float, help="speed cap, m/s")
     p.add_argument("--min-days", dest="min_residency_days", type=float)
-    p.add_argument("--residency-mode", dest="residency_mode", choices=["span", "active-days"])
+    p.add_argument("--residency-mode", dest="residency_mode",
+                   choices=pipeline.CONFIG_CHOICES["residency_mode"])
     p.add_argument("--utc-offset", dest="utc_offset_minutes", type=int,
                    help="dataset-local offset from UTC in minutes")
     p.add_argument("--min-slots", dest="min_slots", type=int)
     p.add_argument("--include-weekends", dest="weekdays_only", action="store_false",
                    default=None)
-    p.add_argument("--active-scope", dest="active_scope", choices=["day", "user"])
+    p.add_argument("--active-scope", dest="active_scope",
+                   choices=pipeline.CONFIG_CHOICES["active_scope"])
     p.add_argument("--cutoff", dest="cutoff", type=float, help="census frequency cutoff")
     p.add_argument("--max-nodes", dest="max_nodes", type=int)
     p.add_argument("--no-pin-home", dest="pin_home", action="store_false", default=None)
     p.add_argument("--density-bins", dest="density_bins", type=int)
     p.add_argument("--density-bound", dest="density_bound", type=float)
-    p.add_argument("--density-weight", dest="density_weight", choices=["point", "user"])
+    p.add_argument("--density-weight", dest="density_weight",
+                   choices=pipeline.CONFIG_CHOICES["density_weight"])
     p.add_argument("--workers", dest="workers", type=int)
     p.add_argument("--no-hash-ids", dest="hash_ids", action="store_false", default=None)
     p.add_argument("--dump-annotations", dest="dump_annotations", action="store_true",

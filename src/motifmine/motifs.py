@@ -7,9 +7,12 @@ regimes exist: location-based (LBM), where only structure and the pinned
 home node matter, and activity-based (ABM), where node labels must be
 preserved. Canonical signatures are permutation-minimal adjacency
 encodings, so signature equality is exactly isomorphism under the regime's
-admissible mappings.
+admissible mappings. Daily networks recur, so each process canonicalizes a
+distinct input once and caches its string, at most SIGNATURE_CACHE_SIZE of
+them.
 """
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -40,6 +43,9 @@ ACTIVITY_LABELS = {
 UNKNOWN_PARCEL = -1
 
 SIGNATURE_NODE_CAP = 12
+
+# an entry (edge-set key plus string) of a 6-node network takes ~1.1 KB: ~1 MiB in all
+SIGNATURE_CACHE_SIZE = 1024
 
 
 @dataclass(slots=True)
@@ -178,26 +184,38 @@ def graph_signature(node_count: int, edges, labels=None, pin_home: bool = True) 
     admissible node ordering (home first when pinned; label-sorted groups
     when labels are given) and the lexicographically smallest wins. Equal
     strings correspond exactly to isomorphic graphs under the same regime.
+    Edges naming a node outside range(node_count) are ignored.
+
+    Daily networks repeat, so each distinct (node_count, edges, labels,
+    pin_home) input is canonicalized once per process and its string kept
+    in a cache of at most SIGNATURE_CACHE_SIZE entries.
     """
     if node_count > SIGNATURE_NODE_CAP:
         raise ValueError(f"node count {node_count} above signature cap {SIGNATURE_NODE_CAP}")
     if node_count < 1:
         raise ValueError("empty graph")
-    edges = set(edges)
+    return _signature(node_count, frozenset(edges),
+                      None if labels is None else tuple(labels), pin_home)
+
+
+# typed, so a non-int node count still fails as before instead of hitting
+# the entry of its equal int
+@functools.lru_cache(maxsize=SIGNATURE_CACHE_SIZE, typed=True)
+def _signature(node_count: int, edges: frozenset, labels, pin_home) -> str:
     fixed, groups = _permutation_groups(node_count, labels, pin_home)
     if labels is None:
         labelseq = ""
     else:
         labelseq = ",".join([labels[i] for i in fixed] + [labels[g[0]] for g in groups for _ in g])
 
+    # filled by membership over range(node_count), so out-of-range edges
+    # (negative ones included) never reach the table
+    adj = [["1" if (r, c) in edges else "0" for c in range(node_count)]
+           for r in range(node_count)]
     best = None
     for perm_combo in itertools.product(*(itertools.permutations(g) for g in groups)):
         order = fixed + [i for grp in perm_combo for i in grp]
-        bits = "".join(
-            "1" if (order[r], order[c]) in edges else "0"
-            for r in range(node_count)
-            for c in range(node_count)
-        )
+        bits = "".join([adj[r][c] for r in order for c in order])
         if best is None or bits < best:
             best = bits
     return f"{node_count}|{labelseq}|{best}"
@@ -220,102 +238,6 @@ def canonical_signature(net: DailyNetwork, kind: str | None = None,
     labels = net.labels if kind == ABM else None
     sig = graph_signature(net.node_count, net.edges, labels, pin_home)
     return CanonicalSignature(kind, net.node_count, sig)
-
-
-def _degree_profile(n, edges, labels):
-    indeg = [0] * n
-    outdeg = [0] * n
-    for u, v in edges:
-        outdeg[u] += 1
-        indeg[v] += 1
-    labs = labels if labels is not None else [""] * n
-    return indeg, outdeg, labs
-
-
-def graphs_isomorphic(n1, edges1, n2, edges2, labels1=None, labels2=None,
-                      pin_home: bool = True) -> bool:
-    """Refinement-based matcher for home-pinned digraph isomorphism.
-
-    Candidate pairs are pruned by label and exact in/out degree before a
-    backtracking extension checks edge consistency against the partial
-    mapping in both directions, mirroring the classic matcher strategy for
-    directed graphs.
-    """
-    e1, e2 = set(edges1), set(edges2)
-    if n1 != n2 or len(e1) != len(e2):
-        return False
-    in1, out1, lab1 = _degree_profile(n1, e1, labels1)
-    in2, out2, lab2 = _degree_profile(n2, e2, labels2)
-    if sorted(zip(lab1, in1, out1)) != sorted(zip(lab2, in2, out2)):
-        return False
-    if pin_home and (lab1[0], in1[0], out1[0]) != (lab2[0], in2[0], out2[0]):
-        return False
-
-    # visit order: breadth-first over the underlying adjacency for locality
-    neighbors = [set() for _ in range(n1)]
-    for u, v in e1:
-        neighbors[u].add(v)
-        neighbors[v].add(u)
-    order = []
-    seen = set()
-    queue = [0] if pin_home else []
-    for start in queue + [i for i in range(n1)]:
-        if start in seen:
-            continue
-        stack = [start]
-        seen.add(start)
-        while stack:
-            node = stack.pop(0)
-            order.append(node)
-            for nb in sorted(neighbors[node]):
-                if nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-
-    mapping: dict[int, int] = {}
-    used = set()
-    if pin_home:
-        mapping[0] = 0
-        used.add(0)
-
-    def extend(k: int) -> bool:
-        if k == n1:
-            return True
-        u = order[k]
-        if u in mapping:
-            return extend(k + 1)
-        for v in range(n2):
-            if v in used or lab1[u] != lab2[v]:
-                continue
-            if in1[u] != in2[v] or out1[u] != out2[v]:
-                continue
-            consistent = True
-            for w, mw in mapping.items():
-                if ((u, w) in e1) != ((v, mw) in e2) or ((w, u) in e1) != ((mw, v) in e2):
-                    consistent = False
-                    break
-            if consistent:
-                mapping[u] = v
-                used.add(v)
-                if extend(k + 1):
-                    return True
-                del mapping[u]
-                used.remove(v)
-        return False
-
-    return extend(0)
-
-
-def isomorphic(g1: DailyNetwork, g2: DailyNetwork, kind: str | None = None,
-               pin_home: bool = True) -> bool:
-    """True when a home-pinning (and for ABM label-preserving) bijection
-    maps edges onto edges exactly. Agrees with signature equality."""
-    kind = kind or g1.kind
-    labels1 = g1.labels if kind == ABM else None
-    labels2 = g2.labels if kind == ABM else None
-    return graphs_isomorphic(
-        g1.node_count, g1.edges, g2.node_count, g2.edges, labels1, labels2, pin_home
-    )
 
 
 def size_group_label(node_count: int, max_nodes: int = 6) -> str:

@@ -255,13 +255,14 @@ def _bbox_lower_bound_m(lat, lon, bbox) -> float:
     return haversine_m(lat, lon, clat, clon) * (1.0 - 1e-6)
 
 
-def _best_parcel(lat, lon, candidates, radius_m=math.inf):
+def _best_parcel(lat, lon, candidates, radius_m=math.inf, known=None):
     """Exact (distance, id)-minimal parcel over candidates.
 
     Candidates are probed in increasing bbox lower-bound order so the scan
     can stop once no remaining parcel can beat (or tie) the current best;
     pruning uses strict inequality, so exact ties still reach the id
-    tie-break.
+    tie-break. `known` maps id(parcel) to a distance already computed for
+    this point; those parcels are not evaluated again.
     """
     scored = sorted(
         ((_bbox_lower_bound_m(lat, lon, p.bbox), p) for p in candidates),
@@ -273,7 +274,9 @@ def _best_parcel(lat, lon, candidates, radius_m=math.inf):
             break
         if best is not None and bound > best[0][0]:
             break
-        d = point_polygon_distance_m(lat, lon, parcel.exterior, parcel.holes)
+        d = known.get(id(parcel)) if known else None
+        if d is None:
+            d = point_polygon_distance_m(lat, lon, parcel.exterior, parcel.holes)
         key = (d, parcel.parcel_id)
         if best is None or key < best[0]:
             best = (key, parcel)
@@ -320,13 +323,18 @@ def nearest_parcel(lat: float, lon: float, index: SpatialIndex,
     # first, in id order, and nothing after a distance-0 hit can beat
     # (0, its id), so the first contained one in id order is its answer too.
     # Within _PROBE_MIN_ABS_DEG of 0 degrees that bound can underflow to 0,
-    # so there the full query alone decides.
+    # so there the full query alone decides. A probed parcel that does not
+    # contain the point (a hole, a concave gap) keeps its distance for
+    # _best_parcel, so no polygon is evaluated twice.
+    probed = {}
     if abs(lat) >= _PROBE_MIN_ABS_DEG and abs(lon) >= _PROBE_MIN_ABS_DEG:
         for parcel in sorted(index.query_bbox((lat, lon, lat, lon)), key=attrgetter("parcel_id")):
-            if point_polygon_distance_m(lat, lon, parcel.exterior, parcel.holes) == 0.0:
+            d = point_polygon_distance_m(lat, lon, parcel.exterior, parcel.holes)
+            if d == 0.0:
                 return NearestHit(parcel.parcel_id, parcel.activity_code, 0.0)
+            probed[id(parcel)] = d
     candidates = index.query_bbox(_radius_bbox(lat, lon, radius_m))
-    best = _best_parcel(lat, lon, candidates, radius_m)
+    best = _best_parcel(lat, lon, candidates, radius_m, probed)
     if best is None or best[0][0] > radius_m:
         return None
     (dist, _), parcel = best

@@ -29,6 +29,25 @@ from .parcels import ActivityScheme, load_parcels
 
 STAGE_LEVELS = {"ingest": 1, "annotate": 2, "mine": 3, "shape": 4, "all": 4}
 
+# Canonicalizing an n-node network tries up to (n-1)! orderings: 5,040 at 8
+# nodes, 11! at motifs.SIGNATURE_NODE_CAP, which still bounds direct calls.
+MAX_CENSUS_NODES = 8
+
+CONFIG_CHOICES = {
+    "residency_mode": ("span", "active-days"),
+    "active_scope": ("day", "user"),
+    "density_weight": ("point", "user"),
+}
+
+# field -> inclusive (low, high); None leaves that side open
+_CONFIG_RANGES = {
+    "min_slots": (1, 48),  # half-hour slots in a day
+    "night_start_hour": (0, 23),
+    "night_end_hour": (0, 23),
+    "max_nodes": (1, MAX_CENSUS_NODES),
+    "workers": (1, None),
+}
+
 
 @dataclass
 class RunConfig:
@@ -62,6 +81,19 @@ class RunConfig:
     workers: int = 1
     hash_ids: bool = True
     dump_annotations: bool = False
+
+    def __post_init__(self):
+        for name, allowed in CONFIG_CHOICES.items():
+            value = getattr(self, name)
+            if value not in allowed:
+                raise ValueError(f"{name} must be one of {', '.join(allowed)}, not {value!r}")
+        if not 0.0 <= self.cutoff < 1.0:
+            raise ValueError(f"cutoff must be in [0, 1), not {self.cutoff!r}")
+        for name, (low, high) in _CONFIG_RANGES.items():
+            value = getattr(self, name)
+            if value < low or (high is not None and value > high):
+                bound = f"in [{low}, {high}]" if high is not None else f">= {low}"
+                raise ValueError(f"{name} must be {bound}, not {value!r}")
 
     def thresholds_echo(self) -> dict:
         skip = {"records", "parcels", "boundary", "scheme", "zones", "blocklist",

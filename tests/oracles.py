@@ -1,8 +1,9 @@
 """Independent reference implementations backing the test suite.
 
-Everything here is deliberately brute force and shares no code with the
-package: permutation-search isomorphism, closed-walk enumeration over a
-small node budget, label-sequence collapsing, and analytic Gaussian cell
+Everything here is deliberately brute force or otherwise independent of
+the package, and shares no code with it: permutation-search isomorphism, a
+refinement-based isomorphism matcher, closed-walk enumeration over a small
+node budget, label-sequence collapsing, and analytic Gaussian cell
 integrals. Production code is checked against these, never the reverse.
 """
 
@@ -33,6 +34,101 @@ def brute_force_isomorphic(n1, edges1, n2, edges2, labels1=None, labels2=None,
         if {(mapping[u], mapping[v]) for u, v in e1} == e2:
             return True
     return False
+
+
+def _degree_profile(n, edges, labels):
+    indeg = [0] * n
+    outdeg = [0] * n
+    for u, v in edges:
+        outdeg[u] += 1
+        indeg[v] += 1
+    labs = labels if labels is not None else [""] * n
+    return indeg, outdeg, labs
+
+
+def graphs_isomorphic(n1, edges1, n2, edges2, labels1=None, labels2=None,
+                      pin_home: bool = True) -> bool:
+    """Refinement-based matcher for home-pinned digraph isomorphism.
+
+    Candidate pairs are pruned by label and exact in/out degree before a
+    backtracking extension checks edge consistency against the partial
+    mapping in both directions, mirroring the classic matcher strategy for
+    directed graphs.
+    """
+    e1, e2 = set(edges1), set(edges2)
+    if n1 != n2 or len(e1) != len(e2):
+        return False
+    in1, out1, lab1 = _degree_profile(n1, e1, labels1)
+    in2, out2, lab2 = _degree_profile(n2, e2, labels2)
+    if sorted(zip(lab1, in1, out1)) != sorted(zip(lab2, in2, out2)):
+        return False
+    if pin_home and (lab1[0], in1[0], out1[0]) != (lab2[0], in2[0], out2[0]):
+        return False
+
+    # visit order: breadth-first over the underlying adjacency for locality
+    neighbors = [set() for _ in range(n1)]
+    for u, v in e1:
+        neighbors[u].add(v)
+        neighbors[v].add(u)
+    order = []
+    seen = set()
+    queue = [0] if pin_home else []
+    for start in queue + [i for i in range(n1)]:
+        if start in seen:
+            continue
+        stack = [start]
+        seen.add(start)
+        while stack:
+            node = stack.pop(0)
+            order.append(node)
+            for nb in sorted(neighbors[node]):
+                if nb not in seen:
+                    seen.add(nb)
+                    stack.append(nb)
+
+    mapping: dict[int, int] = {}
+    used = set()
+    if pin_home:
+        mapping[0] = 0
+        used.add(0)
+
+    def extend(k: int) -> bool:
+        if k == n1:
+            return True
+        u = order[k]
+        if u in mapping:
+            return extend(k + 1)
+        for v in range(n2):
+            if v in used or lab1[u] != lab2[v]:
+                continue
+            if in1[u] != in2[v] or out1[u] != out2[v]:
+                continue
+            consistent = True
+            for w, mw in mapping.items():
+                if ((u, w) in e1) != ((v, mw) in e2) or ((w, u) in e1) != ((mw, v) in e2):
+                    consistent = False
+                    break
+            if consistent:
+                mapping[u] = v
+                used.add(v)
+                if extend(k + 1):
+                    return True
+                del mapping[u]
+                used.remove(v)
+        return False
+
+    return extend(0)
+
+
+def isomorphic(g1, g2, kind: str | None = None, pin_home: bool = True) -> bool:
+    """True when a home-pinning (and for ABM label-preserving) bijection
+    maps the edges of one daily network onto the other's exactly."""
+    kind = kind or g1.kind
+    labels1 = g1.labels if kind == "abm" else None  # "abm" is motifs.ABM
+    labels2 = g2.labels if kind == "abm" else None
+    return graphs_isomorphic(
+        g1.node_count, g1.edges, g2.node_count, g2.edges, labels1, labels2, pin_home
+    )
 
 
 def edge_bit(u: int, v: int) -> int:

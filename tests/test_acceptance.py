@@ -17,7 +17,7 @@ import pytest
 from motifmine import annotate, synth
 from motifmine.annotate import select_active_days, split_days
 from motifmine.ingest import FilterConfig, UserTrack, residency_filter, speed_filter
-from motifmine.motifs import census_from_signatures, graph_signature, graphs_isomorphic
+from motifmine.motifs import census_from_signatures, graph_signature
 from motifmine.parcels import SpatialIndex, nearest_parcel, nearest_parcel_scan
 from motifmine.pipeline import RunConfig, run
 from motifmine.shape import DegenerateTrajectory, align_trajectory
@@ -29,6 +29,7 @@ from oracles import (
     canonical_mask,
     edges_from_mask,
     enumerate_closed_walk_masks,
+    graphs_isomorphic,
     mask_from_edges,
     mask_nodes,
 )

@@ -2,7 +2,10 @@ import random
 from datetime import date
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from motifmine import motifs
 from motifmine.annotate import HomeAssignment, UserDay
 from motifmine.motifs import (
     ABM,
@@ -14,15 +17,13 @@ from motifmine.motifs import (
     census_from_signatures,
     decode_signature,
     graph_signature,
-    graphs_isomorphic,
-    isomorphic,
     motif_census,
     network_from_label_walk,
     size_group_label,
 )
 
 from conftest import apoint
-from oracles import brute_force_isomorphic, collapse_label_sequence
+from oracles import brute_force_isomorphic, collapse_label_sequence, graphs_isomorphic, isomorphic
 
 HOME = HomeAssignment("u1", 1, "night_mode")
 
@@ -204,6 +205,8 @@ class TestCanonicalSignature:
     def test_node_cap_enforced(self):
         with pytest.raises(ValueError):
             graph_signature(13, set())
+        with pytest.raises(ValueError):
+            graph_signature(0, set())
 
     def test_abm_signature_invariant_to_presentation_order(self):
         # same labeled structure presented with nodes in different order
@@ -293,6 +296,84 @@ class TestIsomorphic:
         assert not graphs_isomorphic(3, star, 3, chain, pin_home=True)
         assert graph_signature(3, star, pin_home=False) == graph_signature(3, chain, pin_home=False)
         assert graph_signature(3, star) != graph_signature(3, chain)
+
+
+@st.composite
+def closed_walk_graph(draw, labeled: bool):
+    """(node_count, edges, labels or None) of a closed walk from home over
+    2-6 nodes, numbered in order of first visit as build_daily_network does."""
+    stops = draw(st.lists(st.integers(1, 5), min_size=1, max_size=10))
+    walk = [0] + stops + [0]
+    walk = walk[:1] + [b for a, b in zip(walk, walk[1:]) if a != b]
+    index: dict[int, int] = {}
+    walk = [index.setdefault(node, len(index)) for node in walk]
+    n = len(index)
+    labels = None
+    if labeled:
+        others = draw(st.lists(st.sampled_from(["W", "R", "Sh"]), min_size=n - 1, max_size=n - 1))
+        labels = ("H", *others)
+    return n, frozenset(zip(walk, walk[1:])), labels
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), labeled=st.booleans(), pin_home=st.booleans(), relabel=st.booleans())
+def test_signature_equality_is_isomorphism_on_closed_walks(data, labeled, pin_home, relabel):
+    n1, e1, l1 = data.draw(closed_walk_graph(labeled))
+    if relabel:  # the same graph under an admissible node renumbering
+        movable = list(range(1 if pin_home else 0, n1))
+        mapping = dict(enumerate(range(n1)))
+        mapping.update(zip(movable, data.draw(st.permutations(movable))))
+        n2, e2 = n1, frozenset((mapping[u], mapping[v]) for u, v in e1)
+        l2 = None
+        if l1 is not None:
+            l2 = [None] * n1
+            for old, new in mapping.items():
+                l2[new] = l1[old]
+            l2 = tuple(l2)
+    else:
+        n2, e2, l2 = data.draw(closed_walk_graph(labeled))
+    sig1 = graph_signature(n1, e1, l1, pin_home)
+    sig2 = graph_signature(n2, e2, l2, pin_home)
+    want = brute_force_isomorphic(n1, e1, n2, e2, l1, l2, pin_home)
+    assert (sig1 == sig2) == want
+    if relabel:
+        assert want
+    # a repeated call, served from the cache, returns the same string as
+    # canonicalizing afresh
+    assert graph_signature(n1, set(e1), l1, pin_home) == sig1
+    assert motifs._signature.__wrapped__(n1, e1, l1, pin_home) == sig1
+
+
+class TestSignatureCache:
+    STAR = {(0, 1), (1, 0), (0, 2), (2, 0)}
+    CHAIN = {(0, 1), (1, 0), (1, 2), (2, 1)}
+
+    def test_equal_inputs_in_other_containers_share_an_entry(self):
+        motifs._signature.cache_clear()
+        edges = {(0, 1), (1, 2), (2, 0)}
+        sig = graph_signature(3, edges, ["H", "W", "Sh"])
+        assert graph_signature(3, frozenset(edges), ("H", "W", "Sh")) == sig
+        assert graph_signature(3, sorted(edges), ("H", "W", "Sh")) == sig
+        info = motifs._signature.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+
+    def test_labels_and_pinning_are_part_of_the_key(self):
+        motifs._signature.cache_clear()
+        unpinned = graph_signature(3, self.STAR, pin_home=False)
+        assert graph_signature(3, self.CHAIN, pin_home=False) == unpinned
+        # computed after the unpinned entries exist, pinning still separates them
+        assert graph_signature(3, self.STAR) != graph_signature(3, self.CHAIN)
+        labeled = graph_signature(3, self.STAR, ("H", "W", "W"))
+        assert labeled != graph_signature(3, self.STAR)
+        assert labeled.split("|")[1] == "H,W,W"
+        assert motifs._signature.cache_info().currsize == 5
+
+    def test_out_of_range_edges_are_ignored(self):
+        pendulum = {(0, 1), (1, 0)}
+        stray = pendulum | {(0, 2), (2, 0), (-1, 0), (1, -1), (5, 5)}
+        assert graph_signature(2, stray) == graph_signature(2, pendulum) == "2||0110"
+        assert graph_signature(2, stray, pin_home=False) == "2||0110"
+        assert graph_signature(2, stray, ("H", "W")) == "2|H,W|0110"
 
 
 class TestCensus:

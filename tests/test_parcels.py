@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from motifmine import parcels as parcels_mod
 from motifmine.geo import METERS_PER_DEGREE
 from motifmine.parcels import (
     ActivityScheme,
@@ -257,6 +258,32 @@ class TestContainmentProbe:
         hit = assert_join_matches_scan(lat, lon, parcels, index)
         assert hit.parcel_id == 1 and hit.distance_m > 0.0
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("shape", ["hole", "concave"])
+    def test_probed_parcel_is_evaluated_once(self, shape, monkeypatch):
+        # the point lies in the parcel's bbox but outside its polygon, so the
+        # probe's distance must carry over to the radius query's ranking
+        if shape == "hole":
+            parcel = grid_parcel(1, 0, 0, holes=(grid_ring(0.25, 0.25, 0.75, 0.75),))
+        else:  # an L whose notch is the upper right quarter of its bbox
+            ring = grid_ring(0, 0, 1, 1)
+            mid = (GRID_LAT0 + 0.5 * GRID_STEP, GRID_LON0 + 0.5 * GRID_STEP)
+            ring = (ring[0], ring[1], (mid[0], ring[1][1]), mid, (ring[2][0], mid[1]), ring[3])
+            parcel = Parcel(1, ring, (), "x", 1)
+        index = SpatialIndex([parcel])
+        evals = []
+        real = parcels_mod.point_polygon_distance_m
+
+        def counted(*args):
+            evals.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(parcels_mod, "point_polygon_distance_m", counted)
+        lat, lon = GRID_LAT0 + 0.6 * GRID_STEP, GRID_LON0 + 0.6 * GRID_STEP
+        hit = nearest_parcel(lat, lon, index)
+        assert len(evals) == 1
+        assert hit.parcel_id == 1 and hit.distance_m > 0.0
+        assert hit == nearest_parcel_scan(lat, lon, [parcel])
 
     def test_point_in_gap_takes_the_radius_query(self):
         parcels = [grid_parcel(1, 0, 0), grid_parcel(2, 0, 2), grid_parcel(3, 1, 1)]

@@ -184,6 +184,52 @@ class TestConfigPrecedence:
         assert values == {"weekdays_only": False, "pin_home": True}
 
 
+class TestConfigValidation:
+    @pytest.mark.parametrize("name, value", [
+        ("density_weight", "bogus"),
+        ("residency_mode", "sometimes"),
+        ("active_scope", "week"),
+        ("cutoff", 1.0),
+        ("cutoff", -0.01),
+        ("cutoff", float("nan")),
+        ("min_slots", 0),
+        ("min_slots", 49),
+        ("night_start_hour", 24),
+        ("night_end_hour", -1),
+        ("workers", 0),
+        ("max_nodes", 0),
+        ("max_nodes", 9),
+    ])
+    def test_out_of_range_value_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            RunConfig(**{name: value})
+
+    def test_range_ends_accepted(self):
+        RunConfig(density_weight="user", residency_mode="active-days", active_scope="user",
+                  cutoff=0.0, min_slots=48, night_start_hour=0, night_end_hour=23,
+                  workers=1, max_nodes=8)
+        RunConfig(min_slots=1, night_start_hour=23, night_end_hour=0, max_nodes=1)
+
+    def test_config_file_value_rejected_with_exit_2(self, tmp_path, capsys):
+        # the config file is the one path that argparse choices never see
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("density_weight = bogus\n")
+        with pytest.raises(ValueError, match="density_weight"):
+            make_config(cfg_file)
+        out_dir = tmp_path / "out"
+        rc = main(["mine", "--config", str(cfg_file), "--records", "r.csv",
+                   "--parcels", "p.geojson", "--out", str(out_dir)])
+        assert rc == 2
+        assert "density_weight" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_max_nodes_flag_rejected_with_exit_2(self, tmp_path, capsys):
+        rc = main(["mine", "--max-nodes", "11", "--records", "r.csv",
+                   "--parcels", "p.geojson", "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "max_nodes" in capsys.readouterr().err
+
+
 class TestCli:
     def test_synth_then_mine(self, tmp_path, capsys):
         world_dir = tmp_path / "world"
