@@ -32,7 +32,7 @@ from .motifs import (
     abm_reduce,
     build_daily_network,
     canonical_signature,
-    motif_census,
+    census_from_signatures,
 )
 from .parcels import (
     ActivityScheme,
@@ -40,7 +40,6 @@ from .parcels import (
     SpatialIndex,
     load_parcels,
     nearest_parcel,
-    nearest_parcel_scan,
 )
 from .shape import (
     AlignedTrajectory,

@@ -18,6 +18,8 @@ EPOCH_DATE = date(1970, 1, 1)
 SLOT_SECONDS = 1800  # 48 half-hour slots per day
 SLOTS_PER_DAY = 86400 // SLOT_SECONDS
 
+ACTIVE_SCOPES = ("day", "user")
+
 
 @dataclass(slots=True)
 class AnnotatedPoint:
@@ -174,7 +176,7 @@ def select_active_days(days, min_slots: int = 6, weekdays_only: bool = True,
     user's (weekday-filtered) days as soon as one day qualifies. The
     weekday filter always applies when weekdays_only is set.
     """
-    if scope not in ("day", "user"):
+    if scope not in ACTIVE_SCOPES:
         raise ValueError(f"unknown scope {scope!r}")
     candidates = [d for d in days if not weekdays_only or d.local_date.weekday() < 5]
     if scope == "user":

@@ -25,20 +25,6 @@ def haversine_m(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
     return 2.0 * EARTH_RADIUS_M * math.asin(min(1.0, math.sqrt(a)))
 
 
-def local_xy(lat: float, lon: float, lat0: float, lon0: float) -> tuple[float, float]:
-    """Project a point to meters in an equirectangular frame centered at (lat0, lon0)."""
-    x = (lon - lon0) * METERS_PER_DEGREE * math.cos(math.radians(lat0))
-    y = (lat - lat0) * METERS_PER_DEGREE
-    return x, y
-
-
-def local_latlon(x: float, y: float, lat0: float, lon0: float) -> tuple[float, float]:
-    """Inverse of :func:`local_xy`."""
-    lat = lat0 + y / METERS_PER_DEGREE
-    lon = lon0 + x / (METERS_PER_DEGREE * math.cos(math.radians(lat0)))
-    return lat, lon
-
-
 def normalize_ring(ring) -> tuple:
     """Return the ring as a tuple of (lat, lon) pairs without a repeated last vertex."""
     pts = [(float(a), float(b)) for a, b in ring]
@@ -145,11 +131,14 @@ def point_polygon_distance_m(lat: float, lon: float, exterior, holes=()) -> floa
     """
     if point_in_polygon(lat, lon, exterior, holes):
         return 0.0
+    # equirectangular frame in meters centered on the query point
+    coslat = math.cos(math.radians(lat))
     best = None
     best_xy = None
     for ring in (exterior, *holes):
         n = len(ring)
-        proj = [local_xy(p[0], p[1], lat, lon) for p in ring]
+        proj = [((p[1] - lon) * METERS_PER_DEGREE * coslat, (p[0] - lat) * METERS_PER_DEGREE)
+                for p in ring]
         for i in range(n):
             ax, ay = proj[i]
             bx, by = proj[(i + 1) % n]
@@ -160,5 +149,6 @@ def point_polygon_distance_m(lat: float, lon: float, exterior, holes=()) -> floa
                 best_xy = (nx, ny)
     if best is None:
         return math.inf
-    nlat, nlon = local_latlon(best_xy[0], best_xy[1], lat, lon)
+    nlat = lat + best_xy[1] / METERS_PER_DEGREE
+    nlon = lon + best_xy[0] / (METERS_PER_DEGREE * coslat)
     return haversine_m(lat, lon, nlat, nlon)

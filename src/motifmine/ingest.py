@@ -13,6 +13,8 @@ from .geo import haversine_m, point_in_ring, ring_self_intersects
 
 DEFAULT_BLOCKLIST = ("job", "jobs", "hiring", "recruiting", "traffic", "weather alert")
 
+RESIDENCY_MODES = ("span", "active-days")
+
 GPS = "gps"
 GEOCODED = "geocoded"
 
@@ -91,7 +93,7 @@ class FilterConfig:
             raise ValueError("max_speed_mps must be positive")
         if self.min_residency_days <= 0:
             raise ValueError("min_residency_days must be positive")
-        if self.residency_mode not in ("span", "active-days"):
+        if self.residency_mode not in RESIDENCY_MODES:
             raise ValueError(f"unknown residency_mode {self.residency_mode!r}")
         if self.boundary is not None:
             if len(self.boundary) < 3 or ring_self_intersects(self.boundary):

@@ -240,6 +240,15 @@ def canonical_signature(net: DailyNetwork, kind: str | None = None,
     return CanonicalSignature(kind, net.node_count, sig)
 
 
+def census_signature(net: DailyNetwork, kind: str, max_nodes: int = 6,
+                     pin_home: bool = True) -> str | None:
+    """The network's signature string when it joins the motif census, which
+    takes networks of 2..max_nodes nodes; None otherwise."""
+    if 1 < net.node_count <= max_nodes:
+        return canonical_signature(net, kind, pin_home).signature_string
+    return None
+
+
 def size_group_label(node_count: int, max_nodes: int = 6) -> str:
     if node_count <= max_nodes:
         return str(node_count)
@@ -274,8 +283,13 @@ class MotifCensus:
 
 def census_from_signatures(items, kind: str, cutoff: float = 0.005,
                            max_nodes: int = 6) -> MotifCensus:
-    """Census over (node_count, signature) pairs; signature may be None for
-    networks larger than max_nodes (they only join the size tally)."""
+    """Census over (node_count, census_signature) pairs of daily networks.
+
+    One-node networks are tallied separately; networks above max_nodes
+    (signature None) join only the largest size group. A class is a motif
+    when its share of all networks strictly exceeds the cutoff; the list is
+    ranked by frequency, ties by signature.
+    """
     total = len(items)
     one_node = 0
     sig_counts: dict[str, int] = {}
@@ -300,26 +314,6 @@ def census_from_signatures(items, kind: str, cutoff: float = 0.005,
             for rank, (sig, c) in enumerate(qualifying, start=1)
         ]
     return MotifCensus(kind, total, one_node, cutoff, max_nodes, sig_counts, motifs, size_groups)
-
-
-def motif_census(networks, kind: str | None = None, cutoff: float = 0.005,
-                 max_nodes: int = 6, pin_home: bool = True) -> MotifCensus:
-    """Census of canonical classes over built daily networks.
-
-    One-node networks are tallied separately; networks above max_nodes join
-    only the largest size group. A class is a motif when its share of all
-    networks strictly exceeds the cutoff; the list is ranked by frequency.
-    """
-    if kind is None:
-        kind = networks[0].kind if networks else LBM
-    items = []
-    for net in networks:
-        n = net.node_count
-        sig = None
-        if 1 < n <= max_nodes:
-            sig = canonical_signature(net, kind, pin_home).signature_string
-        items.append((n, sig))
-    return census_from_signatures(items, kind, cutoff, max_nodes)
 
 
 def network_from_label_walk(label_walk, user_id: str = "", local_date=None) -> DailyNetwork:

@@ -106,11 +106,6 @@ class LoadReport:
     skipped_invalid: int = 0
     per_code: dict = field(default_factory=dict)
 
-    def code_percentages(self) -> dict:
-        if not self.loaded:
-            return {}
-        return {code: 100.0 * n / self.loaded for code, n in sorted(self.per_code.items())}
-
 
 class _Node:
     __slots__ = ("bbox", "children", "parcels")
@@ -283,17 +278,6 @@ def _best_parcel(lat, lon, candidates, radius_m=math.inf, known=None):
     return best
 
 
-def _best_parcel_scan(lat, lon, parcels):
-    """Prune-free reference: evaluate every parcel, minimize (distance, id)."""
-    best = None
-    for parcel in parcels:
-        d = point_polygon_distance_m(lat, lon, parcel.exterior, parcel.holes)
-        key = (d, parcel.parcel_id)
-        if best is None or key < best[0]:
-            best = (key, parcel)
-    return best
-
-
 # Closer to 0 degrees than this, two distinct coordinates can differ by so
 # little that the haversine bound between them underflows to 0.0.
 _PROBE_MIN_ABS_DEG = 1e-100
@@ -340,14 +324,3 @@ def nearest_parcel(lat: float, lon: float, index: SpatialIndex,
     (dist, _), parcel = best
     return NearestHit(parcel.parcel_id, parcel.activity_code, dist)
 
-
-def nearest_parcel_scan(lat: float, lon: float, parcels,
-                        radius_m: float = DEFAULT_RADIUS_M) -> NearestHit | None:
-    """Reference linear-scan implementation of :func:`nearest_parcel`."""
-    if radius_m <= 0:
-        raise ValueError("radius_m must be positive")
-    best = _best_parcel_scan(lat, lon, parcels)
-    if best is None or best[0][0] > radius_m:
-        return None
-    (dist, _), parcel = best
-    return NearestHit(parcel.parcel_id, parcel.activity_code, dist)

@@ -2,30 +2,33 @@
 
 Stages build on each other (ingest -> annotate -> mine -> shape); each run
 executes the chain up to the requested stage and writes its artifacts plus
-a run manifest of per-stage counts. Users are processed independently and
-may fan out over worker processes; every reduction happens in sorted user
-order, so output bytes never depend on the worker count.
+a run manifest of per-stage counts. Every input is read and checked before
+any record is processed, and nothing is written until every computation
+has succeeded, so a failed run leaves its output directory untouched.
+Users are processed independently and may fan out over worker processes;
+every reduction happens in sorted user order, so output bytes never depend
+on the worker count.
 """
 
 import csv
 import hashlib
-import io
 import json
+import math
 import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
+from operator import attrgetter
 from pathlib import Path
-
-import numpy as np
 
 from . import annotate as ann
 from . import ingest as ing
 from . import motifs as mot
 from . import shape as shp
 from .geo import normalize_ring, point_in_polygon
-from .parcels import ActivityScheme, load_parcels
+from .parcels import ActivityScheme, LoadReport, SpatialIndex, load_parcels
 
 STAGE_LEVELS = {"ingest": 1, "annotate": 2, "mine": 3, "shape": 4, "all": 4}
 
@@ -34,9 +37,9 @@ STAGE_LEVELS = {"ingest": 1, "annotate": 2, "mine": 3, "shape": 4, "all": 4}
 MAX_CENSUS_NODES = 8
 
 CONFIG_CHOICES = {
-    "residency_mode": ("span", "active-days"),
-    "active_scope": ("day", "user"),
-    "density_weight": ("point", "user"),
+    "residency_mode": ing.RESIDENCY_MODES,
+    "active_scope": ann.ACTIVE_SCOPES,
+    "density_weight": shp.DENSITY_WEIGHTS,
 }
 
 # field -> inclusive (low, high); None leaves that side open
@@ -46,6 +49,16 @@ _CONFIG_RANGES = {
     "night_end_hour": (0, 23),
     "max_nodes": (1, MAX_CENSUS_NODES),
     "workers": (1, None),
+    "density_bins": (1, None),
+}
+
+# field -> whether it must also be finite; each must be > 0, which NaN is not.
+# An infinite speed cap means no cap.
+_POSITIVE = {
+    "radius_m": True,
+    "density_bound": True,
+    "max_speed_mps": False,
+    "min_residency_days": False,
 }
 
 
@@ -93,6 +106,11 @@ class RunConfig:
             value = getattr(self, name)
             if value < low or (high is not None and value > high):
                 bound = f"in [{low}, {high}]" if high is not None else f">= {low}"
+                raise ValueError(f"{name} must be {bound}, not {value!r}")
+        for name, finite in _POSITIVE.items():
+            value = getattr(self, name)
+            if not value > 0 or (finite and math.isinf(value)):
+                bound = "finite and > 0" if finite else "> 0"
                 raise ValueError(f"{name} must be {bound}, not {value!r}")
 
     def thresholds_echo(self) -> dict:
@@ -154,19 +172,27 @@ def pseudonymize(user_id: str) -> str:
     return hashlib.sha256(user_id.encode("utf-8")).hexdigest()[:16]
 
 
-def write_atomic(path, text: str):
-    """Write-then-rename so a crashed run never leaves a truncated file."""
+@contextmanager
+def _atomic_file(path):
+    """Text file written to a temporary sibling and renamed over `path` only
+    when the block succeeds, so a crashed run never leaves a truncated file."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_atomic(path, text: str):
+    """Write-then-rename so a crashed run never leaves a truncated file."""
+    with _atomic_file(path) as fh:
+        fh.write(text)
 
 
 def load_boundary_ring(path) -> tuple:
@@ -192,6 +218,7 @@ def load_blocklist(path) -> tuple:
 
 
 def load_zones(path, pop_attr: str) -> list:
+    """Polygon zones with their population; a correlation needs two or more."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     zones = []
@@ -202,22 +229,66 @@ def load_zones(path, pop_attr: str) -> list:
         rings = [normalize_ring((lat, lon) for lon, lat in ring) for ring in geom["coordinates"]]
         pop = float((feat.get("properties") or {}).get(pop_attr, 0.0))
         zones.append({"exterior": rings[0], "holes": tuple(rings[1:]), "population": pop})
-    if not zones:
-        raise ValueError(f"no polygon zones in {path}")
+    if len(zones) < 2:
+        raise ValueError(f"need at least two polygon zones in {path}, found {len(zones)}")
     return zones
 
 
 @dataclass(slots=True)
+class Inputs:
+    """Every input except the record stream, read and checked."""
+
+    index: SpatialIndex
+    parcels: LoadReport
+    schema: ing.RecordSchema
+    filters: ing.FilterConfig
+    zones: list | None  # only read for the shape stage
+
+
+def load_inputs(cfg: RunConfig, level: int) -> Inputs:
+    """Read and check every input file; the records are parsed by `ingest`."""
+    for path_field in ("records", "parcels"):
+        value = getattr(cfg, path_field)
+        if not value or not Path(value).exists():
+            raise FileNotFoundError(f"missing {path_field} file: {value or '(unset)'}")
+    scheme = ActivityScheme.from_file(cfg.scheme) if cfg.scheme else ActivityScheme()
+    index, load_report = load_parcels(cfg.parcels, scheme, cfg.category_attr)
+    schema = ing.RecordSchema(delimiter=cfg.delimiter)
+    if cfg.columns:
+        schema.columns = ing.parse_schema_columns(cfg.columns)
+    filters = ing.FilterConfig(
+        boundary=load_boundary_ring(cfg.boundary) if cfg.boundary else None,
+        keyword_blocklist=load_blocklist(cfg.blocklist) if cfg.blocklist else ing.DEFAULT_BLOCKLIST,
+        max_speed_mps=cfg.max_speed_mps,
+        min_residency_days=cfg.min_residency_days,
+        residency_mode=cfg.residency_mode,
+    )
+    zones = load_zones(cfg.zones, cfg.zone_pop_attr) if cfg.zones and level >= 4 else None
+    return Inputs(index, load_report, schema, filters, zones)
+
+
+@dataclass(slots=True)
+class Ingested:
+    parse: ing.ParseReport
+    prefiltered: int  # records kept by the prefilter
+    tracks: list  # UserTrack, sorted by user id
+
+
+def ingest(cfg: RunConfig, inputs: Inputs) -> Ingested:
+    """Parse the records, pseudonymize users, prefilter and group into tracks."""
+    records, parse_report = ing.parse_records_path(cfg.records, inputs.schema)
+    if cfg.hash_ids:
+        for rec in records:
+            rec.user_id = pseudonymize(rec.user_id)
+    filtered = ing.prefilter(records, inputs.filters)
+    return Ingested(parse_report, len(filtered), ing.group_tracks(filtered))
+
+
+@dataclass(slots=True)
 class DayOutcome:
-    date_iso: str
-    lbm_nodes: int
-    lbm_sig: str | None
-    abm_nodes: int
+    lbm_sig: str | None  # None unless the network joins the motif census
     abm_sig: str | None
-    abm_pair: str | None
-    trips_km: tuple
-    total_km: float
-    gyradius_km: float
+    metrics: shp.DayMetrics
 
 
 @dataclass(slots=True)
@@ -231,8 +302,6 @@ class UserOutcome:
     rejected_open_walk: int = 0
     rejected_no_home: int = 0
     days: list = field(default_factory=list)  # DayOutcome
-    home_parcel_id: int | None = None
-    home_rule: str = ""
     home_anchor: tuple | None = None
     normalized: object = None  # (n, 2) array of aligned coordinates
     align_skip: str | None = None
@@ -243,49 +312,25 @@ def _day_outcome(day, home, home_anchor, cfg) -> tuple:
     if net is None:
         return None, reason
     reduced = mot.abm_reduce(net)
-    max_n = cfg.max_nodes
-    lbm_sig = None
-    if 1 < net.node_count <= max_n:
-        lbm_sig = mot.canonical_signature(net, mot.LBM, cfg.pin_home).signature_string
-    abm_sig = None
-    if 1 < reduced.node_count <= max_n:
-        abm_sig = mot.canonical_signature(reduced, mot.ABM, cfg.pin_home).signature_string
+    lbm_sig = mot.census_signature(net, mot.LBM, cfg.max_nodes, cfg.pin_home)
+    abm_sig = mot.census_signature(reduced, mot.ABM, cfg.max_nodes, cfg.pin_home)
     abm_pair = None
     if reduced.node_count == 2:
         abm_pair = next(lab for lab in reduced.labels if lab != mot.HOME_LABEL)
     trips = tuple(shp.day_trips_km(day))
     anchors = shp.day_anchors(day)
-    day_home_anchor = anchors.get(home.home_parcel_id, home_anchor)
-    gyr = shp.gyradius_from_home(day, day_home_anchor)
-    return (
-        DayOutcome(
-            day.local_date.isoformat(),
-            net.node_count,
-            lbm_sig,
-            reduced.node_count,
-            abm_sig,
-            abm_pair,
-            trips,
-            sum(trips),
-            gyr,
-        ),
-        None,
-    )
+    gyr = shp.gyradius_from_home(day, anchors.get(home.home_parcel_id, home_anchor))
+    metrics = shp.DayMetrics(net.node_count, reduced.node_count, abm_pair, trips, sum(trips), gyr)
+    return DayOutcome(lbm_sig, abm_sig, metrics), None
 
 
-def process_user(track, index, cfg: RunConfig, level: int) -> UserOutcome:
+def process_user(track, index, filters: ing.FilterConfig, cfg: RunConfig,
+                 level: int) -> UserOutcome:
     out = UserOutcome(track.user_id)
-    fcfg = ing.FilterConfig(
-        boundary=None,
-        keyword_blocklist=(),
-        max_speed_mps=cfg.max_speed_mps,
-        min_residency_days=cfg.min_residency_days,
-        residency_mode=cfg.residency_mode,
-    )
-    if not ing.speed_filter(track, fcfg).keep:
+    if not ing.speed_filter(track, filters).keep:
         out.drop = "speed"
         return out
-    if not ing.residency_filter(track, fcfg):
+    if not ing.residency_filter(track, filters):
         out.drop = "residency"
         return out
     out.points = track.points
@@ -304,8 +349,6 @@ def process_user(track, index, cfg: RunConfig, level: int) -> UserOutcome:
 
     actives = ann.active_locations(history)
     home = ann.infer_home(history, actives, cfg.night_start_hour, cfg.night_end_hour)
-    out.home_parcel_id = home.home_parcel_id
-    out.home_rule = home.rule_used
 
     days = ann.split_days(history)
     out.n_days = len(days)
@@ -347,32 +390,137 @@ def process_user(track, index, cfg: RunConfig, level: int) -> UserOutcome:
     return out
 
 
-_G_INDEX = None
-_G_CFG = None
-_G_LEVEL = None
+_G_ARGS = None
 
 
-def _pool_init(index, cfg, level):
-    global _G_INDEX, _G_CFG, _G_LEVEL
-    _G_INDEX = index
-    _G_CFG = cfg
-    _G_LEVEL = level
+def _pool_init(*args):
+    global _G_ARGS
+    _G_ARGS = args
 
 
 def _pool_task(track):
-    return process_user(track, _G_INDEX, _G_CFG, _G_LEVEL)
+    return process_user(track, *_G_ARGS)
 
 
-def process_users(tracks, index, cfg: RunConfig, level: int) -> dict:
-    """Run the per-user stage chain, serial or in a process pool."""
+def process_users(tracks, index, filters: ing.FilterConfig, cfg: RunConfig, level: int) -> list:
+    """Run the per-user stage chain, serial or in a process pool; the
+    outcomes come back sorted by user id."""
     if cfg.workers <= 1:
-        outcomes = [process_user(t, index, cfg, level) for t in tracks]
+        outcomes = [process_user(t, index, filters, cfg, level) for t in tracks]
     else:
         with ProcessPoolExecutor(
-            max_workers=cfg.workers, initializer=_pool_init, initargs=(index, cfg, level)
+            max_workers=cfg.workers, initializer=_pool_init,
+            initargs=(index, filters, cfg, level),
         ) as pool:
             outcomes = list(pool.map(_pool_task, tracks, chunksize=16))
-    return {o.user_id: o for o in outcomes}
+    return sorted(outcomes, key=attrgetter("user_id"))
+
+
+@dataclass(slots=True)
+class Mined:
+    days: list  # DayOutcome of every built network, in user order
+    lbm: mot.MotifCensus
+    abm: mot.MotifCensus
+
+
+def mine(users, cfg: RunConfig) -> Mined:
+    """Census the daily networks of every user."""
+    days = [d for o in users for d in o.days]
+    lbm = mot.census_from_signatures(
+        [(d.metrics.lbm_nodes, d.lbm_sig) for d in days], mot.LBM, cfg.cutoff, cfg.max_nodes
+    )
+    abm = mot.census_from_signatures(
+        [(d.metrics.abm_nodes, d.abm_sig) for d in days], mot.ABM, cfg.cutoff, cfg.max_nodes
+    )
+    return Mined(days, lbm, abm)
+
+
+@dataclass(slots=True)
+class Shaped:
+    stats: list  # shape.DistanceStats
+    density: shp.ReferenceFrameDensity
+    summary: dict
+    correlation: dict | None  # only with zones
+
+
+def _zone_correlation(zones, users):
+    anchors = [o.home_anchor for o in users if o.home_anchor is not None and o.drop is None]
+    counts = []
+    pops = []
+    for zone in zones:
+        n = sum(
+            1 for a in anchors if point_in_polygon(a[0], a[1], zone["exterior"], zone["holes"])
+        )
+        counts.append(n)
+        pops.append(zone["population"])
+    return shp.correlation_report(pops, counts)
+
+
+def shape(users, days, zones, cfg: RunConfig) -> Shaped:
+    """Distance statistics, the reference-frame density and the zone correlation."""
+    stats = shp.distance_stats([d.metrics for d in days], cfg.max_nodes)
+    streams = [o.normalized for o in users if o.normalized is not None]
+    density = shp.density_histogram(streams, cfg.density_bins, cfg.density_bound,
+                                    cfg.density_weight)
+    skip_counts = {}
+    for o in users:
+        if o.align_skip:
+            skip_counts[o.align_skip] = skip_counts.get(o.align_skip, 0) + 1
+    gyr_values = [d.metrics.gyradius_km for d in days]
+    summary = {
+        "aligned_users": len(streams),
+        "skipped_users": skip_counts,
+        "points_total": int(density.total),
+        "points_in_range": int(density.in_range),
+        "out_of_range_mass": density.out_of_range_mass(),
+        "mean_daily_gyradius_km": (sum(gyr_values) / len(gyr_values)) if gyr_values else 0.0,
+    }
+    correlation = _zone_correlation(zones, users) if zones else None
+    return Shaped(stats, density, summary, correlation)
+
+
+def build_manifest(cfg: RunConfig, stage: str, inputs: Inputs, ingested: Ingested, users,
+                   mined: Mined | None) -> dict:
+    """Per-stage counts: where the records, users and days went."""
+    funnel = {"total": len(users)}
+    remaining = len(users)
+    for drop, key in (("speed", "after_speed"), ("residency", "after_residency"),
+                      ("bot", "after_bot_filter"), ("no_home", "with_home")):
+        remaining -= sum(1 for o in users if o.drop == drop)
+        funnel[key] = remaining
+    load_report = inputs.parcels
+    manifest = {
+        "config": cfg.thresholds_echo(),
+        "stage": stage,
+        "parse": asdict(ingested.parse),
+        "prefilter": {"records": ingested.prefiltered},
+        "parcels": {
+            "features": load_report.total_features,
+            "loaded": load_report.loaded,
+            "skipped_invalid": load_report.skipped_invalid,
+            "per_code": {str(k): v for k, v in sorted(load_report.per_code.items())},
+        },
+        "users": funnel,
+    }
+    if STAGE_LEVELS[stage] >= 2:
+        manifest["days"] = {
+            "total": sum(o.n_days for o in users),
+            "active": sum(o.n_active_days for o in users),
+        }
+    if mined is not None:
+        manifest["days"]["rejected_open_walk"] = sum(o.rejected_open_walk for o in users)
+        manifest["days"]["rejected_no_home"] = sum(o.rejected_no_home for o in users)
+        manifest["days"]["networks"] = len(mined.days)
+        manifest["census"] = {
+            c.kind: {
+                "total": c.total,
+                "one_node": c.one_node_count,
+                "motifs": len(c.motifs),
+                "size_groups": dict(c.size_groups),
+            }
+            for c in (mined.lbm, mined.abm)
+        }
+    return manifest
 
 
 def _iso_utc(ts: int) -> str:
@@ -383,37 +531,35 @@ def _iso_naive(ts: int) -> str:
     return datetime.fromtimestamp(ts, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%S")
 
 
-def _csv_text(header, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+def _write_csv(path, header, rows):
+    # streamed: the write step runs after every stage, so whatever a writer
+    # holds at once adds to the run's peak memory
+    with _atomic_file(path) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
-def write_filtered_records(path, outcomes_by_user):
-    rows = []
-    for uid in sorted(outcomes_by_user):
-        o = outcomes_by_user[uid]
-        if o.points is None:
-            continue
-        for p in o.points:
-            rows.append((uid, _iso_utc(p.ts), f"{p.lat:.7f}", f"{p.lon:.7f}", p.source, p.text))
-    write_atomic(path, _csv_text(
-        ("user_id", "timestamp", "lat", "lon", "location_source", "text"), rows))
+def write_json(path, doc: dict):
+    write_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def write_annotation_dump(path, outcomes_by_user):
-    rows = []
-    for uid in sorted(outcomes_by_user):
-        o = outcomes_by_user[uid]
-        for r in o.annotated_rows or ():
-            rows.append((
-                uid, _iso_utc(r[1]), _iso_naive(r[2]), f"{r[3]:.7f}", f"{r[4]:.7f}",
-                "" if r[5] is None else r[5], r[6],
-            ))
-    write_atomic(path, _csv_text(
-        ("user_id", "ts_utc", "local_ts", "lat", "lon", "parcel_id", "activity_code"), rows))
+def write_filtered_records(path, users):
+    rows = (
+        (o.user_id, _iso_utc(p.ts), f"{p.lat:.7f}", f"{p.lon:.7f}", p.source, p.text)
+        for o in users for p in o.points or ()
+    )
+    _write_csv(path, ("user_id", "timestamp", "lat", "lon", "location_source", "text"), rows)
+
+
+def write_annotation_dump(path, users):
+    rows = (
+        (o.user_id, _iso_utc(r[1]), _iso_naive(r[2]), f"{r[3]:.7f}", f"{r[4]:.7f}",
+         "" if r[5] is None else r[5], r[6])
+        for o in users for r in o.annotated_rows or ()
+    )
+    _write_csv(path, ("user_id", "ts_utc", "local_ts", "lat", "lon", "parcel_id",
+                      "activity_code"), rows)
 
 
 def write_census_csv(path, census: mot.MotifCensus):
@@ -421,8 +567,7 @@ def write_census_csv(path, census: mot.MotifCensus):
         (census.kind, m.rank, m.signature, m.node_count, m.count, f"{m.percentage:.6f}")
         for m in census.motifs
     ]
-    write_atomic(path, _csv_text(
-        ("kind", "rank", "signature", "node_count", "count", "percentage"), rows))
+    _write_csv(path, ("kind", "rank", "signature", "node_count", "count", "percentage"), rows)
 
 
 def write_size_groups_csv(path, censuses):
@@ -431,7 +576,7 @@ def write_size_groups_csv(path, censuses):
         pct = census.size_group_percentages()
         for group, count in census.size_groups.items():
             rows.append((census.kind, group, count, f"{pct[group]:.6f}"))
-    write_atomic(path, _csv_text(("kind", "size_group", "count", "percentage"), rows))
+    _write_csv(path, ("kind", "size_group", "count", "percentage"), rows)
 
 
 def write_motif_edges(path, censuses):
@@ -455,35 +600,45 @@ def write_distance_stats_csv(path, stats):
         )
         for s in stats
     ]
-    write_atomic(path, _csv_text(
-        ("kind", "group", "n_days", "n_trips", "d_hat_km", "D_hat_km", "gyradius_home_km"), rows))
+    _write_csv(path, ("kind", "group", "n_days", "n_trips", "d_hat_km", "D_hat_km",
+                      "gyradius_home_km"), rows)
 
 
 def write_density_csv(path, density: shp.ReferenceFrameDensity):
     centers = density.centers()
     mass = density.mass()
-    rows = []
-    for i in range(density.bins):
-        for j in range(density.bins):
-            rows.append((f"{centers[i]:.6f}", f"{centers[j]:.6f}", f"{mass[i, j]:.10g}"))
-    write_atomic(path, _csv_text(("bin_x_center", "bin_y_center", "mass"), rows))
+    rows = (
+        (f"{centers[i]:.6f}", f"{centers[j]:.6f}", f"{mass[i, j]:.10g}")
+        for i in range(density.bins) for j in range(density.bins)
+    )
+    _write_csv(path, ("bin_x_center", "bin_y_center", "mass"), rows)
 
 
-def _zone_correlation(zones, outcomes_by_user):
-    anchors = [
-        o.home_anchor
-        for uid, o in sorted(outcomes_by_user.items())
-        if o.home_anchor is not None and o.drop is None
-    ]
-    counts = []
-    pops = []
-    for zone in zones:
-        n = sum(
-            1 for a in anchors if point_in_polygon(a[0], a[1], zone["exterior"], zone["holes"])
-        )
-        counts.append(n)
-        pops.append(zone["population"])
-    return shp.correlation_report(pops, counts)
+def write_outputs(out_dir: Path, users, manifest: dict, mined: Mined | None,
+                  shaped: Shaped | None, annotations: bool) -> dict:
+    """Write every artifact of a finished run, the manifest last; returns their paths."""
+    paths = {}
+
+    def put(name, filename, writer, *args):
+        paths[name] = out_dir / filename
+        writer(paths[name], *args)
+
+    put("filtered_records", "filtered_records.csv", write_filtered_records, users)
+    if annotations:
+        put("annotations", "annotations.csv", write_annotation_dump, users)
+    if mined is not None:
+        put("census_lbm", "census_lbm.csv", write_census_csv, mined.lbm)
+        put("census_abm", "census_abm.csv", write_census_csv, mined.abm)
+        put("size_groups", "size_groups.csv", write_size_groups_csv, [mined.lbm, mined.abm])
+        put("motif_edges", "motif_edges.txt", write_motif_edges, [mined.lbm, mined.abm])
+    if shaped is not None:
+        put("distance_stats", "distance_stats.csv", write_distance_stats_csv, shaped.stats)
+        put("density", "density.csv", write_density_csv, shaped.density)
+        put("shape_summary", "shape_summary.json", write_json, shaped.summary)
+        if shaped.correlation is not None:
+            put("correlation", "correlation.json", write_json, shaped.correlation)
+    put("manifest", "manifest.json", write_json, manifest)
+    return paths
 
 
 def run(cfg: RunConfig, stage: str = "all") -> dict:
@@ -491,210 +646,12 @@ def run(cfg: RunConfig, stage: str = "all") -> dict:
     if stage not in STAGE_LEVELS:
         raise ValueError(f"unknown stage {stage!r}")
     level = STAGE_LEVELS[stage]
-    out_dir = Path(cfg.out_dir)
-    for path_field in ("records", "parcels"):
-        value = getattr(cfg, path_field)
-        if not value or not Path(value).exists():
-            raise FileNotFoundError(f"missing {path_field} file: {value or '(unset)'}")
-
-    scheme = ActivityScheme.from_file(cfg.scheme) if cfg.scheme else ActivityScheme()
-    index, load_report = load_parcels(cfg.parcels, scheme, cfg.category_attr)
-
-    boundary = load_boundary_ring(cfg.boundary) if cfg.boundary else None
-    blocklist = load_blocklist(cfg.blocklist) if cfg.blocklist else ing.DEFAULT_BLOCKLIST
-
-    schema = ing.RecordSchema(delimiter=cfg.delimiter)
-    if cfg.columns:
-        schema.columns = ing.parse_schema_columns(cfg.columns)
-    records, parse_report = ing.parse_records_path(cfg.records, schema)
-    if cfg.hash_ids:
-        for rec in records:
-            rec.user_id = pseudonymize(rec.user_id)
-
-    fcfg = ing.FilterConfig(
-        boundary=boundary,
-        keyword_blocklist=blocklist,
-        max_speed_mps=cfg.max_speed_mps,
-        min_residency_days=cfg.min_residency_days,
-        residency_mode=cfg.residency_mode,
-    )
-    filtered = ing.prefilter(records, fcfg)
-    tracks = ing.group_tracks(filtered)
-
-    outcomes = process_users(tracks, index, cfg, level)
-    ordered = [outcomes[uid] for uid in sorted(outcomes)]
-
-    drops = {"speed": 0, "residency": 0, "bot": 0, "no_home": 0}
-    for o in ordered:
-        if o.drop:
-            drops[o.drop] += 1
-    users_total = len(ordered)
-    users_after_speed = users_total - drops["speed"]
-    users_after_residency = users_after_speed - drops["residency"]
-    users_after_bot = users_after_residency - drops["bot"]
-    users_with_home = users_after_bot - drops["no_home"]
-
-    manifest = {
-        "config": cfg.thresholds_echo(),
-        "stage": stage,
-        "parse": {
-            "lines": parse_report.lines,
-            "records": parse_report.records,
-            "malformed": parse_report.malformed,
-            "bad_coord": parse_report.bad_coord,
-            "geocoded": parse_report.geocoded,
-        },
-        "prefilter": {"records": len(filtered)},
-        "parcels": {
-            "features": load_report.total_features,
-            "loaded": load_report.loaded,
-            "skipped_invalid": load_report.skipped_invalid,
-            "per_code": {str(k): v for k, v in sorted(load_report.per_code.items())},
-        },
-        "users": {
-            "total": users_total,
-            "after_speed": users_after_speed,
-            "after_residency": users_after_residency,
-            "after_bot_filter": users_after_bot,
-            "with_home": users_with_home,
-        },
-    }
-
-    paths = {}
-    paths["filtered_records"] = out_dir / "filtered_records.csv"
-    write_filtered_records(paths["filtered_records"], outcomes)
-
-    if level >= 2:
-        manifest["days"] = {
-            "total": sum(o.n_days for o in ordered),
-            "active": sum(o.n_active_days for o in ordered),
-        }
-        if cfg.dump_annotations:
-            paths["annotations"] = out_dir / "annotations.csv"
-            write_annotation_dump(paths["annotations"], outcomes)
-
-    censuses = []
-    day_list = []
-    if level >= 3:
-        day_list = [d for o in ordered for d in o.days]
-        lbm_census = mot.census_from_signatures(
-            [(d.lbm_nodes, d.lbm_sig) for d in day_list], mot.LBM, cfg.cutoff, cfg.max_nodes
-        )
-        abm_census = mot.census_from_signatures(
-            [(d.abm_nodes, d.abm_sig) for d in day_list], mot.ABM, cfg.cutoff, cfg.max_nodes
-        )
-        censuses = [lbm_census, abm_census]
-        manifest["days"]["rejected_open_walk"] = sum(o.rejected_open_walk for o in ordered)
-        manifest["days"]["rejected_no_home"] = sum(o.rejected_no_home for o in ordered)
-        manifest["days"]["networks"] = len(day_list)
-        manifest["census"] = {
-            c.kind: {
-                "total": c.total,
-                "one_node": c.one_node_count,
-                "motifs": len(c.motifs),
-                "size_groups": dict(c.size_groups),
-            }
-            for c in censuses
-        }
-        paths["census_lbm"] = out_dir / "census_lbm.csv"
-        paths["census_abm"] = out_dir / "census_abm.csv"
-        write_census_csv(paths["census_lbm"], lbm_census)
-        write_census_csv(paths["census_abm"], abm_census)
-        paths["size_groups"] = out_dir / "size_groups.csv"
-        write_size_groups_csv(paths["size_groups"], censuses)
-        paths["motif_edges"] = out_dir / "motif_edges.txt"
-        write_motif_edges(paths["motif_edges"], censuses)
-
-    if level >= 4:
-        metrics = [
-            shp.DayMetrics(d.lbm_nodes, d.abm_nodes, d.abm_pair, d.trips_km, d.total_km,
-                           d.gyradius_km)
-            for d in day_list
-        ]
-        stats = shp.distance_stats(metrics, cfg.max_nodes)
-        paths["distance_stats"] = out_dir / "distance_stats.csv"
-        write_distance_stats_csv(paths["distance_stats"], stats)
-
-        streams = [o.normalized for o in ordered if o.normalized is not None]
-        if cfg.density_weight == "user":
-            density = _user_weighted_density(streams, cfg.density_bins, cfg.density_bound)
-        else:
-            density = shp.density_histogram(streams, cfg.density_bins, cfg.density_bound)
-        paths["density"] = out_dir / "density.csv"
-        write_density_csv(paths["density"], density)
-
-        skip_counts = {}
-        for o in ordered:
-            if o.align_skip:
-                skip_counts[o.align_skip] = skip_counts.get(o.align_skip, 0) + 1
-        gyr_values = [d.gyradius_km for d in day_list]
-        summary = {
-            "aligned_users": len(streams),
-            "skipped_users": skip_counts,
-            "points_total": int(density.total),
-            "points_in_range": int(density.in_range),
-            "out_of_range_mass": density.out_of_range_mass(),
-            "mean_daily_gyradius_km": (sum(gyr_values) / len(gyr_values)) if gyr_values else 0.0,
-        }
-        paths["shape_summary"] = out_dir / "shape_summary.json"
-        write_atomic(paths["shape_summary"], json.dumps(summary, indent=2, sort_keys=True) + "\n")
-
-        if cfg.zones:
-            zones = load_zones(cfg.zones, cfg.zone_pop_attr)
-            report = _zone_correlation(zones, outcomes)
-            paths["correlation"] = out_dir / "correlation.json"
-            write_atomic(paths["correlation"], json.dumps(report, indent=2, sort_keys=True) + "\n")
-
-    paths["manifest"] = out_dir / "manifest.json"
-    write_atomic(paths["manifest"], json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    inputs = load_inputs(cfg, level)
+    ingested = ingest(cfg, inputs)
+    users = process_users(ingested.tracks, inputs.index, inputs.filters, cfg, level)
+    mined = mine(users, cfg) if level >= 3 else None
+    shaped = shape(users, mined.days, inputs.zones, cfg) if level >= 4 else None
+    manifest = build_manifest(cfg, stage, inputs, ingested, users, mined)
+    paths = write_outputs(Path(cfg.out_dir), users, manifest, mined, shaped,
+                          annotations=cfg.dump_annotations and level >= 2)
     return {"manifest": manifest, "paths": paths}
-
-
-class _UserWeightedDensity:
-    """Density where each user's trajectory contributes equal mass."""
-
-    def __init__(self, bins, bound, mass_grid, in_range, out_range):
-        self.bins = bins
-        self.bound = bound
-        self._mass = mass_grid
-        self.in_range = in_range
-        self.out_range = out_range
-
-    @property
-    def total(self):
-        return self.in_range + self.out_range
-
-    def mass(self):
-        return self._mass
-
-    def out_of_range_mass(self) -> float:
-        return self.out_range / self.total if self.total else 0.0
-
-    def centers(self):
-        cell = 2.0 * self.bound / self.bins
-        return -self.bound + cell * (np.arange(self.bins) + 0.5)
-
-
-def _user_weighted_density(streams, bins, bound):
-    mass = np.zeros((bins, bins), dtype=float)
-    total_in = 0
-    total = 0
-    n_users = 0
-    cell = 2.0 * bound / bins
-    for arr in streams:
-        arr = np.asarray(arr, dtype=float).reshape(-1, 2)
-        total += len(arr)
-        if not len(arr):
-            continue
-        n_users += 1
-        x, y = arr[:, 0], arr[:, 1]
-        mask = (x >= -bound) & (x < bound) & (y >= -bound) & (y < bound)
-        total_in += int(mask.sum())
-        ix = np.clip(np.floor((x[mask] + bound) / cell).astype(np.int64), 0, bins - 1)
-        iy = np.clip(np.floor((y[mask] + bound) / cell).astype(np.int64), 0, bins - 1)
-        grid = np.zeros((bins, bins), dtype=float)
-        np.add.at(grid, (ix, iy), 1.0)
-        mass += grid / len(arr)
-    if n_users:
-        mass /= n_users
-    return _UserWeightedDensity(bins, bound, mass, total_in, total - total_in)

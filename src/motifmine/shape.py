@@ -18,6 +18,8 @@ from .annotate import UserDay
 from .geo import METERS_PER_DEGREE, haversine_m
 from .motifs import collapse_visits, size_group_label
 
+DENSITY_WEIGHTS = ("point", "user")
+
 
 class DegenerateTrajectory(ValueError):
     """Trajectory unusable for shape analysis (too few / identical / collinear)."""
@@ -125,12 +127,15 @@ class ReferenceFrameDensity:
     counts: np.ndarray  # (bins, bins) int64, [x_bin, y_bin]
     in_range: int
     out_range: int
+    user_mass: np.ndarray | None = None  # the mass when each user weighs the same
 
     @property
     def total(self) -> int:
         return self.in_range + self.out_range
 
     def mass(self) -> np.ndarray:
+        if self.user_mass is not None:
+            return self.user_mass
         if self.total == 0:
             return np.zeros_like(self.counts, dtype=float)
         return self.counts / self.total
@@ -143,14 +148,21 @@ class ReferenceFrameDensity:
         return -self.bound + cell * (np.arange(self.bins) + 0.5)
 
 
-def density_histogram(streams, bins: int = 80, bound: float = 4.0) -> ReferenceFrameDensity:
+def density_histogram(streams, bins: int = 80, bound: float = 4.0,
+                      weight: str = "point") -> ReferenceFrameDensity:
     """Pool normalized point arrays into one 2-D histogram.
 
     Cells are half-open (lower edge inclusive); points at or beyond +bound
-    fall out of range and only lower the total mass inside the grid.
+    fall out of range and only lower the total mass inside the grid. With
+    weight="user" every non-empty stream carries equal mass: its cell
+    counts over its own length, averaged over the streams.
     """
+    if weight not in DENSITY_WEIGHTS:
+        raise ValueError(f"weight must be one of {', '.join(DENSITY_WEIGHTS)}, not {weight!r}")
     cell = 2.0 * bound / bins
     counts = np.zeros((bins, bins), dtype=np.int64)
+    user_mass = np.zeros((bins, bins), dtype=float) if weight == "user" else None
+    users = 0
     in_range = 0
     total = 0
     for arr in streams:
@@ -166,10 +178,19 @@ def density_histogram(streams, bins: int = 80, bound: float = 4.0) -> ReferenceF
         in_range += int(mask.sum())
         ix = np.clip(np.floor((xs + bound) / cell).astype(np.int64), 0, bins - 1)
         iy = np.clip(np.floor((ys + bound) / cell).astype(np.int64), 0, bins - 1)
-        np.add.at(counts, (ix, iy), 1)
+        if user_mass is None:
+            np.add.at(counts, (ix, iy), 1)
+        else:
+            grid = np.zeros((bins, bins), dtype=np.int64)
+            np.add.at(grid, (ix, iy), 1)
+            counts += grid
+            user_mass += grid / len(arr)
+            users += 1
     if in_range == 0:
         warnings.warn("density_histogram: no points fell inside the grid", stacklevel=2)
-    return ReferenceFrameDensity(bins, bound, counts, in_range, total - in_range)
+    if users:
+        user_mass /= users
+    return ReferenceFrameDensity(bins, bound, counts, in_range, total - in_range, user_mass)
 
 
 def day_anchors(day: UserDay) -> dict:

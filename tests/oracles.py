@@ -4,11 +4,17 @@ Everything here is deliberately brute force or otherwise independent of
 the package, and shares no code with it: permutation-search isomorphism, a
 refinement-based isomorphism matcher, closed-walk enumeration over a small
 node budget, label-sequence collapsing, and analytic Gaussian cell
-integrals. Production code is checked against these, never the reverse.
+integrals. The one exception is the linear parcel scan, which reuses the
+package's point-to-polygon distance and hit type, because what it checks
+is the R-tree search and its pruning, not the distance. Production code is
+checked against these, never the reverse.
 """
 
 import itertools
 import math
+
+from motifmine.geo import point_polygon_distance_m
+from motifmine.parcels import DEFAULT_RADIUS_M, NearestHit
 
 MAX_NODES = 6
 
@@ -270,3 +276,18 @@ def gaussian_cell_mass(x0, x1, y0, y1) -> float:
         return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
 
     return (phi(x1) - phi(x0)) * (phi(y1) - phi(y0))
+
+
+def nearest_parcel_scan(lat: float, lon: float, parcels, radius_m: float = DEFAULT_RADIUS_M):
+    """Prune-free linear scan for `parcels.nearest_parcel`: evaluate every
+    parcel, minimize (distance, id), and keep the winner within radius_m."""
+    best = None
+    for parcel in parcels:
+        d = point_polygon_distance_m(lat, lon, parcel.exterior, parcel.holes)
+        key = (d, parcel.parcel_id)
+        if best is None or key < best[0]:
+            best = (key, parcel)
+    if best is None or best[0][0] > radius_m:
+        return None
+    (dist, _), parcel = best
+    return NearestHit(parcel.parcel_id, parcel.activity_code, dist)

@@ -18,7 +18,7 @@ from motifmine import annotate, synth
 from motifmine.annotate import select_active_days, split_days
 from motifmine.ingest import FilterConfig, UserTrack, residency_filter, speed_filter
 from motifmine.motifs import census_from_signatures, graph_signature
-from motifmine.parcels import SpatialIndex, nearest_parcel, nearest_parcel_scan
+from motifmine.parcels import SpatialIndex, nearest_parcel
 from motifmine.pipeline import RunConfig, run
 from motifmine.shape import DegenerateTrajectory, align_trajectory
 
@@ -32,6 +32,7 @@ from oracles import (
     graphs_isomorphic,
     mask_from_edges,
     mask_nodes,
+    nearest_parcel_scan,
 )
 from test_shape import latlon_from_xy
 

@@ -3,8 +3,6 @@ import random
 
 from motifmine.geo import (
     haversine_m,
-    local_latlon,
-    local_xy,
     point_in_polygon,
     point_in_ring,
     point_polygon_distance_m,
@@ -43,15 +41,6 @@ def test_haversine_symmetry_and_triangle_inequality():
         dbc = haversine_m(*b, *c)
         dac = haversine_m(*a, *c)
         assert dac <= dab + dbc + 1e-6
-
-
-def test_local_xy_roundtrip():
-    lat0, lon0 = 41.9, -87.6
-    for lat, lon in [(41.91, -87.59), (41.89, -87.61), (41.9, -87.6)]:
-        x, y = local_xy(lat, lon, lat0, lon0)
-        back = local_latlon(x, y, lat0, lon0)
-        assert abs(back[0] - lat) < 1e-9
-        assert abs(back[1] - lon) < 1e-9
 
 
 def test_point_in_ring_square():

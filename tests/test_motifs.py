@@ -16,8 +16,8 @@ from motifmine.motifs import (
     canonical_signature,
     census_from_signatures,
     decode_signature,
+    census_signature,
     graph_signature,
-    motif_census,
     network_from_label_walk,
     size_group_label,
 )
@@ -380,6 +380,10 @@ class TestCensus:
     def sig(self, walk):
         return canonical_signature(network_from_label_walk(walk), LBM).signature_string
 
+    def census(self, nets, max_nodes=6):
+        items = [(net.node_count, census_signature(net, LBM, max_nodes)) for net in nets]
+        return census_from_signatures(items, LBM, max_nodes=max_nodes)
+
     def test_cutoff_is_strict(self):
         pendulum = self.sig(("H", "W", "H"))
         tour = self.sig(("H", "W", "Sh", "H"))
@@ -398,7 +402,7 @@ class TestCensus:
             nets.append(network_from_label_walk(("H", "W", "Sh", "H")))
         for _ in range(20):
             nets.append(network_from_label_walk(("H",)))
-        census = motif_census(nets, LBM)
+        census = self.census(nets)
         assert census.total == 100
         assert census.one_node_count == 20
         by_sig = {m.signature: m for m in census.motifs}
@@ -412,10 +416,10 @@ class TestCensus:
         rng = random.Random(5)
         walks = [("H", "W", "H"), ("H", "W", "Sh", "H"), ("H",), ("H", "R1", "H", "R2", "H")]
         nets = [network_from_label_walk(rng.choice(walks)) for _ in range(500)]
-        census_a = motif_census(nets, LBM)
+        census_a = self.census(nets)
         shuffled = nets[:]
         rng.shuffle(shuffled)
-        census_b = motif_census(shuffled, LBM)
+        census_b = self.census(shuffled)
         assert [(m.signature, m.count) for m in census_a.motifs] == [
             (m.signature, m.count) for m in census_b.motifs
         ]
@@ -429,7 +433,9 @@ class TestCensus:
         walk += ["H"]
         big = network_from_label_walk(tuple(walk))
         assert big.node_count == 8
-        census = motif_census([big], LBM, max_nodes=6)
+        assert census_signature(big, LBM, max_nodes=6) is None
+        assert census_signature(big, LBM, max_nodes=8) == self.sig(tuple(walk))
+        census = self.census([big], max_nodes=6)
         assert census.size_groups["7+"] == 1
         assert not census.motifs
         assert census.signature_counts == {}

@@ -15,10 +15,10 @@ from motifmine.parcels import (
     SpatialIndex,
     load_parcels,
     nearest_parcel,
-    nearest_parcel_scan,
 )
 
 from conftest import geojson_polygon_feature, make_index, make_parcel, square_ring, write_geojson
+from oracles import nearest_parcel_scan
 
 
 class TestActivityScheme:
@@ -84,9 +84,7 @@ class TestLoadParcels:
         ]
         path = write_geojson(tmp_path / "p.geojson", feats)
         _, report = load_parcels(path)
-        pct = report.code_percentages()
-        assert pct[1] == pytest.approx(75.0)
-        assert pct[7] == pytest.approx(25.0)
+        assert report.per_code == {1: 3, 7: 1}
 
 
 class TestNearestParcel:

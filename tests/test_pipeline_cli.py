@@ -199,6 +199,18 @@ class TestConfigValidation:
         ("workers", 0),
         ("max_nodes", 0),
         ("max_nodes", 9),
+        ("density_bins", 0),
+        ("density_bound", -1.0),
+        ("density_bound", 0.0),
+        ("density_bound", float("inf")),
+        ("density_bound", float("nan")),
+        ("radius_m", float("nan")),
+        ("radius_m", 0.0),
+        ("radius_m", float("inf")),
+        ("max_speed_mps", 0.0),
+        ("max_speed_mps", float("nan")),
+        ("min_residency_days", 0.0),
+        ("min_residency_days", -1.0),
     ])
     def test_out_of_range_value_rejected(self, name, value):
         with pytest.raises(ValueError, match=name):
@@ -209,6 +221,9 @@ class TestConfigValidation:
                   cutoff=0.0, min_slots=48, night_start_hour=0, night_end_hour=23,
                   workers=1, max_nodes=8)
         RunConfig(min_slots=1, night_start_hour=23, night_end_hour=0, max_nodes=1)
+        # an infinite speed cap is no cap
+        RunConfig(density_bins=1, density_bound=1e-9, radius_m=1e-9, max_speed_mps=float("inf"),
+                  min_residency_days=1e-9)
 
     def test_config_file_value_rejected_with_exit_2(self, tmp_path, capsys):
         # the config file is the one path that argparse choices never see
@@ -228,6 +243,27 @@ class TestConfigValidation:
                    "--parcels", "p.geojson", "--out", str(tmp_path / "out")])
         assert rc == 2
         assert "max_nodes" in capsys.readouterr().err
+
+
+class TestZoneFailures:
+    @pytest.mark.parametrize("centers, message", [
+        ([(41.43, -88.05)], "at least two polygon zones"),
+        ([(10.0, 10.0), (10.5, 10.0)], "zero variance"),  # far from every home
+    ])
+    def test_zone_failure_exits_2_and_writes_nothing(self, world, tmp_path, capsys,
+                                                     centers, message):
+        zones = [geojson_polygon_feature(square_ring(lat, lon, 4000),
+                                         extra_props={"population": 100 * (i + 1)})
+                 for i, (lat, lon) in enumerate(centers)]
+        zone_path = write_geojson(tmp_path / "zones.geojson", zones)
+        paths = world["paths"]
+        out_dir = tmp_path / "out"
+        rc = main(["all", "--records", str(paths["records"]), "--parcels", str(paths["parcels"]),
+                   "--boundary", str(paths["boundary"]), "--scheme", str(paths["scheme"]),
+                   "--zones", str(zone_path), "--out", str(out_dir)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not out_dir.exists()
 
 
 class TestCli:

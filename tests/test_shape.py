@@ -154,6 +154,24 @@ class TestDensityHistogram:
         assert d.in_range == 1  # only the lower edge is inside
         assert d.counts[0, 4] == 1
 
+    def test_user_weighting_by_hand(self):
+        # bins=2 over [-1, 1): cells split at 0. Stream a has 2 points, stream
+        # b has 4 with one out of range; the empty stream carries no weight.
+        a = np.array([[-0.5, -0.5], [0.5, 0.5]])
+        b = np.array([[-0.5, -0.5], [-0.5, -0.5], [0.5, -0.5], [2.0, 0.0]])
+        d = density_histogram([a, b, np.zeros((0, 2))], bins=2, bound=1.0, weight="user")
+        # a: 1/2 in (0,0) and (1,1); b: 2/4 in (0,0), 1/4 in (1,0); then averaged
+        assert d.mass().tolist() == [[0.5, 0.0], [0.125, 0.25]]
+        assert d.counts.tolist() == [[3, 0], [1, 1]]
+        assert (d.in_range, d.out_range) == (5, 1)
+        assert d.out_of_range_mass() == 1 / 6  # counted per point in both weightings
+        point = density_histogram([a, b], bins=2, bound=1.0)
+        assert point.mass().tolist() == [[0.5, 0.0], [1 / 6, 1 / 6]]
+
+    def test_unknown_weight_rejected(self):
+        with pytest.raises(ValueError, match="weight"):
+            density_histogram([np.zeros((3, 2))], bins=2, bound=1.0, weight="day")
+
     def test_empty_input_warns(self):
         with pytest.warns(UserWarning):
             d = density_histogram([], bins=8, bound=4.0)
