@@ -26,7 +26,6 @@ from .ingest import (
 from .motifs import (
     ABM,
     LBM,
-    CanonicalSignature,
     DailyNetwork,
     MotifCensus,
     abm_reduce,

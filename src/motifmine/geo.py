@@ -4,9 +4,11 @@ All coordinates are WGS84 decimal degrees, latitude first. Distances are
 meters on a sphere of mean radius 6,371 km. Planar work (nearest point on
 a polygon, trajectory projection) uses an equirectangular frame centered
 on the point of interest, which is accurate at the sub-kilometer scales
-this pipeline operates on.
+this pipeline operates on. GeoJSON input, whose positions are longitude
+first, is read and converted here.
 """
 
+import json
 import math
 
 EARTH_RADIUS_M = 6_371_000.0
@@ -31,6 +33,47 @@ def normalize_ring(ring) -> tuple:
     if len(pts) > 1 and pts[0] == pts[-1]:
         pts = pts[:-1]
     return tuple(pts)
+
+
+def geojson_features(path) -> list:
+    """The features of a GeoJSON file; a lone Feature or geometry is one feature."""
+    with open(path, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path} is not a GeoJSON object")
+    if doc.get("type") == "FeatureCollection":
+        features = doc.get("features")
+        if not isinstance(features, list) or not all(isinstance(f, dict) for f in features):
+            raise ValueError(f"{path} holds no list of GeoJSON features")
+        return features
+    return [doc if doc.get("type") == "Feature" else {"geometry": doc}]
+
+
+def geojson_polygon(geometry):
+    """A GeoJSON Polygon geometry as (exterior, holes) rings of (lat, lon),
+    or None when it is not a valid polygon.
+
+    Positions are [lon, lat] with an optional altitude, which is dropped.
+    Valid means: every ring holds at least three distinct vertices of two
+    numbers each and the exterior ring does not cross itself.
+    """
+    if not isinstance(geometry, dict) or geometry.get("type") != "Polygon":
+        return None
+    rings = geometry.get("coordinates")
+    if not isinstance(rings, list) or not rings:
+        return None
+    converted = []
+    for ring in rings:
+        try:
+            pts = normalize_ring([(pos[1], pos[0]) for pos in ring])
+        except (IndexError, KeyError, TypeError, ValueError):
+            return None
+        if len(pts) < 3:
+            return None
+        converted.append(pts)
+    if ring_self_intersects(converted[0]):
+        return None
+    return converted[0], tuple(converted[1:])
 
 
 def ring_bbox(ring) -> tuple[float, float, float, float]:

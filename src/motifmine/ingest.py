@@ -119,6 +119,11 @@ def parse_timestamp(raw: str) -> int:
     return int(dt.timestamp())
 
 
+def format_timestamp(ts: int) -> str:
+    """UTC epoch seconds to the ISO-8601 form "YYYY-MM-DDTHH:MM:SSZ"."""
+    return datetime.fromtimestamp(ts, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+
+
 def parse_records(lines, schema: RecordSchema | None = None):
     """Parse a newline-delimited record stream.
 

@@ -2,10 +2,13 @@
 
 A user-day becomes a directed graph whose walk starts and ends at the home
 parcel (constraint I); every node on a closed walk automatically has at
-least one incoming and one outgoing edge (constraint II). Two comparison
-regimes exist: location-based (LBM), where only structure and the pinned
-home node matter, and activity-based (ABM), where node labels must be
-preserved. Canonical signatures are permutation-minimal adjacency
+least one incoming and one outgoing edge (constraint II). One constructor
+builds every network from a walk over keys (a day's parcels, an LBM walk's
+labels for its ABM view, a template's stop tokens): consecutive repeats
+are one visit, and nodes are numbered and labeled by first visit. Two
+comparison regimes exist: location-based (LBM), where only structure and
+the pinned home node matter, and activity-based (ABM), where node labels
+must be preserved. Canonical signatures are permutation-minimal adjacency
 encodings, so signature equality is exactly isomorphism under the regime's
 admissible mappings. Daily networks recur, so each process canonicalizes a
 distinct input once and caches its string, at most SIGNATURE_CACHE_SIZE of
@@ -51,46 +54,27 @@ SIGNATURE_CACHE_SIZE = 1024
 @dataclass(slots=True)
 class DailyNetwork:
     kind: str
-    user_id: str
-    local_date: object
-    node_keys: tuple  # parcel ids (LBM) or labels (ABM view)
+    node_keys: tuple  # parcel ids (LBM), labels (ABM) or stop tokens, by first visit
     labels: tuple
-    edges: frozenset  # ordered (i, j) node-index pairs, no self-loops
     walk: tuple  # chronological node-index sequence, starts/ends at home
-    home_index: int = 0
 
     @property
     def node_count(self) -> int:
         return len(self.node_keys)
 
-
-@dataclass(slots=True)
-class CanonicalSignature:
-    kind: str
-    node_count: int
-    signature_string: str
+    @property
+    def edges(self) -> frozenset:  # ordered (i, j) node-index pairs, no self-loops
+        return frozenset(zip(self.walk, self.walk[1:]))
 
 
-def collapse_visits(points) -> list:
-    """Collapse consecutive points on the same parcel into visits.
-
-    Returns [(parcel_key, [points])] where unanchored points share the
-    UNKNOWN_PARCEL pseudo-location.
-    """
-    visits = []
-    for p in points:
-        key = p.parcel_id if p.parcel_id is not None else UNKNOWN_PARCEL
-        if visits and visits[-1][0] == key:
-            visits[-1][1].append(p)
-        else:
-            visits.append((key, [p]))
-    return visits
+def parcel_key(point):
+    """A point's location key: its parcel id, or UNKNOWN_PARCEL."""
+    return UNKNOWN_PARCEL if point.parcel_id is None else point.parcel_id
 
 
-def label_for(parcel_key: int, activity_code: int, home_parcel_id: int) -> str:
-    if parcel_key == home_parcel_id:
-        return HOME_LABEL
-    return ACTIVITY_LABELS[activity_code]
+def visit_keys(points) -> list:
+    """The location key of each visit: consecutive points on one key are one visit."""
+    return [key for key, _ in itertools.groupby(map(parcel_key, points))]
 
 
 def _check_closed_walk(n: int, edges) -> None:
@@ -107,6 +91,28 @@ def _check_closed_walk(n: int, edges) -> None:
         raise RuntimeError("closed walk produced a node without both edge directions")
 
 
+def _walk_network(kind: str, keys, labels) -> DailyNetwork:
+    """The network of a walk over node keys, labels[i] being the label of keys[i].
+
+    Consecutive repeats of a key are one visit; nodes are numbered in order
+    of first visit and take the label of that visit.
+    """
+    index: dict = {}
+    node_labels = []
+    walk = []
+    prev = object()  # no key equals it
+    for key, label in zip(keys, labels):
+        if key == prev:
+            continue
+        prev = key
+        if key not in index:
+            index[key] = len(index)
+            node_labels.append(label)
+        walk.append(index[key])
+    _check_closed_walk(len(index), zip(walk, walk[1:]))
+    return DailyNetwork(kind, tuple(index), tuple(node_labels), tuple(walk))
+
+
 def build_daily_network(day: UserDay, home: HomeAssignment):
     """Build the day's directed network, or reject it with a reason.
 
@@ -116,51 +122,24 @@ def build_daily_network(day: UserDay, home: HomeAssignment):
     """
     if home is None or home.home_parcel_id is None:
         return None, "no_home"
-    visits = collapse_visits(day.points)
     home_key = home.home_parcel_id
-    if visits[0][0] != home_key or visits[-1][0] != home_key:
+    keys = [parcel_key(p) for p in day.points]
+    if keys[0] != home_key or keys[-1] != home_key:
         return None, "open_walk"
-
-    node_index: dict[int, int] = {}
-    labels = []
-    walk = []
-    for key, pts in visits:
-        if key not in node_index:
-            node_index[key] = len(node_index)
-            labels.append(label_for(key, pts[0].activity_code, home_key))
-        walk.append(node_index[key])
-    edges = frozenset(zip(walk, walk[1:]))
-
-    _check_closed_walk(len(node_index), edges)
-
-    keys = tuple(sorted(node_index, key=node_index.get))
-    return (
-        DailyNetwork(LBM, day.user_id, day.local_date, keys, tuple(labels), edges, tuple(walk)),
-        None,
-    )
+    labels = [HOME_LABEL if k == home_key else ACTIVITY_LABELS[p.activity_code]
+              for k, p in zip(keys, day.points)]
+    return _walk_network(LBM, keys, labels), None
 
 
 def abm_reduce(net: DailyNetwork) -> DailyNetwork:
     """Merge same-activity nodes while preserving the transition order.
 
-    The walk is re-read as a label sequence, consecutive repeats collapse,
-    and the graph is rebuilt; self-loops created by merging disappear in
-    the collapse. Idempotent, never increases the node count.
+    The walk is re-read as a label sequence and rebuilt as a walk over
+    labels; self-loops created by merging disappear in the collapse.
+    Idempotent, never increases the node count.
     """
     label_walk = [net.labels[i] for i in net.walk]
-    collapsed = [label_walk[0]]
-    for lab in label_walk[1:]:
-        if lab != collapsed[-1]:
-            collapsed.append(lab)
-    node_index: dict[str, int] = {}
-    walk = []
-    for lab in collapsed:
-        if lab not in node_index:
-            node_index[lab] = len(node_index)
-        walk.append(node_index[lab])
-    labels = tuple(sorted(node_index, key=node_index.get))
-    edges = frozenset(zip(walk, walk[1:]))
-    return DailyNetwork(ABM, net.user_id, net.local_date, labels, labels, edges, tuple(walk))
+    return _walk_network(ABM, label_walk, label_walk)
 
 
 def _permutation_groups(node_count: int, labels, pin_home: bool):
@@ -233,11 +212,10 @@ def decode_signature(sig: str):
 
 
 def canonical_signature(net: DailyNetwork, kind: str | None = None,
-                        pin_home: bool = True) -> CanonicalSignature:
-    kind = kind or net.kind
-    labels = net.labels if kind == ABM else None
-    sig = graph_signature(net.node_count, net.edges, labels, pin_home)
-    return CanonicalSignature(kind, net.node_count, sig)
+                        pin_home: bool = True) -> str:
+    """The network's signature string under the LBM or ABM regime (default: its own kind)."""
+    labels = net.labels if (kind or net.kind) == ABM else None
+    return graph_signature(net.node_count, net.edges, labels, pin_home)
 
 
 def census_signature(net: DailyNetwork, kind: str, max_nodes: int = 6,
@@ -245,7 +223,7 @@ def census_signature(net: DailyNetwork, kind: str, max_nodes: int = 6,
     """The network's signature string when it joins the motif census, which
     takes networks of 2..max_nodes nodes; None otherwise."""
     if 1 < net.node_count <= max_nodes:
-        return canonical_signature(net, kind, pin_home).signature_string
+        return canonical_signature(net, kind, pin_home)
     return None
 
 
@@ -316,7 +294,7 @@ def census_from_signatures(items, kind: str, cutoff: float = 0.005,
     return MotifCensus(kind, total, one_node, cutoff, max_nodes, sig_counts, motifs, size_groups)
 
 
-def network_from_label_walk(label_walk, user_id: str = "", local_date=None) -> DailyNetwork:
+def network_from_label_walk(label_walk) -> DailyNetwork:
     """Build a network directly from a walk of stop tokens.
 
     Tokens are location identities; a token's alphabetic prefix is its
@@ -325,16 +303,4 @@ def network_from_label_walk(label_walk, user_id: str = "", local_date=None) -> D
     """
     if label_walk[0] != HOME_LABEL or label_walk[-1] != HOME_LABEL:
         raise ValueError("walk must start and end at home")
-    node_index: dict[str, int] = {}
-    labels = []
-    walk = []
-    for token in label_walk:
-        if walk and node_index.get(token) == walk[-1]:
-            continue
-        if token not in node_index:
-            node_index[token] = len(node_index)
-            labels.append(token.rstrip("0123456789"))
-        walk.append(node_index[token])
-    edges = frozenset(zip(walk, walk[1:]))
-    keys = tuple(sorted(node_index, key=node_index.get))
-    return DailyNetwork(LBM, user_id, local_date, keys, tuple(labels), edges, tuple(walk))
+    return _walk_network(LBM, label_walk, [t.rstrip("0123456789") for t in label_walk])

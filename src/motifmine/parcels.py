@@ -13,18 +13,17 @@ so the probe returns the same hit. Only a point that no parcel contains
 pays for the radius search.
 """
 
-import json
 import math
 from dataclasses import dataclass, field
 from operator import attrgetter
 
 from .geo import (
     METERS_PER_DEGREE,
+    geojson_features,
+    geojson_polygon,
     haversine_m,
-    normalize_ring,
     point_polygon_distance_m,
     ring_bbox,
-    ring_self_intersects,
 )
 
 # canonical activity codes
@@ -182,24 +181,6 @@ class SpatialIndex:
         return out
 
 
-def _valid_rings(geometry):
-    """Normalize a GeoJSON Polygon geometry to (exterior, holes) or None if invalid."""
-    if geometry.get("type") != "Polygon":
-        return None
-    rings = geometry.get("coordinates") or []
-    if not rings:
-        return None
-    converted = []
-    for ring in rings:
-        pts = normalize_ring([(lat, lon) for lon, lat in ring])  # GeoJSON order is lon, lat
-        if len(pts) < 3:
-            return None
-        converted.append(pts)
-    if ring_self_intersects(converted[0]):
-        return None
-    return converted[0], tuple(converted[1:])
-
-
 def load_parcels(path, scheme: ActivityScheme | None = None, category_attr: str = "category",
                  leaf_size: int = 16):
     """Load a GeoJSON polygon feature file into a spatial index.
@@ -211,14 +192,12 @@ def load_parcels(path, scheme: ActivityScheme | None = None, category_attr: str 
     Returns (SpatialIndex, LoadReport).
     """
     scheme = scheme or ActivityScheme()
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    features = doc.get("features", [])
+    features = geojson_features(path)
     report = LoadReport(total_features=len(features))
     parcels = []
     next_id = 1
     for feat in features:
-        rings = _valid_rings(feat.get("geometry") or {})
+        rings = geojson_polygon(feat.get("geometry"))
         if rings is None:
             report.skipped_invalid += 1
             continue

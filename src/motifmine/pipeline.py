@@ -27,7 +27,7 @@ from . import annotate as ann
 from . import ingest as ing
 from . import motifs as mot
 from . import shape as shp
-from .geo import normalize_ring, point_in_polygon
+from .geo import geojson_features, geojson_polygon, point_in_polygon
 from .parcels import ActivityScheme, LoadReport, SpatialIndex, load_parcels
 
 STAGE_LEVELS = {"ingest": 1, "annotate": 2, "mine": 3, "shape": 4, "all": 4}
@@ -197,14 +197,11 @@ def write_atomic(path, text: str):
 
 def load_boundary_ring(path) -> tuple:
     """Exterior ring of the first polygon in a GeoJSON file, as (lat, lon)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("type") == "FeatureCollection":
-        doc = doc["features"][0]
-    geom = doc.get("geometry", doc)
-    if geom.get("type") != "Polygon":
-        raise ValueError(f"boundary file {path} does not hold a polygon")
-    return normalize_ring((lat, lon) for lon, lat in geom["coordinates"][0])
+    features = geojson_features(path)
+    rings = geojson_polygon(features[0].get("geometry")) if features else None
+    if rings is None:
+        raise ValueError(f"boundary file {path} does not start with a valid polygon")
+    return rings[0]
 
 
 def load_blocklist(path) -> tuple:
@@ -219,16 +216,19 @@ def load_blocklist(path) -> tuple:
 
 def load_zones(path, pop_attr: str) -> list:
     """Polygon zones with their population; a correlation needs two or more."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
     zones = []
-    for feat in doc.get("features", []):
-        geom = feat.get("geometry") or {}
-        if geom.get("type") != "Polygon":
-            continue
-        rings = [normalize_ring((lat, lon) for lon, lat in ring) for ring in geom["coordinates"]]
-        pop = float((feat.get("properties") or {}).get(pop_attr, 0.0))
-        zones.append({"exterior": rings[0], "holes": tuple(rings[1:]), "population": pop})
+    for i, feat in enumerate(geojson_features(path)):
+        rings = geojson_polygon(feat.get("geometry"))
+        if rings is None:
+            raise ValueError(f"zone {i} in {path} is not a valid polygon")
+        raw = (feat.get("properties") or {}).get(pop_attr)
+        try:
+            pop = float(raw)
+        except (TypeError, ValueError):
+            pop = math.nan
+        if not math.isfinite(pop):
+            raise ValueError(f"zone {i} in {path} has no finite {pop_attr!r}: {raw!r}")
+        zones.append({"exterior": rings[0], "holes": rings[1], "population": pop})
     if len(zones) < 2:
         raise ValueError(f"need at least two polygon zones in {path}, found {len(zones)}")
     return zones
@@ -314,14 +314,10 @@ def _day_outcome(day, home, home_anchor, cfg) -> tuple:
     reduced = mot.abm_reduce(net)
     lbm_sig = mot.census_signature(net, mot.LBM, cfg.max_nodes, cfg.pin_home)
     abm_sig = mot.census_signature(reduced, mot.ABM, cfg.max_nodes, cfg.pin_home)
-    abm_pair = None
-    if reduced.node_count == 2:
-        abm_pair = next(lab for lab in reduced.labels if lab != mot.HOME_LABEL)
-    trips = tuple(shp.day_trips_km(day))
+    trips = shp.day_trips_km(day)
     anchors = shp.day_anchors(day)
     gyr = shp.gyradius_from_home(day, anchors.get(home.home_parcel_id, home_anchor))
-    metrics = shp.DayMetrics(net.node_count, reduced.node_count, abm_pair, trips, sum(trips), gyr)
-    return DayOutcome(lbm_sig, abm_sig, metrics), None
+    return DayOutcome(lbm_sig, abm_sig, shp.day_metrics(net, reduced, trips, gyr)), None
 
 
 def process_user(track, index, filters: ing.FilterConfig, cfg: RunConfig,
@@ -523,10 +519,6 @@ def build_manifest(cfg: RunConfig, stage: str, inputs: Inputs, ingested: Ingeste
     return manifest
 
 
-def _iso_utc(ts: int) -> str:
-    return datetime.fromtimestamp(ts, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
-
-
 def _iso_naive(ts: int) -> str:
     return datetime.fromtimestamp(ts, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%S")
 
@@ -546,7 +538,7 @@ def write_json(path, doc: dict):
 
 def write_filtered_records(path, users):
     rows = (
-        (o.user_id, _iso_utc(p.ts), f"{p.lat:.7f}", f"{p.lon:.7f}", p.source, p.text)
+        (o.user_id, ing.format_timestamp(p.ts), f"{p.lat:.7f}", f"{p.lon:.7f}", p.source, p.text)
         for o in users for p in o.points or ()
     )
     _write_csv(path, ("user_id", "timestamp", "lat", "lon", "location_source", "text"), rows)
@@ -554,7 +546,7 @@ def write_filtered_records(path, users):
 
 def write_annotation_dump(path, users):
     rows = (
-        (o.user_id, _iso_utc(r[1]), _iso_naive(r[2]), f"{r[3]:.7f}", f"{r[4]:.7f}",
+        (o.user_id, ing.format_timestamp(r[1]), _iso_naive(r[2]), f"{r[3]:.7f}", f"{r[4]:.7f}",
          "" if r[5] is None else r[5], r[6])
         for o in users for r in o.annotated_rows or ()
     )

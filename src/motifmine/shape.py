@@ -5,7 +5,10 @@ mass, rotated so the principal axis of the second-moment (gyration)
 tensor points due west, and scaled by the per-axis standard deviations.
 Pooled normalized points form a binned density over the shared intrinsic
 reference frame. Distance statistics aggregate trip lengths, daily
-totals, and the gyradius about home over motif groups.
+totals, and the gyradius about home over motif groups. A day's distances
+read the same visits its network is built from (`motifs.visit_keys`),
+each placed at its parcel's per-day anchor; `day_metrics` condenses one
+day for the pipeline and the synthetic ground truth alike.
 """
 
 import math
@@ -16,7 +19,7 @@ import numpy as np
 
 from .annotate import UserDay
 from .geo import METERS_PER_DEGREE, haversine_m
-from .motifs import collapse_visits, size_group_label
+from .motifs import HOME_LABEL, parcel_key, size_group_label, visit_keys
 
 DENSITY_WEIGHTS = ("point", "user")
 
@@ -197,7 +200,7 @@ def day_anchors(day: UserDay) -> dict:
     """Per-parcel anchor for one day: centroid of that parcel's points."""
     sums: dict = {}
     for p in day.points:
-        key = p.parcel_id if p.parcel_id is not None else -1
+        key = parcel_key(p)
         lat_s, lon_s, n = sums.get(key, (0.0, 0.0, 0))
         sums[key] = (lat_s + p.lat, lon_s + p.lon, n + 1)
     return {k: (lat_s / n, lon_s / n) for k, (lat_s, lon_s, n) in sums.items()}
@@ -205,10 +208,10 @@ def day_anchors(day: UserDay) -> dict:
 
 def day_trips_km(day: UserDay) -> list:
     """Trip lengths between consecutive visit anchors, in km."""
-    visits = collapse_visits(day.points)
+    keys = visit_keys(day.points)
     anchors = day_anchors(day)
     trips = []
-    for (a, _), (b, _) in zip(visits, visits[1:]):
+    for a, b in zip(keys, keys[1:]):
         pa, pb = anchors[a], anchors[b]
         trips.append(haversine_m(pa[0], pa[1], pb[0], pb[1]) / 1000.0)
     return trips
@@ -220,14 +223,14 @@ def gyradius_from_home(day: UserDay, home_latlon) -> float:
     One sample per collapsed visit, each evaluated at its parcel's per-day
     anchor, so bursts of points at one stop do not weight the measure.
     """
-    visits = collapse_visits(day.points)
+    keys = visit_keys(day.points)
     anchors = day_anchors(day)
     sq_sum = 0.0
-    for key, _ in visits:
+    for key in keys:
         a = anchors[key]
         d_km = haversine_m(a[0], a[1], home_latlon[0], home_latlon[1]) / 1000.0
         sq_sum += d_km * d_km
-    return math.sqrt(sq_sum / len(visits))
+    return math.sqrt(sq_sum / len(keys))
 
 
 @dataclass(slots=True)
@@ -237,9 +240,19 @@ class DayMetrics:
     lbm_nodes: int
     abm_nodes: int
     abm_pair: str | None  # non-home label for two-node activity networks
-    trips_km: tuple
-    total_km: float
+    n_trips: int
+    total_km: float  # sum of the day's trip lengths
     gyradius_km: float
+
+
+def day_metrics(net, reduced, trips_km, gyradius_km: float) -> DayMetrics:
+    """A day's metrics from its LBM network, that network's ABM reduction,
+    its trip lengths (km) and its gyradius about home (km)."""
+    pair = None
+    if reduced.node_count == 2:
+        pair = next(lab for lab in reduced.labels if lab != HOME_LABEL)
+    return DayMetrics(net.node_count, reduced.node_count, pair, len(trips_km), sum(trips_km),
+                      gyradius_km)
 
 
 @dataclass(slots=True)
@@ -253,7 +266,7 @@ class DistanceStats:
     gyradius_home: float  # mean per-day RMS distance from home, km
 
 
-def distance_stats(day_metrics, max_nodes: int = 6) -> list:
+def distance_stats(metrics, max_nodes: int = 6) -> list:
     """Aggregate distance statistics per motif group.
 
     Groups are node-size buckets per kind plus named two-node activity
@@ -265,15 +278,14 @@ def distance_stats(day_metrics, max_nodes: int = 6) -> list:
     def add(kind, group, dm):
         key = (kind, group)
         if key not in buckets:
-            buckets[key] = {"days": 0, "trips": 0, "trip_sum": 0.0, "total_sum": 0.0, "gyr_sum": 0.0}
+            buckets[key] = {"days": 0, "trips": 0, "total_sum": 0.0, "gyr_sum": 0.0}
         b = buckets[key]
         b["days"] += 1
-        b["trips"] += len(dm.trips_km)
-        b["trip_sum"] += sum(dm.trips_km)
+        b["trips"] += dm.n_trips
         b["total_sum"] += dm.total_km
         b["gyr_sum"] += dm.gyradius_km
 
-    for dm in day_metrics:
+    for dm in metrics:
         if dm.lbm_nodes >= 2:
             add("lbm", size_group_label(dm.lbm_nodes, max_nodes), dm)
         if dm.abm_nodes >= 2:
@@ -289,7 +301,7 @@ def distance_stats(day_metrics, max_nodes: int = 6) -> list:
                 group,
                 b["days"],
                 b["trips"],
-                b["trip_sum"] / b["trips"] if b["trips"] else 0.0,
+                b["total_sum"] / b["trips"] if b["trips"] else 0.0,
                 b["total_sum"] / b["days"],
                 b["gyr_sum"] / b["days"],
             )

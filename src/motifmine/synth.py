@@ -20,38 +20,29 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from .geo import METERS_PER_DEGREE
-from .motifs import ABM, LBM, abm_reduce, canonical_signature, network_from_label_walk
-from .shape import DayMetrics, distance_stats
+from .ingest import format_timestamp
+from .motifs import (
+    ABM,
+    ACTIVITY_LABELS,
+    LBM,
+    abm_reduce,
+    canonical_signature,
+    network_from_label_walk,
+)
+from .parcels import CODE_NAMES
+from .shape import day_metrics, distance_stats
 
 # Monday 00:00 UTC anchor so weekday filtering is predictable
 EPOCH = int(datetime(2014, 6, 2, tzinfo=timezone.utc).timestamp())
 
-# stop-token label -> land-use category written to the parcel file
-LABEL_CATEGORIES = {
-    "R": "Residential",
-    "Ho": "Hotel/Resort",
-    "U": "Mixed-Use",
-    "S": "K-12 Schools",
-    "C": "University/College",
-    "W": "Office/Workplace",
-    "Se": "Civic/Religious",
-    "Sh": "Shopping/Retail",
-    "E": "Recreation/Entertainment",
-    "T": "Transportation",
-    "O": "Others",
-}
+# stop-token label -> land-use category written to the parcel file; the
+# shared "Se" label takes the last of its codes, Civic/Religious
+LABEL_CATEGORIES = {lab: CODE_NAMES[code] for code, lab in ACTIVITY_LABELS.items()}
 
 # grid fill fractions per activity code (urban mix heavy on residential)
 DEFAULT_ACTIVITY_MIX = {
     1: 0.7415, 2: 0.0012, 3: 0.1236, 4: 0.0079, 5: 0.0015, 6: 0.0271,
     7: 0.0050, 8: 0.0191, 9: 0.0007, 10: 0.0085, 11: 0.0349, 12: 0.0290,
-}
-
-CODE_CATEGORY = {
-    1: "Residential", 2: "Hotel/Resort", 3: "Mixed-Use", 4: "K-12 Schools",
-    5: "University/College", 6: "Office/Workplace", 7: "Services",
-    8: "Civic/Religious", 9: "Shopping/Retail", 10: "Recreation/Entertainment",
-    11: "Transportation", 12: "Others",
 }
 
 
@@ -187,7 +178,7 @@ class _World:
         rng = random.Random(f"{self.cfg.seed}/cell/{cell[0]}/{cell[1]}")
         codes = sorted(self.cfg.activity_mix)
         weights = [self.cfg.activity_mix[c] for c in codes]
-        return CODE_CATEGORY[rng.choices(codes, weights=weights, k=1)[0]]
+        return CODE_NAMES[rng.choices(codes, weights=weights, k=1)[0]]
 
 
 def _home_slots(cfg: SynthConfig, spacing_cells: int):
@@ -202,10 +193,26 @@ def _home_slots(cfg: SynthConfig, spacing_cells: int):
     return slots
 
 
+def _spacing_cells(template: TemplateSpec, cfg: SynthConfig) -> int:
+    return round(template.spacing_km * 1000.0 / cfg.cell_m)
+
+
 def _stop_cell(home, stop_index: int, spacing_cells: int):
     r, c = home
     direction = 1 if stop_index % 2 == 0 else -1
     return (r + stop_index // 2, c + direction * spacing_cells)
+
+
+def _settle(world, template: TemplateSpec, home) -> list:
+    """Reserve a home and its template's stop cells; returns the cell of
+    each visit of the template's walk."""
+    world.reserve(home, "Residential")
+    spacing_cells = _spacing_cells(template, world.cfg)
+    stop_cells = {}
+    for i, tok in enumerate(template.stops()):
+        stop_cells[tok] = _stop_cell(home, i, spacing_cells)
+        world.reserve(stop_cells[tok], LABEL_CATEGORIES[tok.rstrip("0123456789")])
+    return [home if tok == "H" else stop_cells[tok] for tok in template.walk]
 
 
 def _template_counts(cfg: SynthConfig, total: int) -> list:
@@ -219,8 +226,9 @@ def _template_counts(cfg: SynthConfig, total: int) -> list:
     return counts
 
 
-def _iso(ts: int) -> str:
-    return datetime.fromtimestamp(ts, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+def _record(user_id, ts, lat, lon) -> str:
+    """One records.csv line: a GPS fix with no message text."""
+    return f"{user_id},{format_timestamp(ts)},{lat:.7f},{lon:.7f},gps,"
 
 
 def _visit_schedule(n_visits: int):
@@ -252,10 +260,7 @@ def _day_records(world, rng, user_id, day_ts, visit_cells, tweets_target):
         for m in sorted(minutes):
             lat, lon = world.point_in_cell(cell, rng)
             rows.append((day_ts + m * 60, lat, lon))
-    return [
-        f"{user_id},{_iso(ts)},{lat:.7f},{lon:.7f},gps,"
-        for ts, lat, lon in sorted(rows)
-    ]
+    return [_record(user_id, ts, lat, lon) for ts, lat, lon in sorted(rows)]
 
 
 def _anchor_day_records(world, rng, user_id, cal_day, cell):
@@ -265,16 +270,11 @@ def _anchor_day_records(world, rng, user_id, cal_day, cell):
     rows = []
     for m in (12 * 60, 12 * 60 + 10):
         lat, lon = world.point_in_cell(cell, rng)
-        rows.append(f"{user_id},{_iso(day_ts + m * 60)},{lat:.7f},{lon:.7f},gps,")
+        rows.append(_record(user_id, day_ts + m * 60, lat, lon))
     return rows
 
 
-def _resident_records(world, cfg, rng, user_id, template, home, active_days, anchor: bool):
-    spacing_cells = round(template.spacing_km * 1000.0 / cfg.cell_m)
-    stop_cells = {
-        tok: _stop_cell(home, i, spacing_cells) for i, tok in enumerate(template.stops())
-    }
-    visit_cells = [home if tok == "H" else stop_cells[tok] for tok in template.walk]
+def _resident_records(world, cfg, rng, user_id, visit_cells, active_days, anchor: bool):
     lines = []
     last_cal = 0
     for k in range(active_days):
@@ -284,7 +284,7 @@ def _resident_records(world, cfg, rng, user_id, template, home, active_days, anc
         lines.extend(_day_records(world, rng, user_id, EPOCH + cal * 86400, visit_cells, target))
     if anchor:
         anchor_cal = max(35, ((last_cal // 7) + 1) * 7)
-        lines.extend(_anchor_day_records(world, rng, user_id, anchor_cal, home))
+        lines.extend(_anchor_day_records(world, rng, user_id, anchor_cal, visit_cells[0]))
     return lines
 
 
@@ -297,8 +297,8 @@ def _expected_truth(cfg: SynthConfig, counts, assignments, world):
     for idx, template in enumerate(cfg.templates):
         net = network_from_label_walk(template.walk)
         reduced = abm_reduce(net)
-        lbm_sig = canonical_signature(net, LBM).signature_string
-        abm_sig = canonical_signature(reduced, ABM).signature_string
+        lbm_sig = canonical_signature(net, LBM)
+        abm_sig = canonical_signature(reduced, ABM)
         pct = 100.0 * counts[idx] * cfg.days / total_days
         for kind, n, sig in ((LBM, net.node_count, lbm_sig), (ABM, reduced.node_count, abm_sig)):
             if n == 1:
@@ -318,7 +318,7 @@ def _expected_truth(cfg: SynthConfig, counts, assignments, world):
             }
         )
         # ideal geometry: cell-center offsets of each visit from home
-        spacing_cells = round(template.spacing_km * 1000.0 / cfg.cell_m)
+        spacing_cells = _spacing_cells(template, cfg)
         offsets = {"H": (0.0, 0.0)}
         for i, tok in enumerate(template.stops()):
             r_off = (i // 2) * cfg.cell_m
@@ -329,11 +329,7 @@ def _expected_truth(cfg: SynthConfig, counts, assignments, world):
             math.hypot(b[0] - a[0], b[1] - a[1]) / 1000.0 for a, b in zip(pos, pos[1:])
         )
         gyr = math.sqrt(sum(p[0] ** 2 + p[1] ** 2 for p in pos) / len(pos)) / 1000.0
-        pair = None
-        if reduced.node_count == 2:
-            pair = next(lab for lab in reduced.labels if lab != "H")
-        day_metric = DayMetrics(net.node_count, reduced.node_count, pair, trips, sum(trips), gyr)
-        metrics.extend([day_metric] * (counts[idx] * cfg.days))
+        metrics.extend([day_metrics(net, reduced, trips, gyr)] * (counts[idx] * cfg.days))
     expected_stats = [
         {
             "kind": s.kind,
@@ -366,7 +362,7 @@ def generate(cfg: SynthConfig, out_dir) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     world = _World(cfg)
 
-    max_spacing_cells = max(round(t.spacing_km * 1000.0 / cfg.cell_m) for t in cfg.templates)
+    max_spacing_cells = max(_spacing_cells(t, cfg) for t in cfg.templates)
     slots = _home_slots(cfg, max_spacing_cells)
     needed = cfg.num_users + cfg.tourist_count
     if needed > len(slots):
@@ -381,34 +377,22 @@ def generate(cfg: SynthConfig, out_dir) -> dict:
     resident_lines = []
     for u, t_idx in enumerate(template_of_user):
         uid = f"u{u:04d}"
-        template = cfg.templates[t_idx]
         home = next(slot_iter)
         assignments[uid] = (t_idx, home)
-        world.reserve(home, "Residential")
-        spacing_cells = round(template.spacing_km * 1000.0 / cfg.cell_m)
-        for i, tok in enumerate(template.stops()):
-            label = tok.rstrip("0123456789")
-            world.reserve(_stop_cell(home, i, spacing_cells), LABEL_CATEGORIES[label])
+        visit_cells = _settle(world, cfg.templates[t_idx], home)
         rng = random.Random(f"{cfg.seed}/user/{u}")
         resident_lines.extend(
-            _resident_records(world, cfg, rng, uid, template, home, cfg.days, anchor=True)
+            _resident_records(world, cfg, rng, uid, visit_cells, cfg.days, anchor=True)
         )
 
     tourist_lines = []
     for k in range(cfg.tourist_count):
         uid = f"tour{k:04d}"
         t_idx = k % len(cfg.templates)
-        template = cfg.templates[t_idx]
-        home = next(slot_iter)
-        world.reserve(home, "Residential")
-        spacing_cells = round(template.spacing_km * 1000.0 / cfg.cell_m)
-        for i, tok in enumerate(template.stops()):
-            label = tok.rstrip("0123456789")
-            world.reserve(_stop_cell(home, i, spacing_cells), LABEL_CATEGORIES[label])
+        visit_cells = _settle(world, cfg.templates[t_idx], next(slot_iter))
         rng = random.Random(f"{cfg.seed}/tourist/{k}")
         tourist_lines.extend(
-            _resident_records(world, cfg, rng, uid, template, home,
-                              min(5, cfg.days), anchor=False)
+            _resident_records(world, cfg, rng, uid, visit_cells, min(5, cfg.days), anchor=False)
         )
 
     bot_lines = []
@@ -421,9 +405,9 @@ def generate(cfg: SynthConfig, out_dir) -> dict:
             day_ts = EPOCH + _weekday_calendar_day(d) * 86400
             for hour in range(9, 17):
                 ts = day_ts + hour * 3600
-                bot_lines.append(f"{uid},{_iso(ts)},{center[0]:.7f},{center[1]:.7f},gps,")
+                bot_lines.append(_record(uid, ts, *center))
         anchor_ts = EPOCH + 42 * 86400 + 12 * 3600
-        bot_lines.append(f"{uid},{_iso(anchor_ts)},{center[0]:.7f},{center[1]:.7f},gps,")
+        bot_lines.append(_record(uid, anchor_ts, *center))
 
     corner_a, corner_b = (0, 0), (0, cfg.grid_side - 1)
     for cell in (corner_a, corner_b):
@@ -436,9 +420,9 @@ def generate(cfg: SynthConfig, out_dir) -> dict:
             day_ts = EPOCH + _weekday_calendar_day(d) * 86400 + 9 * 3600
             for j, point in enumerate((pa, pb, pa, pb)):
                 ts = day_ts + j * 20
-                bot_lines.append(f"{uid},{_iso(ts)},{point[0]:.7f},{point[1]:.7f},gps,")
+                bot_lines.append(_record(uid, ts, *point))
         anchor_ts = EPOCH + 42 * 86400 + 12 * 3600
-        bot_lines.append(f"{uid},{_iso(anchor_ts)},{pa[0]:.7f},{pa[1]:.7f},gps,")
+        bot_lines.append(_record(uid, anchor_ts, *pa))
 
     paths = {
         "parcels": out / "parcels.geojson",
@@ -484,7 +468,7 @@ def generate(cfg: SynthConfig, out_dir) -> dict:
     )
 
     paths["scheme"].write_text(
-        "".join(f"{name}\t{code}\n" for code, name in sorted(CODE_CATEGORY.items())),
+        "".join(f"{name}\t{code}\n" for code, name in sorted(CODE_NAMES.items())),
         encoding="utf-8",
     )
 

@@ -3,11 +3,11 @@
 Everything here is deliberately brute force or otherwise independent of
 the package, and shares no code with it: permutation-search isomorphism, a
 refinement-based isomorphism matcher, closed-walk enumeration over a small
-node budget, label-sequence collapsing, and analytic Gaussian cell
-integrals. The one exception is the linear parcel scan, which reuses the
-package's point-to-polygon distance and hit type, because what it checks
-is the R-tree search and its pruning, not the distance. Production code is
-checked against these, never the reverse.
+node budget, label-sequence collapsing, walk-to-network construction, and
+analytic Gaussian cell integrals. The one exception is the linear parcel
+scan, which reuses the package's point-to-polygon distance and hit type,
+because what it checks is the R-tree search and its pruning, not the
+distance. Production code is checked against these, never the reverse.
 """
 
 import itertools
@@ -267,6 +267,29 @@ def collapse_label_sequence(labels):
         if not out or out[-1] != lab:
             out.append(lab)
     return out
+
+
+def walk_network(keys, labels):
+    """Reference walk-to-network build: collapse consecutive repeats into
+    visits, then number nodes by first visit and label each from it.
+
+    Returns (node_keys, labels, edges, walk), each node by index.
+    """
+    visits = []
+    for key, label in zip(keys, labels):
+        if visits and visits[-1][0] == key:
+            continue
+        visits.append((key, label))
+    node_index = {}
+    node_labels = []
+    walk = []
+    for key, label in visits:
+        if key not in node_index:
+            node_index[key] = len(node_index)
+            node_labels.append(label)
+        walk.append(node_index[key])
+    node_keys = tuple(sorted(node_index, key=node_index.get))
+    return node_keys, tuple(node_labels), frozenset(zip(walk, walk[1:])), tuple(walk)
 
 
 def gaussian_cell_mass(x0, x1, y0, y1) -> float:

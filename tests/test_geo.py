@@ -1,7 +1,10 @@
 import math
 import random
 
+import pytest
+
 from motifmine.geo import (
+    geojson_polygon,
     haversine_m,
     point_in_polygon,
     point_in_ring,
@@ -73,3 +76,37 @@ def test_polygon_distance_zero_inside_and_positive_outside():
     lat = 41.9 + 150.0 / 111194.9266
     d = point_polygon_distance_m(lat, -87.6, ring)
     assert abs(d - 100.0) < 0.5
+
+
+class TestGeojsonPolygon:
+    SQUARE = [[-87.6, 41.9], [-87.5, 41.9], [-87.5, 42.0], [-87.6, 42.0], [-87.6, 41.9]]
+    HOLE = [[-87.57, 41.93], [-87.53, 41.93], [-87.53, 41.97], [-87.57, 41.93]]
+
+    def test_rings_in_lat_lon_order_without_closing_vertex(self):
+        geometry = {"type": "Polygon", "coordinates": [self.SQUARE, self.HOLE]}
+        exterior, holes = geojson_polygon(geometry)
+        assert exterior == ((41.9, -87.6), (41.9, -87.5), (42.0, -87.5), (42.0, -87.6))
+        assert holes == (((41.93, -87.57), (41.93, -87.53), (41.97, -87.53)),)
+
+    def test_altitude_is_dropped(self):
+        flat = {"type": "Polygon", "coordinates": [self.SQUARE, self.HOLE]}
+        rings = [[[*pos, 180.0] for pos in ring] for ring in (self.SQUARE, self.HOLE)]
+        lifted = {"type": "Polygon", "coordinates": rings}
+        assert geojson_polygon(lifted) == geojson_polygon(flat)
+
+    @pytest.mark.parametrize("geometry", [
+        None,
+        [],
+        {"type": "MultiPolygon", "coordinates": [[SQUARE]]},
+        {"type": "Polygon"},
+        {"type": "Polygon", "coordinates": []},
+        {"type": "Polygon", "coordinates": [[SQUARE[0], SQUARE[1], SQUARE[0]]]},  # two vertices
+        {"type": "Polygon", "coordinates": [[[-87.6], [-87.5], [-87.4], [-87.3]]]},
+        {"type": "Polygon", "coordinates": [[[-87.6, "north"], *SQUARE[1:]]]},
+        {"type": "Polygon", "coordinates": [[None, *SQUARE[1:]]]},
+        {"type": "Polygon", "coordinates": [SQUARE, HOLE[:2]]},
+        {"type": "Polygon",  # bow tie
+         "coordinates": [[[-87.6, 41.9], [-87.5, 42.0], [-87.5, 41.9], [-87.6, 42.0]]]},
+    ])
+    def test_invalid_polygons_give_none(self, geometry):
+        assert geojson_polygon(geometry) is None

@@ -7,8 +7,10 @@ from motifmine.ingest import (
     DEFAULT_BLOCKLIST,
     FilterConfig,
     UserTrack,
+    format_timestamp,
     group_tracks,
     parse_records,
+    parse_timestamp,
     prefilter,
     residency_filter,
     speed_filter,
@@ -38,6 +40,13 @@ class TestParse:
         assert recs[0].ts == 60
         recs, _ = parse_records(lines("u1,1970-01-01T01:00:00+01:00,0,0,gps,"))
         assert recs[0].ts == 0
+
+    def test_format_timestamp_round_trips(self):
+        assert format_timestamp(0) == "1970-01-01T00:00:00Z"
+        assert format_timestamp(1401667260) == "2014-06-02T00:01:00Z"
+        rng = random.Random(8)
+        for ts in [rng.randrange(0, 4_000_000_000) for _ in range(200)]:
+            assert parse_timestamp(format_timestamp(ts)) == ts
 
     def test_out_of_bounds_latitude_counted(self):
         recs, report = parse_records(lines("u1,2014-03-01T12:00:00Z,99.0,-87.63,gps,"))

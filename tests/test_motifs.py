@@ -20,10 +20,17 @@ from motifmine.motifs import (
     graph_signature,
     network_from_label_walk,
     size_group_label,
+    visit_keys,
 )
 
 from conftest import apoint
-from oracles import brute_force_isomorphic, collapse_label_sequence, graphs_isomorphic, isomorphic
+from oracles import (
+    brute_force_isomorphic,
+    collapse_label_sequence,
+    graphs_isomorphic,
+    isomorphic,
+    walk_network,
+)
 
 HOME = HomeAssignment("u1", 1, "night_mode")
 
@@ -162,24 +169,72 @@ class TestAbmReduce:
             assert again.walk == reduced.walk
 
 
+# parcel id -> (activity code, node label with home on parcel 1); parcel 2
+# is a residence other than home, parcels 3 and 5 are two workplaces, and
+# None is a point with no parcel within the join radius
+WALK_PARCELS = {1: (1, "H"), 2: (1, "R"), 3: (6, "W"), 4: (9, "Sh"), 5: (6, "W"), None: (12, "O")}
+
+
+def network_fields(net):
+    return net.node_keys, net.labels, net.edges, net.walk
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(stops=st.lists(st.sampled_from(list(WALK_PARCELS)), min_size=1, max_size=14),
+       close=st.booleans())
+def test_walk_constructors_match_the_reference(stops, close):
+    if close:  # otherwise mostly open walks
+        stops = [1, *stops, 1]
+    day = day_from_parcels([(pid, WALK_PARCELS[pid][0]) for pid in stops])
+    keys = [motifs.UNKNOWN_PARCEL if pid is None else pid for pid in stops]
+    assert visit_keys(day.points) == collapse_label_sequence(keys)
+    net, reason = build_daily_network(day, HOME)
+    if keys[0] != 1 or keys[-1] != 1:
+        assert (net, reason) == (None, "open_walk")
+        return
+    assert reason is None and net.kind == LBM
+    assert network_fields(net) == walk_network(keys, [WALK_PARCELS[pid][1] for pid in stops])
+    assert visit_keys(day.points) == [net.node_keys[i] for i in net.walk]
+
+    reduced = abm_reduce(net)
+    collapsed = collapse_label_sequence([net.labels[i] for i in net.walk])
+    assert reduced.kind == ABM
+    assert [reduced.labels[i] for i in reduced.walk] == collapsed
+    assert network_fields(reduced) == walk_network(collapsed, collapsed)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(visits=st.lists(st.tuples(st.integers(0, 4), st.sampled_from("abc")), max_size=12))
+def test_walk_network_labels_each_node_from_its_first_visit(visits):
+    # labels that vary between visits of one key, which no caller produces
+    keys, labels = zip(*[(0, "h"), *visits, (0, "z")])
+    assert network_fields(motifs._walk_network(ABM, keys, labels)) == walk_network(keys, labels)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(middle=st.lists(st.sampled_from(["H", "W", "W2", "Sh", "R1", "R2", "E"]), max_size=10))
+def test_network_from_label_walk_matches_the_reference(middle):
+    tokens = ("H", *middle, "H")
+    net = network_from_label_walk(tokens)
+    assert net.kind == LBM
+    assert network_fields(net) == walk_network(tokens, [t.rstrip("0123456789") for t in tokens])
+
+
 class TestCanonicalSignature:
     def test_relabeling_same_signature(self):
         a = day_from_parcels([(1, 1), (2, 6), (1, 1)])
         b = day_from_parcels([(1, 1), (9, 9), (1, 1)])
         net_a, _ = build_daily_network(a, HOME)
         net_b, _ = build_daily_network(b, HOME)
-        assert (
-            canonical_signature(net_a, LBM).signature_string
-            == canonical_signature(net_b, LBM).signature_string
-        )
+        assert canonical_signature(net_a, LBM) == canonical_signature(net_b, LBM)
 
     def test_swapping_intermediate_stops_same_lbm_signature(self):
         a = day_from_parcels([(1, 1), (2, 6), (3, 9), (1, 1)])  # H A B H
         b = day_from_parcels([(1, 1), (3, 9), (2, 6), (1, 1)])  # H B A H
         net_a, _ = build_daily_network(a, HOME)
         net_b, _ = build_daily_network(b, HOME)
-        sig_a = canonical_signature(net_a, LBM).signature_string
-        sig_b = canonical_signature(net_b, LBM).signature_string
+        sig_a = canonical_signature(net_a, LBM)
+        sig_b = canonical_signature(net_b, LBM)
         assert sig_a == sig_b
         # the permutation oracle agrees the two are isomorphic
         assert brute_force_isomorphic(3, net_a.edges, 3, net_b.edges)
@@ -190,10 +245,7 @@ class TestCanonicalSignature:
         net_w, _ = build_daily_network(work, HOME)
         net_s, _ = build_daily_network(school, HOME)
         red_w, red_s = abm_reduce(net_w), abm_reduce(net_s)
-        assert (
-            canonical_signature(red_w, ABM).signature_string
-            != canonical_signature(red_s, ABM).signature_string
-        )
+        assert canonical_signature(red_w, ABM) != canonical_signature(red_s, ABM)
 
     def test_signature_decode_roundtrip(self):
         edges = {(0, 1), (1, 2), (2, 0), (0, 2)}
@@ -378,7 +430,7 @@ class TestSignatureCache:
 
 class TestCensus:
     def sig(self, walk):
-        return canonical_signature(network_from_label_walk(walk), LBM).signature_string
+        return canonical_signature(network_from_label_walk(walk), LBM)
 
     def census(self, nets, max_nodes=6):
         items = [(net.node_count, census_signature(net, LBM, max_nodes)) for net in nets]

@@ -266,6 +266,78 @@ class TestZoneFailures:
         assert not out_dir.exists()
 
 
+def two_zones():
+    return [geojson_polygon_feature(square_ring(lat, -88.05, 4000),
+                                    extra_props={"population": pop})
+            for lat, pop in ((41.43, 900), (41.47, 500))]
+
+
+def with_altitude(doc):
+    """A GeoJSON document with an altitude appended to every position."""
+    if isinstance(doc, dict):
+        return {k: with_altitude(v) for k, v in doc.items()}
+    if isinstance(doc, list):
+        if len(doc) == 2 and all(isinstance(x, float) for x in doc):
+            return [*doc, 12.5]
+        return [with_altitude(x) for x in doc]
+    return doc
+
+
+def zones_doc(edit):
+    zones = two_zones()
+    edit(zones)
+    return {"type": "FeatureCollection", "features": zones}
+
+
+class TestGeojsonInputs:
+    @pytest.mark.parametrize("flag, make_doc, message", [
+        pytest.param("--boundary", lambda: {"type": "FeatureCollection", "features": []},
+                     "does not start with a valid polygon", id="empty-boundary"),
+        pytest.param("--boundary", lambda: {"type": "Feature", "properties": {}, "geometry": None},
+                     "does not start with a valid polygon", id="null-boundary-geometry"),
+        pytest.param("--zones",
+                     lambda: zones_doc(lambda z: z[1]["properties"].update(population=None)),
+                     "has no finite 'population': None", id="null-population"),
+        pytest.param("--zones", lambda: zones_doc(lambda z: z[0]["geometry"].pop("coordinates")),
+                     "is not a valid polygon", id="no-coordinates"),
+        pytest.param("--parcels", lambda: [1, 2], "is not a GeoJSON object", id="parcels-list"),
+        pytest.param("--parcels", lambda: {"type": "FeatureCollection", "features": [3]},
+                     "holds no list of GeoJSON features", id="parcels-non-dict-feature"),
+    ])
+    def test_malformed_file_exits_2_and_writes_nothing(self, world, tmp_path, capsys,
+                                                       flag, make_doc, message):
+        paths = world["paths"]
+        args = {"--records": paths["records"], "--parcels": paths["parcels"],
+                "--boundary": paths["boundary"], "--scheme": paths["scheme"],
+                "--zones": write_geojson(tmp_path / "zones.geojson", two_zones())}
+        args[flag] = tmp_path / "bad.geojson"
+        args[flag].write_text(json.dumps(make_doc()), encoding="utf-8")
+        out_dir = tmp_path / "out"
+        argv = ["all", "--out", str(out_dir)]
+        for name, path in args.items():
+            argv += [name, str(path)]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_altitude_positions_load_like_2d(self, world, tmp_path):
+        paths = {name: world["paths"][name] for name in ("parcels", "boundary")}
+        paths["zones"] = write_geojson(tmp_path / "zones.geojson", two_zones())
+        flat = world_config(world, tmp_path / "flat", zones=str(paths["zones"]))
+        run(flat, "all")
+        for name, path in paths.items():
+            doc = json.loads(Path(path).read_text(encoding="utf-8"))
+            lifted = tmp_path / f"{name}_3d.geojson"
+            lifted.write_text(json.dumps(with_altitude(doc)), encoding="utf-8")
+            paths[name] = lifted
+        assert '12.5]' in paths["parcels"].read_text(encoding="utf-8")
+        cfg = world_config(world, tmp_path / "3d", zones=str(paths["zones"]))
+        cfg.parcels, cfg.boundary = str(paths["parcels"]), str(paths["boundary"])
+        run(cfg, "all")
+        assert output_bytes(tmp_path / "3d") == output_bytes(tmp_path / "flat")
+        assert (tmp_path / "3d" / "correlation.json").exists()
+
+
 class TestCli:
     def test_synth_then_mine(self, tmp_path, capsys):
         world_dir = tmp_path / "world"

@@ -239,27 +239,27 @@ class TestDistanceStats:
         trips = day_trips_km(day)
         assert len(trips) == 2
         assert trips[0] == pytest.approx(5.0, abs=5e-3)
-        dm = DayMetrics(2, 2, "W", tuple(trips), sum(trips), 0.0)
+        dm = DayMetrics(2, 2, "W", len(trips), sum(trips), 0.0)
         rows = {(s.kind, s.group): s for s in distance_stats([dm])}
         assert rows[("lbm", "2")].d_hat == pytest.approx(5.0, abs=5e-3)
         assert rows[("lbm", "2")].D_hat == pytest.approx(10.0, abs=1e-2)
         assert rows[("abm", "H-W")].n_days == 1
 
     def test_group_mean_of_daily_totals(self):
-        a = DayMetrics(2, 2, "W", (5.0, 5.0), 10.0, 1.0)
-        b = DayMetrics(2, 2, "W", (7.0, 7.0), 14.0, 2.0)
+        a = DayMetrics(2, 2, "W", 2, 10.0, 1.0)
+        b = DayMetrics(2, 2, "W", 2, 14.0, 2.0)
         rows = {(s.kind, s.group): s for s in distance_stats([a, b])}
         assert rows[("lbm", "2")].D_hat == pytest.approx(12.0)
         assert rows[("lbm", "2")].d_hat == pytest.approx(6.0)
         assert rows[("lbm", "2")].gyradius_home == pytest.approx(1.5)
 
     def test_one_node_days_and_empty_groups_omitted(self):
-        home_only = DayMetrics(1, 1, None, (), 0.0, 0.0)
+        home_only = DayMetrics(1, 1, None, 0, 0.0, 0.0)
         rows = distance_stats([home_only])
         assert rows == []
 
     def test_seven_plus_grouping(self):
-        dm = DayMetrics(9, 3, None, (1.0,) * 9, 9.0, 2.0)
+        dm = DayMetrics(9, 3, None, 9, 9.0, 2.0)
         rows = {(s.kind, s.group) for s in distance_stats([dm])}
         assert ("lbm", "7+") in rows
         assert ("abm", "3") in rows
@@ -270,7 +270,8 @@ class TestDistanceStats:
         for _ in range(200):
             n_trips = rng.randrange(2, 7)
             trips = tuple(rng.uniform(0.5, 8.0) for _ in range(n_trips))
-            metrics.append(DayMetrics(n_trips, max(2, n_trips - 1), None, trips, sum(trips), 1.0))
+            metrics.append(DayMetrics(n_trips, max(2, n_trips - 1), None, len(trips), sum(trips),
+                                      1.0))
         for s in distance_stats(metrics):
             assert s.D_hat >= s.d_hat
 

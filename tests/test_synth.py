@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -38,6 +39,38 @@ class TestDeterminism:
         noisy_lines = read(noisy["paths"]["records"]).decode().splitlines()
         resident = [l for l in noisy_lines if l.startswith("u")]
         assert resident == clean_lines
+
+
+# SHA-256 of each file of PINNED_CFG's world; any change to the generated
+# bytes, deliberate or not, must update these (benchmark worlds are cached
+# per workload and seed, so they would silently go stale otherwise)
+PINNED_DIGESTS = {
+    "parcels": "5f6be97d41eb4fe2926e1aca0800960da5bc4ad8c8d2baeda7a67bf4d6bc840e",
+    "records": "983da8e17deb6886b9e20055813c0aaf6248cbd906be4165e3e7b1dffa6f46b1",
+    "boundary": "8ba7da8cfa283fdbef30277cbbd80fbcd6c4f66be01e9dcfe397c534c2d33af4",
+    "scheme": "1ecef496ff0bb59449b04a5bc46bff03a4b44eef6a376a633866725c0274fcc5",
+    "ground_truth": "7a0052303855a2a6365f480ccc711c8e4ca97fb59cffcfa56cd0ea67eab7f000",
+}
+
+
+def pinned_cfg():
+    """Tourists, both bot kinds, and multi-stop templates at three spacings."""
+    return synth.SynthConfig(
+        seed=11, grid_side=80, cell_m=150.0, num_users=8, days=3, tourist_count=2,
+        bots=synth.BotSpec(stationary=1, teleporter=1),
+        templates=(
+            synth.TemplateSpec(("H", "W", "Sh", "H"), 0.4, 2.0),
+            synth.TemplateSpec(("H", "R1", "H", "R2", "H"), 0.3),
+            synth.TemplateSpec(("H", "S", "W", "E", "H"), 0.2, 4.5),
+            synth.TemplateSpec(("H",), 0.1),
+        ),
+    )
+
+
+def test_world_bytes_are_pinned(tmp_path):
+    res = synth.generate(pinned_cfg(), tmp_path / "w")
+    digests = {name: hashlib.sha256(read(path)).hexdigest() for name, path in res["paths"].items()}
+    assert digests == PINNED_DIGESTS
 
 
 class TestMinimalWorld:
