@@ -36,7 +36,11 @@ def normalize_ring(ring) -> tuple:
 
 
 def geojson_features(path) -> list:
-    """The features of a GeoJSON file; a lone Feature or geometry is one feature."""
+    """The features of a GeoJSON file; a lone Feature or geometry is one feature.
+
+    Raises ValueError unless every feature is an object whose "properties"
+    is absent, null or an object.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
@@ -45,8 +49,12 @@ def geojson_features(path) -> list:
         features = doc.get("features")
         if not isinstance(features, list) or not all(isinstance(f, dict) for f in features):
             raise ValueError(f"{path} holds no list of GeoJSON features")
-        return features
-    return [doc if doc.get("type") == "Feature" else {"geometry": doc}]
+    else:
+        features = [doc if doc.get("type") == "Feature" else {"geometry": doc}]
+    for i, feat in enumerate(features):
+        if not isinstance(feat.get("properties"), (dict, type(None))):
+            raise ValueError(f"feature {i} in {path} has properties that are not an object")
+    return features
 
 
 def geojson_polygon(geometry):
@@ -155,14 +163,20 @@ def point_in_polygon(lat: float, lon: float, exterior, holes=()) -> bool:
 
 
 def _nearest_on_segment(px, py, ax, ay, bx, by) -> tuple[float, float]:
+    """The point of segment ab nearest to p, stepped off from the end nearer
+    to it: from the far end, a + t (b - a) can round a point a hair from b
+    onto p itself, and a distance of 0 would mean containment."""
     dx = bx - ax
     dy = by - ay
     denom = dx * dx + dy * dy
     if denom == 0.0:
         return ax, ay
     t = ((px - ax) * dx + (py - ay) * dy) / denom
-    t = max(0.0, min(1.0, t))
-    return ax + t * dx, ay + t * dy
+    if t <= 0.5:
+        t = max(0.0, t)
+        return ax + t * dx, ay + t * dy
+    s = max(0.0, ((bx - px) * dx + (by - py) * dy) / denom)  # 1 - t, unrounded
+    return bx - s * dx, by - s * dy
 
 
 def point_polygon_distance_m(lat: float, lon: float, exterior, holes=()) -> float:

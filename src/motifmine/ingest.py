@@ -108,20 +108,47 @@ class SpeedDecision:
     speed_mps: float | None = None
 
 
+# A record's UTC date must lie strictly between the first and the last date
+# datetime can hold, so that its local date under any UTC offset of up to a
+# day (RunConfig.utc_offset_minutes) exists too.
+_MIN_TS = int(datetime(1, 1, 2, tzinfo=timezone.utc).timestamp())
+_END_TS = int(datetime(9999, 12, 31, tzinfo=timezone.utc).timestamp())
+
+
 def parse_timestamp(raw: str) -> int:
-    """ISO-8601 string to UTC epoch seconds. Naive timestamps are taken as UTC."""
+    """ISO-8601 string to UTC epoch seconds. Naive timestamps are taken as UTC.
+
+    Raises ValueError for a timestamp whose UTC date is the first or the
+    last representable one, or outside them.
+    """
     s = raw.strip()
     if s.endswith(("Z", "z")):
         s = s[:-1] + "+00:00"
     dt = datetime.fromisoformat(s)
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
-    return int(dt.timestamp())
+    ts = int(dt.timestamp())
+    if not _MIN_TS <= ts < _END_TS:
+        raise ValueError(f"timestamp out of range: {raw!r}")
+    return ts
 
 
 def format_timestamp(ts: int) -> str:
     """UTC epoch seconds to the ISO-8601 form "YYYY-MM-DDTHH:MM:SSZ"."""
     return datetime.fromtimestamp(ts, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+
+
+def _rows(reader):
+    """The reader's rows, with None for a line it cannot split, such as one
+    holding a field longer than csv.field_size_limit(). The reader resumes
+    at the next line."""
+    while True:
+        try:
+            yield next(reader)
+        except StopIteration:
+            return
+        except csv.Error:
+            yield None
 
 
 def parse_records(lines, schema: RecordSchema | None = None):
@@ -138,8 +165,7 @@ def parse_records(lines, schema: RecordSchema | None = None):
     text_col = cols.get("text")
     report = ParseReport()
     records = []
-    reader = csv.reader(lines, delimiter=schema.delimiter)
-    for row in reader:
+    for row in _rows(csv.reader(lines, delimiter=schema.delimiter)):
         report.lines += 1
         if not row:
             report.malformed += 1

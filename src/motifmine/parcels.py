@@ -2,10 +2,11 @@
 
 Parcels are simple polygons (holes treated as outside) carrying a land-use
 category that maps to one of twelve activity codes. Nearest-parcel lookups
-run against a bulk-loaded R-tree whose results are, by construction,
-identical to a linear scan; the tree is purely an accelerator.
+run against a uniform grid of parcel bounding boxes, plus an oversize list
+of the few parcels too large to grid, whose results are, by construction,
+identical to a linear scan; the grid is purely an accelerator.
 
-A lookup first asks the tree only for the parcels whose bbox holds the
+A lookup first asks the grid only for the parcels whose bbox holds the
 point and returns the smallest-id one that contains it. Those parcels are
 exactly the ones the full radius search would probe first (distance lower
 bound 0, in id order), and a containing parcel there is its final answer,
@@ -14,6 +15,8 @@ pays for the radius search.
 """
 
 import math
+import statistics
+from collections import defaultdict
 from dataclasses import dataclass, field
 from operator import attrgetter
 
@@ -106,83 +109,79 @@ class LoadReport:
     per_code: dict = field(default_factory=dict)
 
 
-class _Node:
-    __slots__ = ("bbox", "children", "parcels")
+# A parcel whose bbox meets more cells than this goes on the oversize list
+# instead: one 30 km polygon would fill ~250k cells of a 60 m grid.
+OVERSIZE_CELLS = 4096
 
-    def __init__(self, bbox, children=None, parcels=None):
-        self.bbox = bbox
-        self.children = children
-        self.parcels = parcels
-
-
-def _merge_bbox(boxes):
-    return (
-        min(b[0] for b in boxes),
-        min(b[1] for b in boxes),
-        max(b[2] for b in boxes),
-        max(b[3] for b in boxes),
-    )
+_MIN_CELL_DEG = 1e-9  # ~0.1 mm: degenerate parcels must not make a cell size 0
 
 
 class SpatialIndex:
-    """Sort-tile-recursive packed R-tree over parcel bounding boxes."""
+    """Uniform grid over parcel bounding boxes.
 
-    def __init__(self, parcels, leaf_size: int = 16):
+    A cell is the median parcel bbox height x width (`cell_size`, degrees).
+    Cell (row, col) lists, in id order, the parcels whose bbox meets it,
+    where a coordinate's row or column is floor(coordinate / cell size).
+    That is monotone in the coordinate, so a query box and a parcel bbox
+    that share a point share a cell: the grid misses nothing, even on a
+    shared edge or vertex.
+    """
+
+    def __init__(self, parcels):
         self.parcels = list(parcels)
-        self.leaf_size = leaf_size
-        self._root = self._build(self.parcels) if self.parcels else None
+        cells = self.cells = defaultdict(list)
+        self.oversize = []
+        boxes = [p.bbox for p in self.parcels] or [(0.0, 0.0, 0.0, 0.0)]  # empty: any size
+        self.cell_size = (max(_MIN_CELL_DEG, statistics.median(b[2] - b[0] for b in boxes)),
+                          max(_MIN_CELL_DEG, statistics.median(b[3] - b[1] for b in boxes)))
+        for parcel in sorted(self.parcels, key=attrgetter("parcel_id")):
+            r0, c0, r1, c1, n_cells = self._cell_span(parcel.bbox)
+            if n_cells > OVERSIZE_CELLS:
+                self.oversize.append(parcel)
+                continue
+            for r in range(r0, r1 + 1):
+                for c in range(c0, c1 + 1):
+                    cells[r, c].append(parcel)
 
-    def _build(self, parcels) -> _Node:
-        entries = sorted(
-            parcels, key=lambda p: ((p.bbox[1] + p.bbox[3]) / 2.0, (p.bbox[0] + p.bbox[2]) / 2.0)
-        )
-        n = len(entries)
-        slice_count = max(1, math.ceil(math.sqrt(math.ceil(n / self.leaf_size))))
-        slice_size = math.ceil(n / slice_count) or 1
-        leaves = []
-        for i in range(0, n, slice_size):
-            vertical = sorted(
-                entries[i : i + slice_size],
-                key=lambda p: ((p.bbox[0] + p.bbox[2]) / 2.0, (p.bbox[1] + p.bbox[3]) / 2.0),
-            )
-            for j in range(0, len(vertical), self.leaf_size):
-                chunk = vertical[j : j + self.leaf_size]
-                leaves.append(_Node(_merge_bbox([p.bbox for p in chunk]), parcels=chunk))
-        nodes = leaves
-        while len(nodes) > 1:
-            parents = []
-            for i in range(0, len(nodes), self.leaf_size):
-                chunk = nodes[i : i + self.leaf_size]
-                parents.append(_Node(_merge_bbox([c.bbox for c in chunk]), children=chunk))
-            nodes = parents
-        return nodes[0]
+    def _cell_span(self, bbox) -> tuple:
+        """(row0, col0, row1, col1, cell count) of the cells a box meets; the
+        count is infinite when a bound is infinite, NaN or too large to index."""
+        dlat, dlon = self.cell_size
+        try:
+            r0, r1 = math.floor(bbox[0] / dlat), math.floor(bbox[2] / dlat)
+            c0, c1 = math.floor(bbox[1] / dlon), math.floor(bbox[3] / dlon)
+        except (OverflowError, ValueError):
+            return 0, 0, 0, 0, math.inf
+        return r0, c0, r1, c1, (r1 - r0 + 1) * (c1 - c0 + 1)
 
     def query_bbox(self, bbox) -> list:
-        """All parcels whose bounding box intersects the query box.
+        """All parcels whose bounding box intersects the query box, each once.
 
-        Depth-first walk; a node's children are tested against the query
-        before they are pushed, and a leaf's parcels before they are kept.
+        The oversize list is scanned with the query's cells, and a query
+        that covers more cells than the grid holds reads every cell once
+        instead, so a huge box costs one pass over the grid.
         """
-        out = []
-        if self._root is None:
-            return out
+        r0, c0, r1, c1, n_cells = self._cell_span(bbox)
+        cells = self.cells
+        if n_cells == 1:
+            buckets = [self.oversize, cells.get((r0, c0), ())]
+        elif n_cells > len(cells):
+            buckets = [self.oversize, *cells.values()]
+        else:
+            buckets = [self.oversize]
+            for r in range(r0, r1 + 1):
+                buckets += [cells.get((r, c), ()) for c in range(c0, c1 + 1)]
         qlat0, qlon0, qlat1, qlon1 = bbox
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            if node.parcels is not None:
-                items, dest = node.parcels, out
-            else:
-                items, dest = node.children, stack
-            for item in items:
-                b = item.bbox
+        found = {}
+        for bucket in buckets:
+            for p in bucket:
+                b = p.bbox
                 if b[0] <= qlat1 and qlat0 <= b[2] and b[1] <= qlon1 and qlon0 <= b[3]:
-                    dest.append(item)
-        return out
+                    found[id(p)] = p
+        return list(found.values())
 
 
-def load_parcels(path, scheme: ActivityScheme | None = None, category_attr: str = "category",
-                 leaf_size: int = 16):
+def load_parcels(path, scheme: ActivityScheme | None = None, category_attr: str = "category"):
     """Load a GeoJSON polygon feature file into a spatial index.
 
     Parcel ids are re-assigned as sequential integers in file order, so the
@@ -209,7 +208,7 @@ def load_parcels(path, scheme: ActivityScheme | None = None, category_attr: str 
     report.loaded = len(parcels)
     if not parcels:
         raise ValueError(f"no valid parcels in {path}")
-    return SpatialIndex(parcels, leaf_size=leaf_size), report
+    return SpatialIndex(parcels), report
 
 
 @dataclass(slots=True)

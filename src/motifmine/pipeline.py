@@ -50,6 +50,7 @@ _CONFIG_RANGES = {
     "max_nodes": (1, MAX_CENSUS_NODES),
     "workers": (1, None),
     "density_bins": (1, None),
+    "utc_offset_minutes": (-1440, 1440),  # ingest.parse_timestamp leaves a day's margin
 }
 
 # field -> whether it must also be finite; each must be > 0, which NaN is not.
@@ -314,9 +315,10 @@ def _day_outcome(day, home, home_anchor, cfg) -> tuple:
     reduced = mot.abm_reduce(net)
     lbm_sig = mot.census_signature(net, mot.LBM, cfg.max_nodes, cfg.pin_home)
     abm_sig = mot.census_signature(reduced, mot.ABM, cfg.max_nodes, cfg.pin_home)
-    trips = shp.day_trips_km(day)
+    keys = mot.visit_keys(day.points)
     anchors = shp.day_anchors(day)
-    gyr = shp.gyradius_from_home(day, anchors.get(home.home_parcel_id, home_anchor))
+    trips = shp.day_trips_km(keys, anchors)
+    gyr = shp.gyradius_from_home(keys, anchors, anchors.get(home.home_parcel_id, home_anchor))
     return DayOutcome(lbm_sig, abm_sig, shp.day_metrics(net, reduced, trips, gyr)), None
 
 

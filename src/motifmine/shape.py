@@ -19,7 +19,7 @@ import numpy as np
 
 from .annotate import UserDay
 from .geo import METERS_PER_DEGREE, haversine_m
-from .motifs import HOME_LABEL, parcel_key, size_group_label, visit_keys
+from .motifs import HOME_LABEL, parcel_key, size_group_label
 
 DENSITY_WEIGHTS = ("point", "user")
 
@@ -206,10 +206,9 @@ def day_anchors(day: UserDay) -> dict:
     return {k: (lat_s / n, lon_s / n) for k, (lat_s, lon_s, n) in sums.items()}
 
 
-def day_trips_km(day: UserDay) -> list:
-    """Trip lengths between consecutive visit anchors, in km."""
-    keys = visit_keys(day.points)
-    anchors = day_anchors(day)
+def day_trips_km(keys, anchors) -> list:
+    """Trip lengths in km between consecutive visits, given a day's visit
+    keys (`motifs.visit_keys`) and its `day_anchors`."""
     trips = []
     for a, b in zip(keys, keys[1:]):
         pa, pb = anchors[a], anchors[b]
@@ -217,14 +216,13 @@ def day_trips_km(day: UserDay) -> list:
     return trips
 
 
-def gyradius_from_home(day: UserDay, home_latlon) -> float:
-    """RMS distance (km) of the day's visits from home.
+def gyradius_from_home(keys, anchors, home_latlon) -> float:
+    """RMS distance (km) from home of a day's visits, given its visit keys
+    (`motifs.visit_keys`) and its `day_anchors`.
 
     One sample per collapsed visit, each evaluated at its parcel's per-day
     anchor, so bursts of points at one stop do not weight the measure.
     """
-    keys = visit_keys(day.points)
-    anchors = day_anchors(day)
     sq_sum = 0.0
     for key in keys:
         a = anchors[key]

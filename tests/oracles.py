@@ -6,7 +6,7 @@ refinement-based isomorphism matcher, closed-walk enumeration over a small
 node budget, label-sequence collapsing, walk-to-network construction, and
 analytic Gaussian cell integrals. The one exception is the linear parcel
 scan, which reuses the package's point-to-polygon distance and hit type,
-because what it checks is the R-tree search and its pruning, not the
+because what it checks is the grid search and its pruning, not the
 distance. Production code is checked against these, never the reverse.
 """
 

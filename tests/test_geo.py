@@ -1,9 +1,11 @@
+import json
 import math
 import random
 
 import pytest
 
 from motifmine.geo import (
+    geojson_features,
     geojson_polygon,
     haversine_m,
     point_in_polygon,
@@ -110,3 +112,35 @@ class TestGeojsonPolygon:
     ])
     def test_invalid_polygons_give_none(self, geometry):
         assert geojson_polygon(geometry) is None
+
+
+@pytest.mark.parametrize("properties, ok", [
+    ({}, True), (None, True), ({"category": "Residential"}, True),
+    ([1], False), ("Residential", False), (0, False), (False, False),
+])
+@pytest.mark.parametrize("collection", [True, False])
+def test_geojson_feature_properties_must_be_an_object(tmp_path, properties, ok, collection):
+    feature = {"type": "Feature", "properties": properties,
+               "geometry": {"type": "Polygon", "coordinates": [TestGeojsonPolygon.SQUARE]}}
+    doc = {"type": "FeatureCollection", "features": [feature]} if collection else feature
+    path = tmp_path / "f.geojson"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    if ok:
+        assert geojson_features(path) == [feature]
+    else:
+        with pytest.raises(ValueError, match="properties that are not an object"):
+            geojson_features(path)
+    feature.pop("properties")  # absent is fine too
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert geojson_features(path) == [feature]
+
+
+@pytest.mark.parametrize("lon", [-1.2e-88, -1e-30, -1e-19, -1e-16])
+def test_polygon_distance_a_hair_outside_a_vertex(lon):
+    # the nearest point is the vertex at lon 0; stepped off from the far end
+    # of the ~68 m edge, it used to round onto the query point: distance 0
+    lat = 51.50439453125
+    ring = ((51.50390625, 0.0), (51.50390625, 2.0 ** -10), (lat, 2.0 ** -10), (lat, 0.0))
+    d = point_polygon_distance_m(lat, lon, ring)
+    assert d > 0.0
+    assert d == pytest.approx(haversine_m(lat, lon, lat, 0.0), rel=1e-9)

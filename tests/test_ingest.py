@@ -2,7 +2,10 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from motifmine.annotate import local_date_of
 from motifmine.ingest import (
     DEFAULT_BLOCKLIST,
     FilterConfig,
@@ -76,6 +79,51 @@ class TestParse:
     def test_quoted_text_with_delimiter(self):
         recs, _ = parse_records(lines('u1,2014-03-01T12:00:00Z,41.88,-87.63,gps,"a, b"'))
         assert recs[0].text == "a, b"
+
+    @pytest.mark.parametrize("stamp, ok", [
+        ("0001-01-01T23:59:59Z", False),
+        ("0001-01-02T00:00:00Z", True),
+        ("0001-01-02T00:30:00+01:00", False),
+        ("9999-12-30T23:59:59Z", True),
+        ("9999-12-31T00:00:00Z", False),
+        ("9999-12-30T23:59:59-23:59", False),
+        ("9999-12-31T23:59:59-23:59", False),
+    ])
+    def test_timestamp_keeps_a_day_inside_the_date_range(self, stamp, ok):
+        recs, report = parse_records(lines(f"u1,{stamp},41.88,-87.63,gps,"))
+        assert (len(recs), report.malformed) == ((1, 0) if ok else (0, 1))
+        for r in recs:  # local dates under the widest offsets exist
+            assert local_date_of(r.ts - 1440 * 60) < local_date_of(r.ts + 1440 * 60)
+
+    def test_unsplittable_line_counted_and_parsing_resumes(self):
+        huge = "x" * 200_000  # over csv.field_size_limit()
+        recs, report = parse_records(lines(
+            f"u1,2014-03-01T12:00:00Z,41.88,-87.63,gps,{huge}\n",
+            "u1,2014-03-01T12:00:00Z,41.88,-87.63,gps,ok\n",
+            "u1,2014-03-01T12:00:00Z,41.88,-87.63,gps,a\rb\n",  # bare CR inside a field
+            "u2,2014-03-01T12:00:00Z,41.88,-87.63,gps,ok\n",
+        ))
+        assert [r.user_id for r in recs] == ["u1", "u2"]
+        assert (report.lines, report.malformed) == (4, 2)
+
+
+record_field = st.one_of(
+    st.text(max_size=8),
+    st.sampled_from(["u1", "gps", "GPS ", "geocoded", "41.88", "-87.63", "91", "nan", "1e999",
+                     "2014-03-01T12:00:00Z", "9999-12-31T23:59:59-23:59", "0001-01-01T00:00:00",
+                     '"a, b"', '"open', "\r", "\x00"]),
+)
+record_line = st.one_of(st.text(), st.lists(record_field, min_size=4, max_size=7).map(",".join))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.lists(record_line, max_size=12))
+def test_parse_records_never_raises_and_counts_add_up(raw_lines):
+    recs, report = parse_records([line + "\n" for line in raw_lines])
+    assert report.records == len(recs)
+    assert report.records + report.malformed + report.bad_coord + report.geocoded == report.lines
+    if not any('"' in line for line in raw_lines):  # no quoted field spans two lines
+        assert report.lines == len(raw_lines)
 
 
 class TestPrefilter:

@@ -170,7 +170,7 @@ class TestIndexEquivalence:
 def test_query_bbox_matches_brute_force():
     rng = random.Random(3)
     parcels = random_world(rng, 200)
-    idx = SpatialIndex(parcels, leaf_size=8)
+    idx = SpatialIndex(parcels)
     for _ in range(100):
         lat = 41.5 + rng.random() * 0.08
         lon = -88.0 + rng.random() * 0.08
@@ -215,7 +215,7 @@ def query_counter(index):
 
 
 def assert_join_matches_scan(lat, lon, parcels, index=None):
-    index = index or SpatialIndex(parcels, leaf_size=4)
+    index = index or SpatialIndex(parcels)
     hit = nearest_parcel(lat, lon, index)
     assert hit == nearest_parcel_scan(lat, lon, parcels)
     return hit
@@ -320,7 +320,7 @@ def probe_world():
 
 
 PROBE_WORLD = probe_world()
-PROBE_INDEX = SpatialIndex(PROBE_WORLD, leaf_size=4)
+PROBE_INDEX = SpatialIndex(PROBE_WORLD)
 
 grid_coord = st.one_of(
     st.integers(-3, 9).map(float),  # on a grid line
@@ -334,3 +334,118 @@ grid_coord = st.one_of(
 def test_join_matches_scan_on_edges_vertices_and_random_points(row, col):
     lat, lon = GRID_LAT0 + row * GRID_STEP, GRID_LON0 + col * GRID_STEP
     assert_join_matches_scan(lat, lon, PROBE_WORLD, PROBE_INDEX)
+
+
+# A world of mixed sizes on both sides of 0 degrees longitude: ~54 m x 68 m
+# lots whose edges are exact binary fractions (so they fall on cell edges),
+# odd lots of 15-150 m, a 2 km park that stays in the grid, and a 20 km
+# holed parcel that goes on the oversize list.
+LOT_LAT0, LOT_DLAT, LOT_DLON = 51.5, 2.0 ** -11, 2.0 ** -10
+
+
+def rect(lat0, lon0, lat1, lon1):
+    return ((lat0, lon0), (lat0, lon1), (lat1, lon1), (lat1, lon0))
+
+
+def mixed_world():
+    rng = random.Random(12)
+    rings = [rect(LOT_LAT0 + r * LOT_DLAT, c * LOT_DLON,
+                  LOT_LAT0 + (r + 1) * LOT_DLAT, (c + 1) * LOT_DLON)
+             for r in range(10) for c in range(-6, 6) if rng.random() > 0.15]
+    for _ in range(15):
+        lat, lon = rng.uniform(51.490, 51.499), rng.uniform(-0.006, 0.006)
+        rings.append(square_ring(lat, lon, rng.uniform(7.5, 75.0)))
+    park = square_ring(51.5, 0.022, 1000.0)
+    huge = square_ring(51.5, -0.147, 10_000.0)
+    ids = list(range(1, len(rings) + 3))
+    rng.shuffle(ids)
+    parcels = [Parcel(pid, ring, (), "x", pid % 12 + 1) for pid, ring in zip(ids, rings)]
+    parcels.append(Parcel(ids[-2], park, (), "Recreation", 10))
+    parcels.append(Parcel(ids[-1], huge, (rect(51.45, -0.2, 51.55, -0.1),), "Others", 12))
+    return parcels
+
+
+MIXED_WORLD = mixed_world()
+MIXED_INDEX = SpatialIndex(MIXED_WORLD)
+CELL_LAT, CELL_LON = MIXED_INDEX.cell_size
+
+mixed_lat = st.one_of(
+    st.integers(51_450, 51_550).map(lambda k: k / 1000.0),
+    st.integers(round(51.48 / CELL_LAT), round(51.52 / CELL_LAT)).map(lambda k: k * CELL_LAT),
+    st.floats(51.45, 51.55, allow_nan=False),
+)
+mixed_lon = st.one_of(
+    st.integers(-300, 60).map(lambda k: k / 1000.0),
+    st.integers(round(-0.02 / CELL_LON), round(0.04 / CELL_LON)).map(lambda k: k * CELL_LON),
+    st.floats(-0.01, 0.01, allow_nan=False),
+    st.floats(-0.35, 0.05, allow_nan=False),
+)
+
+
+def brute_force_bbox(parcels, box):
+    return sorted(p.parcel_id for p in parcels
+                  if p.bbox[0] <= box[2] and box[0] <= p.bbox[2]
+                  and p.bbox[1] <= box[3] and box[1] <= p.bbox[3])
+
+
+class TestGrid:
+    def test_mixed_world_shape(self):
+        park, huge = MIXED_WORLD[-2:]
+        assert MIXED_INDEX.oversize == [huge]
+        assert sum(park in bucket for bucket in MIXED_INDEX.cells.values()) > 1000
+        assert CELL_LAT == LOT_DLAT and CELL_LON == LOT_DLON
+
+    def test_oversize_parcel_adds_no_cells(self):
+        without = SpatialIndex(MIXED_WORLD[:-1])
+        assert without.cell_size == MIXED_INDEX.cell_size
+        assert without.oversize == []
+        assert without.cells.keys() == MIXED_INDEX.cells.keys()
+
+    def test_degenerate_and_unindexable_parcels(self):
+        # zero-height bboxes make the median cell height 0; a coordinate of
+        # 1e308 or NaN has no cell at all
+        flat = [Parcel(i, tuple((51.5, 0.001 * i + step) for step in (0.0, 0.0005, 0.001)),
+                       (), "x", 1) for i in range(1, 4)]
+        far = Parcel(4, rect(51.5, 1e308, 51.6, 1.5e308), (), "x", 2)
+        nan = Parcel(5, rect(math.nan, 0.0, 51.6, 0.1), (), "x", 3)
+        parcels = flat + [far, nan]
+        index = SpatialIndex(parcels)
+        assert index.oversize == [far, nan]
+        for box in [(51.5, 0.0015, 51.5, 0.0015), (51.0, 0.0, 52.0, 2e308), (-90, -180, 90, 180)]:
+            assert sorted(p.parcel_id for p in index.query_bbox(box)) == \
+                brute_force_bbox(parcels, box)
+        assert_join_matches_scan(51.5, 0.0015, parcels, index)
+
+    def test_empty_index(self):
+        assert SpatialIndex([]).query_bbox((-90.0, -180.0, 90.0, 180.0)) == []
+        assert nearest_parcel(51.5, 0.0, SpatialIndex([])) is None
+
+    @pytest.mark.parametrize("box", [
+        (-90.0, -180.0, 90.0, 180.0),  # more cells than the grid holds
+        (-math.inf, -math.inf, math.inf, math.inf),
+        (51.5, -1e-9, 51.5, 1e-9),  # across 0 degrees
+        (math.nan, 0.0, math.nan, 0.0),
+    ])
+    def test_extreme_boxes(self, box):
+        assert sorted(p.parcel_id for p in MIXED_INDEX.query_bbox(box)) == \
+            brute_force_bbox(MIXED_WORLD, box)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(lat=st.tuples(mixed_lat, mixed_lat), lon=st.tuples(mixed_lon, mixed_lon))
+    def test_query_bbox_matches_brute_force(self, lat, lon):
+        for box in ((min(lat), min(lon), max(lat), max(lon)), (lat[0], lon[0], lat[0], lon[0])):
+            assert sorted(p.parcel_id for p in MIXED_INDEX.query_bbox(box)) == \
+                brute_force_bbox(MIXED_WORLD, box)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(lat=mixed_lat, lon=mixed_lon)
+    def test_join_matches_scan(self, lat, lon):
+        assert_join_matches_scan(lat, lon, MIXED_WORLD, MIXED_INDEX)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(lat=mixed_lat, lon=mixed_lon)
+    def test_radius_larger_than_the_world(self, lat, lon):
+        # 100 km reaches every parcel from anywhere the strategies go
+        hit = nearest_parcel(lat, lon, MIXED_INDEX, radius_m=100_000.0)
+        assert hit == nearest_parcel_scan(lat, lon, MIXED_WORLD, radius_m=100_000.0)
+        assert hit is not None

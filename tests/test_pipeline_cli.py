@@ -244,6 +244,32 @@ class TestConfigValidation:
         assert rc == 2
         assert "max_nodes" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("minutes", [-1441, 1441])
+    def test_utc_offset_beyond_a_day_exits_2(self, tmp_path, capsys, minutes):
+        RunConfig(utc_offset_minutes=1440 if minutes > 0 else -1440)  # a day is accepted
+        out_dir = tmp_path / "out"
+        rc = main(["all", "--utc-offset", str(minutes), "--records", "r.csv",
+                   "--parcels", "p.geojson", "--out", str(out_dir)])
+        assert rc == 2
+        assert "utc_offset_minutes" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("utc_offset", [-1440, 1440])
+def test_timestamp_at_the_end_of_time_is_malformed(world, tmp_path, utc_offset):
+    # a real user's record, so that it passes the user filters and reaches annotate
+    text = Path(world["paths"]["records"]).read_text(encoding="utf-8")
+    user, _, lat, lon, *_ = text.splitlines()[0].split(",")
+    records = tmp_path / "records.csv"
+    records.write_text(text + f"{user},9999-12-31T23:59:59-23:59,{lat},{lon},gps,x\n",
+                       encoding="utf-8")
+    base = run(world_config(world, tmp_path / "base", utc_offset_minutes=utc_offset), "all")
+    cfg = world_config(world, tmp_path / "out", utc_offset_minutes=utc_offset)
+    cfg.records = str(records)
+    manifest = run(cfg, "all")["manifest"]
+    assert manifest["parse"]["malformed"] == base["manifest"]["parse"]["malformed"] + 1
+    assert output_bytes(tmp_path / "out").keys() == output_bytes(tmp_path / "base").keys()
+
 
 class TestZoneFailures:
     @pytest.mark.parametrize("centers, message", [
@@ -336,6 +362,20 @@ class TestGeojsonInputs:
         run(cfg, "all")
         assert output_bytes(tmp_path / "3d") == output_bytes(tmp_path / "flat")
         assert (tmp_path / "3d" / "correlation.json").exists()
+
+
+    @pytest.mark.parametrize("flag", ["--parcels", "--zones"])
+    def test_non_object_properties_exit_2(self, world, tmp_path, capsys, flag):
+        def make_doc():
+            if flag == "--zones":
+                return zones_doc(lambda z: z[1].update(properties=[1]))
+            doc = json.loads(Path(world["paths"]["parcels"]).read_text(encoding="utf-8"))
+            doc["features"][1]["properties"] = [1]
+            return doc
+
+        self.test_malformed_file_exits_2_and_writes_nothing(
+            world, tmp_path, capsys, flag, make_doc,
+            "feature 1 in %s has properties that are not an object" % (tmp_path / "bad.geojson"))
 
 
 class TestCli:

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from motifmine.annotate import UserDay
+from motifmine.motifs import visit_keys
 from motifmine.shape import (
     DayMetrics,
     DegenerateTrajectory,
     align_trajectory,
     correlation_report,
+    day_anchors,
     day_trips_km,
     density_histogram,
     distance_stats,
@@ -215,20 +217,20 @@ def make_day(latlon_parcels):
 class TestGyradiusFromHome:
     def test_all_visits_at_home(self):
         day = make_day([(41.9, -87.6, 1), (41.9, -87.6, 1)])
-        assert gyradius_from_home(day, (41.9, -87.6)) == 0.0
+        assert gyradius_from_home(visit_keys(day.points), day_anchors(day), (41.9, -87.6)) == 0.0
 
     def test_home_and_two_km_away(self):
         lat2 = 41.9 + 2000.0 / M_PER_DEG
         day = make_day([(41.9, -87.6, 1), (lat2, -87.6, 2)])
-        rms = gyradius_from_home(day, (41.9, -87.6))
+        rms = gyradius_from_home(visit_keys(day.points), day_anchors(day), (41.9, -87.6))
         assert rms == pytest.approx(math.sqrt(2.0), abs=2e-3)  # sqrt((0 + 4)/2)
 
     def test_burstiness_does_not_weight_visits(self):
         lat2 = 41.9 + 2000.0 / M_PER_DEG
         single = make_day([(41.9, -87.6, 1), (lat2, -87.6, 2)])
         bursty = make_day([(41.9, -87.6, 1)] + [(lat2, -87.6, 2)] * 10)
-        a = gyradius_from_home(single, (41.9, -87.6))
-        b = gyradius_from_home(bursty, (41.9, -87.6))
+        a = gyradius_from_home(visit_keys(single.points), day_anchors(single), (41.9, -87.6))
+        b = gyradius_from_home(visit_keys(bursty.points), day_anchors(bursty), (41.9, -87.6))
         assert a == pytest.approx(b, abs=1e-9)
 
 
@@ -236,7 +238,7 @@ class TestDistanceStats:
     def test_single_day_pendulum(self):
         lat2 = 41.9 + 5000.0 / M_PER_DEG
         day = make_day([(41.9, -87.6, 1), (lat2, -87.6, 2), (41.9, -87.6, 1)])
-        trips = day_trips_km(day)
+        trips = day_trips_km(visit_keys(day.points), day_anchors(day))
         assert len(trips) == 2
         assert trips[0] == pytest.approx(5.0, abs=5e-3)
         dm = DayMetrics(2, 2, "W", len(trips), sum(trips), 0.0)
