@@ -5,7 +5,10 @@ meters on a sphere of mean radius 6,371 km. Planar work (nearest point on
 a polygon, trajectory projection) uses an equirectangular frame centered
 on the point of interest, which is accurate at the sub-kilometer scales
 this pipeline operates on. GeoJSON input, whose positions are longitude
-first, is read and converted here.
+first, is read and converted here. The readers build plain tuples, lists
+and dicts that hold no reference cycles, which is what lets the bulk
+loaders pause the cyclic garbage collector while they run
+(`parcels.gc_paused`).
 """
 
 import json
@@ -25,14 +28,6 @@ def haversine_m(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
     dlam = math.radians(lon2 - lon1)
     a = math.sin(dphi / 2.0) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(dlam / 2.0) ** 2
     return 2.0 * EARTH_RADIUS_M * math.asin(min(1.0, math.sqrt(a)))
-
-
-def normalize_ring(ring) -> tuple:
-    """Return the ring as a tuple of (lat, lon) pairs without a repeated last vertex."""
-    pts = [(float(a), float(b)) for a, b in ring]
-    if len(pts) > 1 and pts[0] == pts[-1]:
-        pts = pts[:-1]
-    return tuple(pts)
 
 
 def geojson_features(path) -> list:
@@ -61,9 +56,12 @@ def geojson_polygon(geometry):
     """A GeoJSON Polygon geometry as (exterior, holes) rings of (lat, lon),
     or None when it is not a valid polygon.
 
-    Positions are [lon, lat] with an optional altitude, which is dropped.
-    Valid means: every ring holds at least three distinct vertices of two
-    numbers each and the exterior ring does not cross itself.
+    Positions are [lon, lat] with an optional altitude, which is dropped,
+    and a ring's last vertex is dropped when it repeats the first. Valid
+    means: the first two values of every position convert to float, every
+    ring holds at least three distinct vertices and the exterior ring does
+    not cross itself. Area is not checked: three distinct collinear
+    vertices make a valid ring.
     """
     if not isinstance(geometry, dict) or geometry.get("type") != "Polygon":
         return None
@@ -71,22 +69,23 @@ def geojson_polygon(geometry):
     if not isinstance(rings, list) or not rings:
         return None
     converted = []
-    for ring in rings:
+    for coords in rings:
         try:
-            pts = normalize_ring([(pos[1], pos[0]) for pos in ring])
-        except (IndexError, KeyError, TypeError, ValueError):
+            ring = [(float(pos[1]), float(pos[0])) for pos in coords]
+        except (IndexError, KeyError, OverflowError, TypeError, ValueError):
             return None
-        if len(pts) < 3:
+        if len(ring) > 1 and ring[0] == ring[-1]:
+            del ring[-1]
+        if len(set(ring)) < 3:
             return None
-        converted.append(pts)
+        converted.append(tuple(ring))
     if ring_self_intersects(converted[0]):
         return None
     return converted[0], tuple(converted[1:])
 
 
 def ring_bbox(ring) -> tuple[float, float, float, float]:
-    lats = [p[0] for p in ring]
-    lons = [p[1] for p in ring]
+    lats, lons = zip(*ring)
     return min(lats), min(lons), max(lats), max(lons)
 
 
@@ -123,16 +122,30 @@ def segments_intersect(p1, p2, p3, p4) -> bool:
 
 
 def ring_self_intersects(ring) -> bool:
-    """Check a closed ring for self-intersection between non-adjacent edges."""
+    """Check a closed ring for self-intersection between non-adjacent edges.
+
+    Edges whose bounding boxes are disjoint can neither cross nor touch, so
+    such a pair is passed over without the orientation tests. Each
+    disjointness test is a chain of strict comparisons, which a NaN makes
+    false, so a pair with a NaN vertex still gets the full test.
+    """
     n = len(ring)
     if n < 3:
         return True
-    segs = [(ring[i], ring[(i + 1) % n]) for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if j == i + 1 or (i == 0 and j == n - 1):
-                continue  # adjacent edges share a vertex by construction
-            if segments_intersect(segs[i][0][::-1], segs[i][1][::-1], segs[j][0][::-1], segs[j][1][::-1]):
+    for i in range(n - 2):
+        a, b = ring[i], ring[i + 1]
+        alat, alon = a
+        blat, blon = b
+        for j in range(i + 2, n if i else n - 1):  # edge 0 meets edge n-1
+            c, d = ring[j], ring[(j + 1) % n]
+            clat, clon = c
+            dlat, dlon = d
+            if ((alat < clat and alat < dlat and blat < clat and blat < dlat)
+                    or (clat < alat and clat < blat and dlat < alat and dlat < blat)
+                    or (alon < clon and alon < dlon and blon < clon and blon < dlon)
+                    or (clon < alon and clon < blon and dlon < alon and dlon < blon)):
+                continue
+            if segments_intersect(a[::-1], b[::-1], c[::-1], d[::-1]):
                 return True
     return False
 

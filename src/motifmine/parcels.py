@@ -12,11 +12,19 @@ exactly the ones the full radius search would probe first (distance lower
 bound 0, in id order), and a containing parcel there is its final answer,
 so the probe returns the same hit. Only a point that no parcel contains
 pays for the radius search.
+
+Loading is a bulk build: tens of thousands of parcels, each a few tuples,
+all kept alive. None of them refers back to another, so the cyclic garbage
+collector's passes over them during the build find nothing to free;
+`gc_paused` turns those passes off while the loaders run. Reference
+counting frees memory as usual.
 """
 
+import gc
 import math
 import statistics
 from collections import defaultdict
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from operator import attrgetter
 
@@ -181,34 +189,56 @@ class SpatialIndex:
         return list(found.values())
 
 
-def load_parcels(path, scheme: ActivityScheme | None = None, category_attr: str = "category"):
-    """Load a GeoJSON polygon feature file into a spatial index.
+@contextmanager
+def gc_paused():
+    """Pause the cyclic garbage collector for a bulk build that makes no
+    reference cycles, and restore its previous state on the way out."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def read_parcels(path, scheme: ActivityScheme | None = None, category_attr: str = "category"):
+    """Read a GeoJSON polygon feature file into parcels, without an index.
 
     Parcel ids are re-assigned as sequential integers in file order, so the
     source identifiers never leave this function. Invalid geometries are
     skipped and counted. Raises ValueError when no valid parcel remains.
 
-    Returns (SpatialIndex, LoadReport).
+    Returns (list of Parcel, LoadReport).
     """
     scheme = scheme or ActivityScheme()
-    features = geojson_features(path)
-    report = LoadReport(total_features=len(features))
-    parcels = []
-    next_id = 1
-    for feat in features:
-        rings = geojson_polygon(feat.get("geometry"))
-        if rings is None:
-            report.skipped_invalid += 1
-            continue
-        category = str((feat.get("properties") or {}).get(category_attr, ""))
-        code = scheme.code_for(category)
-        parcels.append(Parcel(next_id, rings[0], rings[1], category, code))
-        report.per_code[code] = report.per_code.get(code, 0) + 1
-        next_id += 1
+    with gc_paused():
+        features = geojson_features(path)
+        report = LoadReport(total_features=len(features))
+        parcels = []
+        for feat in features:
+            rings = geojson_polygon(feat.get("geometry"))
+            if rings is None:
+                report.skipped_invalid += 1
+                continue
+            category = str((feat.get("properties") or {}).get(category_attr, ""))
+            code = scheme.code_for(category)
+            parcels.append(Parcel(len(parcels) + 1, rings[0], rings[1], category, code))
+            report.per_code[code] = report.per_code.get(code, 0) + 1
     report.loaded = len(parcels)
     if not parcels:
         raise ValueError(f"no valid parcels in {path}")
-    return SpatialIndex(parcels), report
+    return parcels, report
+
+
+def load_parcels(path, scheme: ActivityScheme | None = None, category_attr: str = "category"):
+    """`read_parcels` plus the spatial index over them.
+
+    Returns (SpatialIndex, LoadReport).
+    """
+    with gc_paused():
+        parcels, report = read_parcels(path, scheme, category_attr)
+        return SpatialIndex(parcels), report
 
 
 @dataclass(slots=True)

@@ -11,6 +11,7 @@ on the worker count.
 """
 
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -28,7 +29,14 @@ from . import ingest as ing
 from . import motifs as mot
 from . import shape as shp
 from .geo import geojson_features, geojson_polygon, point_in_polygon
-from .parcels import ActivityScheme, LoadReport, SpatialIndex, load_parcels
+from .parcels import (
+    ActivityScheme,
+    LoadReport,
+    SpatialIndex,
+    gc_paused,
+    load_parcels,
+    read_parcels,
+)
 
 STAGE_LEVELS = {"ingest": 1, "annotate": 2, "mine": 3, "shape": 4, "all": 4}
 
@@ -239,7 +247,7 @@ def load_zones(path, pop_attr: str) -> list:
 class Inputs:
     """Every input except the record stream, read and checked."""
 
-    index: SpatialIndex
+    index: SpatialIndex | None  # only built for the stages that join
     parcels: LoadReport
     schema: ing.RecordSchema
     filters: ing.FilterConfig
@@ -253,7 +261,11 @@ def load_inputs(cfg: RunConfig, level: int) -> Inputs:
         if not value or not Path(value).exists():
             raise FileNotFoundError(f"missing {path_field} file: {value or '(unset)'}")
     scheme = ActivityScheme.from_file(cfg.scheme) if cfg.scheme else ActivityScheme()
-    index, load_report = load_parcels(cfg.parcels, scheme, cfg.category_attr)
+    if level >= 2:
+        index, load_report = load_parcels(cfg.parcels, scheme, cfg.category_attr)
+    else:  # stage ingest joins nothing, so the parcels are only read and counted
+        index = None
+        _, load_report = read_parcels(cfg.parcels, scheme, cfg.category_attr)
     schema = ing.RecordSchema(delimiter=cfg.delimiter)
     if cfg.columns:
         schema.columns = ing.parse_schema_columns(cfg.columns)
@@ -276,13 +288,19 @@ class Ingested:
 
 
 def ingest(cfg: RunConfig, inputs: Inputs) -> Ingested:
-    """Parse the records, pseudonymize users, prefilter and group into tracks."""
-    records, parse_report = ing.parse_records_path(cfg.records, inputs.schema)
-    if cfg.hash_ids:
-        for rec in records:
-            rec.user_id = pseudonymize(rec.user_id)
-    filtered = ing.prefilter(records, inputs.filters)
-    return Ingested(parse_report, len(filtered), ing.group_tracks(filtered))
+    """Parse the records, pseudonymize users, prefilter and group into tracks.
+
+    A bulk build like `parcels.load_parcels`: the records form no reference
+    cycles, so the cyclic collector is paused while they are built.
+    """
+    with gc_paused():
+        records, parse_report = ing.parse_records_path(cfg.records, inputs.schema)
+        if cfg.hash_ids:
+            pseudonym = functools.cache(pseudonymize)  # one hash per distinct user
+            for rec in records:
+                rec.user_id = pseudonym(rec.user_id)
+        filtered = ing.prefilter(records, inputs.filters)
+        return Ingested(parse_report, len(filtered), ing.group_tracks(filtered))
 
 
 @dataclass(slots=True)

@@ -3,8 +3,9 @@
 Everything here is deliberately brute force or otherwise independent of
 the package, and shares no code with it: permutation-search isomorphism, a
 refinement-based isomorphism matcher, closed-walk enumeration over a small
-node budget, label-sequence collapsing, walk-to-network construction, and
-analytic Gaussian cell integrals. The one exception is the linear parcel
+node budget, label-sequence collapsing, walk-to-network construction,
+analytic Gaussian cell integrals, and the all-pairs ring check and
+two-pass GeoJSON polygon reader that `geo` replaced. The one exception is the linear parcel
 scan, which reuses the package's point-to-polygon distance and hit type,
 because what it checks is the grid search and its pruning, not the
 distance. Production code is checked against these, never the reverse.
@@ -314,3 +315,81 @@ def nearest_parcel_scan(lat: float, lon: float, parcels, radius_m: float = DEFAU
         return None
     (dist, _), parcel = best
     return NearestHit(parcel.parcel_id, parcel.activity_code, dist)
+
+
+def _orient(ax, ay, bx, by, cx, cy) -> int:
+    v = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+    if v > 0.0:
+        return 1
+    if v < 0.0:
+        return -1
+    return 0
+
+
+def _on_segment(ax, ay, bx, by, px, py) -> bool:
+    return min(ax, bx) <= px <= max(ax, bx) and min(ay, by) <= py <= max(ay, by)
+
+
+def segments_intersect(p1, p2, p3, p4) -> bool:
+    """True when segment p1-p2 intersects p3-p4 (including touching)."""
+    d1 = _orient(*p3, *p4, *p1)
+    d2 = _orient(*p3, *p4, *p2)
+    d3 = _orient(*p1, *p2, *p3)
+    d4 = _orient(*p1, *p2, *p4)
+    if ((d1 > 0 and d2 < 0) or (d1 < 0 and d2 > 0)) and ((d3 > 0 and d4 < 0) or (d3 < 0 and d4 > 0)):
+        return True
+    if d1 == 0 and _on_segment(*p3, *p4, *p1):
+        return True
+    if d2 == 0 and _on_segment(*p3, *p4, *p2):
+        return True
+    if d3 == 0 and _on_segment(*p1, *p2, *p3):
+        return True
+    if d4 == 0 and _on_segment(*p1, *p2, *p4):
+        return True
+    return False
+
+
+def ring_self_intersects_all_pairs(ring) -> bool:
+    """`geo.ring_self_intersects` without its bbox skip: every pair of
+    non-adjacent edges goes through the orientation tests."""
+    n = len(ring)
+    if n < 3:
+        return True
+    segs = [(ring[i], ring[(i + 1) % n]) for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if j == i + 1 or (i == 0 and j == n - 1):
+                continue  # adjacent edges share a vertex by construction
+            if segments_intersect(segs[i][0][::-1], segs[i][1][::-1],
+                                  segs[j][0][::-1], segs[j][1][::-1]):
+                return True
+    return False
+
+
+def _normalize_ring(ring) -> tuple:
+    pts = [(float(a), float(b)) for a, b in ring]
+    if len(pts) > 1 and pts[0] == pts[-1]:
+        pts = pts[:-1]
+    return tuple(pts)
+
+
+def geojson_polygon_two_pass(geometry):
+    """`geo.geojson_polygon` as a swap pass then a float-and-close pass over
+    each ring, checked with the all-pairs ring test."""
+    if not isinstance(geometry, dict) or geometry.get("type") != "Polygon":
+        return None
+    rings = geometry.get("coordinates")
+    if not isinstance(rings, list) or not rings:
+        return None
+    converted = []
+    for ring in rings:
+        try:
+            pts = _normalize_ring([(pos[1], pos[0]) for pos in ring])
+        except (IndexError, KeyError, OverflowError, TypeError, ValueError):
+            return None
+        if len(set(pts)) < 3:  # at least three distinct vertices
+            return None
+        converted.append(pts)
+    if ring_self_intersects_all_pairs(converted[0]):
+        return None
+    return converted[0], tuple(converted[1:])

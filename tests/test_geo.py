@@ -3,6 +3,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from motifmine.geo import (
     geojson_features,
@@ -15,6 +17,7 @@ from motifmine.geo import (
 )
 
 from conftest import square_ring
+from oracles import geojson_polygon_two_pass, ring_self_intersects_all_pairs
 
 R = 6_371_000.0  # oracle constant, independent of the package's
 
@@ -109,9 +112,66 @@ class TestGeojsonPolygon:
         {"type": "Polygon", "coordinates": [SQUARE, HOLE[:2]]},
         {"type": "Polygon",  # bow tie
          "coordinates": [[[-87.6, 41.9], [-87.5, 42.0], [-87.5, 41.9], [-87.6, 42.0]]]},
+        {"type": "Polygon", "coordinates": [[[1, 2], [1, 2], [1, 2], [1, 2]]]},  # one vertex
+        {"type": "Polygon", "coordinates": [[[1, 2], [3, 4], [1, 2], [3, 4], [1, 2]]]},  # two
+        {"type": "Polygon", "coordinates": [SQUARE, [HOLE[0], HOLE[1], HOLE[0], HOLE[0]]]},
+        {"type": "Polygon", "coordinates": [[[10 ** 400, 41.9], *SQUARE[1:]]]},  # no float
     ])
     def test_invalid_polygons_give_none(self, geometry):
         assert geojson_polygon(geometry) is None
+
+    def test_collinear_ring_with_three_distinct_vertices_is_valid(self):
+        # zero area is not checked; only too few distinct vertices are
+        geometry = {"type": "Polygon", "coordinates": [[[0, 0], [1, 1], [2, 2], [0, 0]]]}
+        assert geojson_polygon(geometry) == (((0.0, 0.0), (1.0, 1.0), (2.0, 2.0)), ())
+
+
+# Rings on a 4 x 4 lattice with half steps, so that collinear, touching and
+# repeated vertices are common, plus the odd values a JSON file can hold.
+LATTICE = st.integers(0, 3)
+NUMBER = st.one_of(LATTICE, LATTICE.map(float), LATTICE.map(lambda v: v + 0.5), st.booleans())
+ODD = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 10 ** 400, "1", "2.5", "-0", "nan", "inf",
+                     "north", None, [1]]),
+    st.builds(float, st.just("nan")),  # a NaN object of its own, unlike json's shared one
+)
+CLEAN_POSITION = st.lists(NUMBER, min_size=2, max_size=3)  # a third number is an altitude
+ODD_POSITION = st.one_of(
+    st.lists(st.one_of(NUMBER, ODD), max_size=3),  # short, long and odd-valued positions
+    st.none(), LATTICE, st.text("0123", max_size=3),
+    st.dictionaries(st.sampled_from(["0", "1"]), LATTICE),
+)
+
+
+@st.composite
+def polygon_geometries(draw, position):
+    rings = []
+    for _ in range(draw(st.integers(1, 3))):
+        ring = draw(st.lists(position, min_size=3, max_size=8))
+        if draw(st.booleans()):
+            ring.append(ring[0])  # closed, as GeoJSON writes it
+        rings.append(ring)
+    return {"type": "Polygon", "coordinates": rings}
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(st.one_of(polygon_geometries(CLEAN_POSITION),
+                 polygon_geometries(st.one_of(CLEAN_POSITION, ODD_POSITION))))
+def test_geojson_polygon_matches_two_pass_reader(geometry):
+    # repr: a NaN compares unequal to itself, and -0.0 equal to 0.0
+    assert repr(geojson_polygon(geometry)) == repr(geojson_polygon_two_pass(geometry))
+
+
+RING_COORD = st.one_of(LATTICE.map(float), LATTICE.map(lambda v: v + 0.5),
+                       st.sampled_from([math.nan, math.inf, -math.inf]),
+                       st.floats(-4.0, 4.0))
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(RING_COORD, RING_COORD), min_size=3, max_size=8))
+def test_ring_check_matches_all_pairs(ring):
+    ring = tuple(ring)
+    assert ring_self_intersects(ring) == ring_self_intersects_all_pairs(ring)
 
 
 @pytest.mark.parametrize("properties, ok", [

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import random
@@ -15,6 +16,7 @@ from motifmine.parcels import (
     SpatialIndex,
     load_parcels,
     nearest_parcel,
+    read_parcels,
 )
 
 from conftest import geojson_polygon_feature, make_index, make_parcel, square_ring, write_geojson
@@ -77,6 +79,30 @@ class TestLoadParcels:
         with pytest.raises(ValueError):
             load_parcels(path)
 
+    def test_ring_of_one_repeated_vertex_is_skipped_and_later_ids_renumbered(self, tmp_path):
+        feats = [
+            geojson_polygon_feature(square_ring(41.90, -87.60, 50), "Residential"),
+            geojson_polygon_feature(((41.92, -87.60),) * 4, "Office/Workplace"),
+            geojson_polygon_feature(square_ring(41.94, -87.60, 50), "Services"),
+        ]
+        path = write_geojson(tmp_path / "p.geojson", feats)
+        index, report = load_parcels(path)
+        assert (report.total_features, report.loaded, report.skipped_invalid) == (3, 2, 1)
+        assert [(p.parcel_id, p.activity_code) for p in index.parcels] == [(1, 1), (2, 7)]
+        assert index.parcels[1].exterior == square_ring(41.94, -87.60, 50)
+        assert report.per_code == {1: 1, 7: 1}
+
+    def test_read_parcels_is_load_parcels_without_the_index(self, tmp_path):
+        feats = [geojson_polygon_feature(square_ring(41.90 + i * 0.01, -87.60, 50), cat)
+                 for i, cat in enumerate(["Residential", "Services", "Residential"])]
+        path = write_geojson(tmp_path / "p.geojson", feats)
+        index, report = load_parcels(path)
+        parcels, read_report = read_parcels(path)
+        assert parcels == index.parcels
+        assert read_report == report
+        with pytest.raises(ValueError, match="no valid parcels"):
+            read_parcels(write_geojson(tmp_path / "e.geojson", []))
+
     def test_load_report_percentages(self, tmp_path):
         feats = [
             geojson_polygon_feature(square_ring(41.90 + i * 0.02, -87.60, 50), cat)
@@ -85,6 +111,34 @@ class TestLoadParcels:
         path = write_geojson(tmp_path / "p.geojson", feats)
         _, report = load_parcels(path)
         assert report.per_code == {1: 3, 7: 1}
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_load_parcels_pauses_the_collector_and_restores_its_state(tmp_path, monkeypatch,
+                                                                  enabled):
+    seen = []
+
+    def geojson_polygon(geometry):
+        seen.append(gc.isenabled())
+        return real(geometry)
+
+    real = parcels_mod.geojson_polygon
+    monkeypatch.setattr(parcels_mod, "geojson_polygon", geojson_polygon)
+    good = write_geojson(tmp_path / "p.geojson",
+                         [geojson_polygon_feature(square_ring(41.90, -87.60, 50))])
+    bad = write_geojson(tmp_path / "b.geojson",
+                        [geojson_polygon_feature(((41.9, -87.6),) * 3)])
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        load_parcels(good)
+        assert gc.isenabled() is enabled
+        with pytest.raises(ValueError, match="no valid parcels"):
+            load_parcels(bad)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert seen == [False, False]
 
 
 class TestNearestParcel:

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -7,11 +8,15 @@ from pathlib import Path
 import pytest
 
 import motifmine
+from motifmine import ingest as ing
 from motifmine import synth
 from motifmine.cli import main
 from motifmine.pipeline import (
+    STAGE_LEVELS,
     RunConfig,
+    ingest,
     load_config_file,
+    load_inputs,
     make_config,
     pseudonymize,
     run,
@@ -89,6 +94,61 @@ class TestPipelineRun:
         for uid in users:
             assert len(uid) == 16 and all(c in "0123456789abcdef" for c in uid)
         assert pseudonymize("u0000") in users
+
+    def test_every_hashed_id_is_the_pseudonym_of_its_raw_id(self, world, tmp_path):
+        inputs = load_inputs(world_config(world, tmp_path), STAGE_LEVELS["ingest"])
+        raw = ingest(world_config(world, tmp_path, hash_ids=False), inputs).tracks
+        hashed = ingest(world_config(world, tmp_path), inputs).tracks
+        assert len(raw) > 1
+
+        def rows(track):
+            return [(p.user_id, p.ts, p.lat, p.lon, p.source, p.text) for p in track.points]
+
+        expected = sorted(
+            (pseudonymize(t.user_id),
+             [(pseudonymize(uid), *rest) for uid, *rest in rows(t)]) for t in raw
+        )
+        assert [(t.user_id, rows(t)) for t in hashed] == expected
+
+    def test_stage_ingest_reads_parcels_without_an_index(self, world, tmp_path):
+        cfg = world_config(world, tmp_path)
+        read_only = load_inputs(cfg, STAGE_LEVELS["ingest"])
+        indexed = load_inputs(cfg, STAGE_LEVELS["annotate"])
+        assert read_only.index is None
+        assert indexed.index is not None
+        assert read_only.parcels == indexed.parcels
+        assert read_only.parcels.loaded > 0
+
+    def test_loaders_make_no_reference_cycles(self, world, tmp_path):
+        # the premise of pausing the cyclic collector while they run
+        cfg = world_config(world, tmp_path)
+        gc.collect()
+        inputs = load_inputs(cfg, STAGE_LEVELS["all"])
+        ingested = ingest(cfg, inputs)
+        assert gc.collect() == 0
+        assert inputs.index.parcels and ingested.tracks
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_ingest_pauses_the_collector_and_restores_its_state(self, world, tmp_path,
+                                                                monkeypatch, enabled):
+        seen = []
+        real = ing.prefilter
+
+        def prefilter(records, filters):
+            seen.append(gc.isenabled())
+            return real(records, filters)
+
+        monkeypatch.setattr(ing, "prefilter", prefilter)
+        cfg = world_config(world, tmp_path)
+        inputs = load_inputs(cfg, STAGE_LEVELS["ingest"])
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            ingest(cfg, inputs)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+        assert seen == [False]
 
     def test_repeat_run_byte_identical(self, world, tmp_path):
         run(world_config(world, tmp_path / "a"), "all")
@@ -326,6 +386,15 @@ class TestGeojsonInputs:
                      "has no finite 'population': None", id="null-population"),
         pytest.param("--zones", lambda: zones_doc(lambda z: z[0]["geometry"].pop("coordinates")),
                      "is not a valid polygon", id="no-coordinates"),
+        pytest.param("--boundary",
+                     lambda: {"type": "Polygon", "coordinates": [[[-88.0, 41.4]] * 4]},
+                     "does not start with a valid polygon", id="one-vertex-boundary"),
+        pytest.param("--zones", lambda: zones_doc(
+            lambda z: z[1]["geometry"].update(coordinates=[[[-88.0, 41.4]] * 4])),
+                     "is not a valid polygon", id="one-vertex-zone"),
+        pytest.param("--zones", lambda: zones_doc(
+            lambda z: z[0]["geometry"]["coordinates"][0][1].__setitem__(0, 10 ** 400)),
+                     "is not a valid polygon", id="zone-coordinate-beyond-float"),
         pytest.param("--parcels", lambda: [1, 2], "is not a GeoJSON object", id="parcels-list"),
         pytest.param("--parcels", lambda: {"type": "FeatureCollection", "features": [3]},
                      "holds no list of GeoJSON features", id="parcels-non-dict-feature"),
