@@ -138,23 +138,48 @@ def format_timestamp(ts: int) -> str:
     return datetime.fromtimestamp(ts, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-def _rows(reader):
-    """The reader's rows, with None for a line it cannot split, such as one
-    holding a field longer than csv.field_size_limit(). The reader resumes
-    at the next line."""
+def _line_rows(lines, delimiter):
+    """One row per physical line: its fields, or None for a line that cannot
+    be split, such as one holding a field longer than csv.field_size_limit()
+    or one whose quoted field is still open at its end.
+
+    A quoted field ends at the end of its line: when the reader asks for
+    more of an open row, it is handed a closing quote instead of the next
+    line, and that row is reported as None.
+    """
+    in_row = False  # a line was handed out and its row is not yet returned
+    open_quote = False
+
+    def feed():
+        nonlocal in_row, open_quote
+        for line in lines:
+            in_row = True
+            yield line
+            if in_row:  # the reader wants the next line for this one's open quote
+                open_quote = True
+                yield '"\n'
+
+    reader = csv.reader(feed(), delimiter=delimiter)
     while True:
         try:
-            yield next(reader)
+            row = next(reader)
         except StopIteration:
             return
         except csv.Error:
-            yield None
+            row = None
+        in_row = False
+        if open_quote:
+            open_quote = False
+            row = None
+        yield row
 
 
 def parse_records(lines, schema: RecordSchema | None = None):
     """Parse a newline-delimited record stream.
 
-    Malformed lines are skipped and counted, never fatal. Records whose
+    Malformed lines are skipped and counted, never fatal. A quoted field
+    ends at the end of its line, so a line whose quote is still open there
+    is malformed and the next line parses on its own. Records whose
     location source is the geocoder rather than a GPS fix are dropped and
     counted separately.
 
@@ -165,7 +190,7 @@ def parse_records(lines, schema: RecordSchema | None = None):
     text_col = cols.get("text")
     report = ParseReport()
     records = []
-    for row in _rows(csv.reader(lines, delimiter=schema.delimiter)):
+    for row in _line_rows(lines, schema.delimiter):
         report.lines += 1
         if not row:
             report.malformed += 1

@@ -54,6 +54,15 @@ def geojson_polygon_feature(ring_latlon, category="Residential", extra_props=Non
     }
 
 
+def strict_json_loads(text):
+    """json.loads that refuses NaN and Infinity, which are not JSON."""
+
+    def reject(name):
+        raise ValueError(f"non-JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
 def write_geojson(path, features):
     Path(path).write_text(
         json.dumps({"type": "FeatureCollection", "features": features}), encoding="utf-8"

@@ -79,6 +79,23 @@ class TestParse:
     def test_quoted_text_with_delimiter(self):
         recs, _ = parse_records(lines('u1,2014-03-01T12:00:00Z,41.88,-87.63,gps,"a, b"'))
         assert recs[0].text == "a, b"
+        recs, report = parse_records(lines(
+            'u1,2014-03-01T12:00:00Z,41.88,-87.63,gps,"say ""hi"", then go"\n',
+            'u2,2014-03-01T12:00:00Z,41.88,-87.63,"gps","x"\n',
+        ))
+        assert [(r.user_id, r.source, r.text) for r in recs] == [
+            ("u1", "gps", 'say "hi", then go'), ("u2", "gps", "x")]
+        assert (report.lines, report.malformed) == (2, 0)
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", ""])
+    def test_unbalanced_quote_ends_at_its_line(self, end):
+        recs, report = parse_records(lines(
+            f'u1,2014-03-01T12:00:00Z,41.88,-87.63,gps,"so it begins{end}',
+            f"u2,2014-03-01T12:00:00Z,41.88,-87.63,gps,ok{end}",
+            f"u3,2014-03-01T12:00:00Z,41.88,-87.63,gps,{end}",
+        ))
+        assert [(r.user_id, r.text) for r in recs] == [("u2", "ok"), ("u3", "")]
+        assert (report.lines, report.malformed, report.records) == (3, 1, 2)
 
     @pytest.mark.parametrize("stamp, ok", [
         ("0001-01-01T23:59:59Z", False),
@@ -122,8 +139,7 @@ def test_parse_records_never_raises_and_counts_add_up(raw_lines):
     recs, report = parse_records([line + "\n" for line in raw_lines])
     assert report.records == len(recs)
     assert report.records + report.malformed + report.bad_coord + report.geocoded == report.lines
-    if not any('"' in line for line in raw_lines):  # no quoted field spans two lines
-        assert report.lines == len(raw_lines)
+    assert report.lines == len(raw_lines)
 
 
 class TestPrefilter:

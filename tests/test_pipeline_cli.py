@@ -23,7 +23,7 @@ from motifmine.pipeline import (
     write_atomic,
 )
 
-from conftest import geojson_polygon_feature, square_ring, write_geojson
+from conftest import geojson_polygon_feature, square_ring, strict_json_loads, write_geojson
 
 
 @pytest.fixture(scope="module")
@@ -195,9 +195,9 @@ class TestPipelineRun:
         assert report["n"] == 2
 
 
-def test_full_run_with_zones_does_not_import_scipy_stats(world, tmp_path):
-    # importing scipy.stats costs most of a second per run; the correlation
-    # p-value needs only scipy.special
+def run_all_with_zones_in_child(world, tmp_path, prelude=""):
+    """Run `motifmine all --zones` in a fresh interpreter after `prelude`;
+    the child prints main's return code and the sorted scipy modules loaded."""
     zones = [
         geojson_polygon_feature(square_ring(41.43, -88.05, 4000), extra_props={"population": 900}),
         geojson_polygon_feature(square_ring(41.47, -88.05, 4000), extra_props={"population": 500}),
@@ -207,17 +207,38 @@ def test_full_run_with_zones_does_not_import_scipy_stats(world, tmp_path):
     argv = ["all", "--records", str(paths["records"]), "--parcels", str(paths["parcels"]),
             "--boundary", str(paths["boundary"]), "--scheme", str(paths["scheme"]),
             "--zones", str(zone_path), "--out", str(tmp_path / "out")]
-    script = ("import sys\n"
+    script = (prelude + "import sys\n"
               "from motifmine.cli import main\n"
-              f"print(main({argv!r}), 'scipy.stats' in sys.modules)\n")
+              f"code = main({argv!r})\n"
+              "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
     src = str(Path(motifmine.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert (tmp_path / "out" / "correlation.json").exists()
-    assert proc.stdout.splitlines()[-1] == "0 False"
+    return proc.stdout.splitlines()[-1], tmp_path / "out" / "correlation.json"
+
+
+def test_full_run_with_zones_does_not_import_scipy_stats(world, tmp_path):
+    # the correlation p-value is computed with math alone: importing scipy
+    # would cost a fifth of a second and ~14 MiB per run
+    last, correlation = run_all_with_zones_in_child(world, tmp_path)
+    assert correlation.exists()
+    assert last == "0 []"
+
+
+def test_full_run_with_zones_passes_with_scipy_blocked(world, tmp_path):
+    block = ("import sys\n"
+             "class NoScipy:\n"
+             "    def find_spec(self, name, path=None, target=None):\n"
+             "        if name.split('.')[0] == 'scipy':\n"
+             "            raise ImportError(f'{name} is blocked')\n"
+             "sys.meta_path.insert(0, NoScipy())\n")
+    last, correlation = run_all_with_zones_in_child(world, tmp_path, prelude=block)
+    assert last == "0 []"
+    report = strict_json_loads(correlation.read_text(encoding="utf-8"))
+    assert set(report) == {"n", "r", "p_value"} and report["n"] == 2
 
 
 class TestConfigPrecedence:

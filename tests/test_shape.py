@@ -4,13 +4,17 @@ from datetime import date
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from motifmine import shape
 from motifmine.annotate import UserDay
 from motifmine.motifs import visit_keys
 from motifmine.shape import (
     DayMetrics,
     DegenerateTrajectory,
     align_trajectory,
+    correlation_p_value,
     correlation_report,
     day_anchors,
     day_trips_km,
@@ -22,7 +26,9 @@ from motifmine.shape import (
     tensor_eigen,
 )
 
-from conftest import apoint
+from motifmine.pipeline import write_json
+
+from conftest import apoint, strict_json_loads
 from oracles import gaussian_cell_mass
 
 M_PER_DEG = 6_371_000.0 * math.pi / 180.0  # oracle projection scale
@@ -314,3 +320,56 @@ class TestPearson:
         report = correlation_report([1, 2, 3], [2, 4, 6])
         assert report["r"] == pytest.approx(1.0)
         assert report["p_value"] == 0.0
+
+    def test_two_observations_write_null_p_value(self, tmp_path):
+        # r lands a hair inside -1, where a Student t with 0 degrees of
+        # freedom has no p-value; the report must still be valid JSON
+        report = correlation_report([805.904964, 453.345603], [15, 18])
+        assert report["r"] == -0.9999999999999998
+        write_json(tmp_path / "correlation.json", report)
+        parsed = strict_json_loads((tmp_path / "correlation.json").read_text())
+        assert parsed["n"] == 2 and parsed["p_value"] is None
+
+
+def scipy_two_sided_p(r, n):
+    from scipy.special import stdtr
+
+    t = abs(r) * math.sqrt((n - 2) / (1.0 - r * r))
+    return 2.0 * float(stdtr(n - 2, -t))
+
+
+class TestCorrelationPValue:
+    @settings(max_examples=2000, deadline=None, derandomize=True, database=None)
+    @given(
+        st.integers(min_value=3, max_value=2000),
+        st.floats(min_value=-1.0, max_value=1.0, exclude_min=True, exclude_max=True),
+    )
+    def test_matches_scipy_stdtr(self, n, r):
+        want = scipy_two_sided_p(r, n)
+        got = correlation_p_value(r, n)
+        floor = shape.P_VALUE_FLOOR
+        if want < floor / 2:
+            assert got == 0.0
+        elif want > 2 * floor:
+            assert got == pytest.approx(want, rel=1e-9, abs=0.0)
+
+    def test_zero_r_is_exactly_one(self):
+        assert correlation_p_value(0.0, 3) == 1.0
+        assert correlation_p_value(-0.0, 1000) == 1.0
+
+    @pytest.mark.parametrize("r", [1.0, -1.0, 1.0000000000000002])
+    def test_perfect_r_is_zero(self, r):
+        assert correlation_p_value(r, 10) == 0.0
+
+    def test_rounded_to_twelve_significant_digits(self):
+        p = correlation_p_value(0.3, 50)
+        assert p == float(f"{p:.12g}") != scipy_two_sided_p(0.3, 50)
+
+    def test_large_n_converges(self):
+        n, r = 10**6, 1e-3
+        assert correlation_p_value(r, n) == pytest.approx(scipy_two_sided_p(r, n), rel=1e-9)
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(shape, "_BETA_CF_MAX_ITER", 2)
+        with pytest.raises(RuntimeError, match="did not converge"):
+            correlation_p_value(0.3, 500)
