@@ -6,8 +6,9 @@ Land-use dependent filtering lives in :mod:`motifmine.annotate`.
 """
 
 import csv
+import functools
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
+from datetime import date, datetime, timezone
 
 from .geo import haversine_m, point_in_ring, ring_self_intersects
 
@@ -133,9 +134,26 @@ def parse_timestamp(raw: str) -> int:
     return ts
 
 
-def format_timestamp(ts: int) -> str:
-    """UTC epoch seconds to the ISO-8601 form "YYYY-MM-DDTHH:MM:SSZ"."""
-    return datetime.fromtimestamp(ts, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
+_HH_MM = tuple(f"{h:02d}:{m:02d}:" for h in range(24) for m in range(60))
+_SS = tuple(f"{s:02d}" for s in range(60))
+
+
+@functools.lru_cache(maxsize=4096)
+def _iso_day(day: int) -> str:
+    """The ISO date "YYYY-MM-DD" of epoch day `day`, followed by "T"."""
+    return date.fromordinal(day + _EPOCH_ORDINAL).isoformat() + "T"
+
+
+def format_timestamp(ts: int, zone: str = "Z") -> str:
+    """Epoch seconds to the ISO-8601 form "YYYY-MM-DDTHH:MM:SS" + zone.
+
+    The year always has four digits. zone="" gives the naive form that local
+    times are written in. Records are written user by user in time order,
+    so consecutive calls mostly share a day and the date part comes from a
+    cache; the time part is two table lookups.
+    """
+    return _iso_day(ts // 86400) + _HH_MM[ts % 86400 // 60] + _SS[ts % 60] + zone
 
 
 def _line_rows(lines, delimiter):
@@ -235,19 +253,24 @@ def prefilter(records, cfg: FilterConfig):
     """
     seen = set()
     out = []
+    boundary = cfg.boundary
     blocklist = cfg.keyword_blocklist
     for rec in records:
         key = (rec.user_id, rec.ts, rec.lat, rec.lon)
         if key in seen:
             continue
         seen.add(key)
-        if cfg.boundary is not None and not point_in_ring(rec.lat, rec.lon, cfg.boundary):
+        if boundary is not None and not point_in_ring(rec.lat, rec.lon, boundary):
             continue
         if blocklist and rec.text:
             low = rec.text.lower()
-            if any(k in low for k in blocklist):
-                continue
-        out.append(rec)
+            for k in blocklist:
+                if k in low:
+                    break
+            else:
+                out.append(rec)
+        else:
+            out.append(rec)
     return out
 
 

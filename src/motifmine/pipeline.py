@@ -20,7 +20,6 @@ import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
-from datetime import datetime, timezone
 from operator import attrgetter
 from pathlib import Path
 
@@ -539,10 +538,6 @@ def build_manifest(cfg: RunConfig, stage: str, inputs: Inputs, ingested: Ingeste
     return manifest
 
 
-def _iso_naive(ts: int) -> str:
-    return datetime.fromtimestamp(ts, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%S")
-
-
 def _write_csv(path, header, rows):
     # streamed: the write step runs after every stage, so whatever a writer
     # holds at once adds to the run's peak memory
@@ -566,8 +561,8 @@ def write_filtered_records(path, users):
 
 def write_annotation_dump(path, users):
     rows = (
-        (o.user_id, ing.format_timestamp(r[1]), _iso_naive(r[2]), f"{r[3]:.7f}", f"{r[4]:.7f}",
-         "" if r[5] is None else r[5], r[6])
+        (o.user_id, ing.format_timestamp(r[1]), ing.format_timestamp(r[2], zone=""),
+         f"{r[3]:.7f}", f"{r[4]:.7f}", "" if r[5] is None else r[5], r[6])
         for o in users for r in o.annotated_rows or ()
     )
     _write_csv(path, ("user_id", "ts_utc", "local_ts", "lat", "lon", "parcel_id",

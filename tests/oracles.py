@@ -5,16 +5,20 @@ the package, and shares no code with it: permutation-search isomorphism, a
 refinement-based isomorphism matcher, closed-walk enumeration over a small
 node budget, label-sequence collapsing, walk-to-network construction,
 analytic Gaussian cell integrals, and the all-pairs ring check and
-two-pass GeoJSON polygon reader that `geo` replaced. The one exception is the linear parcel
-scan, which reuses the package's point-to-polygon distance and hit type,
-because what it checks is the grid search and its pruning, not the
-distance. Production code is checked against these, never the reverse.
+two-pass GeoJSON polygon reader that `geo` replaced, timestamps formatted
+through `datetime.isoformat`, and a brute-force prefilter. The exceptions
+are the linear parcel scan, which reuses the package's point-to-polygon
+distance and hit type, because what it checks is the grid search and its
+pruning, not the distance, and the prefilter, which reuses the package's
+crossing test, because what it checks is dedup, order and the blocklist.
+Production code is checked against these, never the reverse.
 """
 
 import itertools
 import math
+from datetime import datetime, timedelta
 
-from motifmine.geo import point_polygon_distance_m
+from motifmine.geo import point_in_ring, point_polygon_distance_m
 from motifmine.parcels import DEFAULT_RADIUS_M, NearestHit
 
 MAX_NODES = 6
@@ -315,6 +319,28 @@ def nearest_parcel_scan(lat: float, lon: float, parcels, radius_m: float = DEFAU
         return None
     (dist, _), parcel = best
     return NearestHit(parcel.parcel_id, parcel.activity_code, dist)
+
+
+def iso_timestamp(ts: int, zone: str = "Z") -> str:
+    """Epoch seconds to "YYYY-MM-DDTHH:MM:SS" + zone by `datetime.isoformat`."""
+    return (datetime(1970, 1, 1) + timedelta(seconds=ts)).isoformat() + zone
+
+
+def prefilter_brute_force(records, boundary, blocklist):
+    """Records whose (user, ts, lat, lon) key no earlier record has, that lie
+    inside `boundary` (None: everywhere) and whose lowered text contains no
+    lowered keyword of `blocklist`, in input order."""
+    out = []
+    for i, r in enumerate(records):
+        key = (r.user_id, r.ts, r.lat, r.lon)
+        if any((q.user_id, q.ts, q.lat, q.lon) == key for q in records[:i]):
+            continue
+        if boundary is not None and not point_in_ring(r.lat, r.lon, boundary):
+            continue
+        if any(k.lower() in r.text.lower() for k in blocklist):
+            continue
+        out.append(r)
+    return out
 
 
 def _orient(ax, ay, bx, by, cx, cy) -> int:

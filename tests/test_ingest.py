@@ -1,5 +1,6 @@
 import math
 import random
+from datetime import datetime, timezone
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,8 @@ from hypothesis import strategies as st
 
 from motifmine.annotate import local_date_of
 from motifmine.ingest import (
+    _END_TS,
+    _MIN_TS,
     DEFAULT_BLOCKLIST,
     FilterConfig,
     UserTrack,
@@ -20,12 +23,17 @@ from motifmine.ingest import (
 )
 
 from conftest import rec
+from oracles import iso_timestamp, prefilter_brute_force
 
 R = 6_371_000.0
 
 
 def lines(*rows):
     return list(rows)
+
+
+def epoch(*fields):
+    return int(datetime(*fields, tzinfo=timezone.utc).timestamp())
 
 
 class TestParse:
@@ -47,9 +55,15 @@ class TestParse:
     def test_format_timestamp_round_trips(self):
         assert format_timestamp(0) == "1970-01-01T00:00:00Z"
         assert format_timestamp(1401667260) == "2014-06-02T00:01:00Z"
+        assert format_timestamp(_MIN_TS) == "0001-01-02T00:00:00Z"
+        assert format_timestamp(_END_TS - 1) == "9999-12-30T23:59:59Z"
         rng = random.Random(8)
-        for ts in [rng.randrange(0, 4_000_000_000) for _ in range(200)]:
+        fixed = [_MIN_TS, _END_TS - 1, -1, 0, 86399, 86400,
+                 epoch(2000, 2, 29), epoch(1900, 3, 1), epoch(999, 3, 1, 12)]
+        for ts in fixed + [rng.randrange(0, 4_000_000_000) for _ in range(200)]:
+            assert format_timestamp(ts) == iso_timestamp(ts)
             assert parse_timestamp(format_timestamp(ts)) == ts
+            assert format_timestamp(ts, zone="") == iso_timestamp(ts, zone="")
 
     def test_out_of_bounds_latitude_counted(self):
         recs, report = parse_records(lines("u1,2014-03-01T12:00:00Z,99.0,-87.63,gps,"))
@@ -124,6 +138,21 @@ class TestParse:
         assert (report.lines, report.malformed) == (4, 2)
 
 
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(st.integers(_MIN_TS, _END_TS - 1))
+def test_format_timestamp_matches_isoformat_over_the_parsed_range(ts):
+    out = format_timestamp(ts)
+    assert out == iso_timestamp(ts)
+    assert parse_timestamp(out) == ts
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(st.integers(_MIN_TS - 86400, _END_TS + 86400 - 1))
+def test_naive_format_covers_every_local_time(ts):
+    # a local time is a parsed UTC time shifted by up to a day either way
+    assert format_timestamp(ts, zone="") == iso_timestamp(ts, zone="")
+
+
 record_field = st.one_of(
     st.text(max_size=8),
     st.sampled_from(["u1", "gps", "GPS ", "geocoded", "41.88", "-87.63", "91", "nan", "1e999",
@@ -183,6 +212,38 @@ class TestPrefilter:
         assert once == twice
         positions = {id(r): i for i, r in enumerate(records)}
         assert [positions[id(r)] for r in once] == sorted(positions[id(r)] for r in once)
+
+
+# (lat, lon) ring with a reflex vertex at (2, 2) and two edges along the
+# crossing test's ray (lat 0 and lat 4). The sampled points lie on its
+# vertices and edges, inside it, outside it and in its notch.
+NOTCHED_RING = ((0.0, 0.0), (0.0, 4.0), (2.0, 2.0), (4.0, 4.0), (4.0, 0.0))
+ring_points = st.sampled_from([
+    *NOTCHED_RING,
+    (0.0, 2.0), (1.0, 3.0), (3.0, 3.0), (4.0, 2.0), (2.0, 0.0),  # on an edge
+    (1.0, 1.0), (2.0, 3.0), (5.0, 5.0), (-1.0, 2.0), (2.0, 2.5),
+])
+points = st.one_of(ring_points, st.tuples(st.floats(-1.0, 5.0), st.floats(-1.0, 5.0)))
+texts = st.lists(
+    st.sampled_from(["", "job", "JOB", "Hiring", "hir", "ing", " ", "x", "weather alert",
+                     "é", "ß"]),
+    max_size=4,
+).map("".join)
+keywords = st.lists(st.one_of(st.sampled_from(["job", "hiring", "weather alert", "x", "JoB"]),
+                              st.text(min_size=1, max_size=3)), max_size=4)
+prefilter_records = st.lists(
+    st.builds(lambda user, ts, point, text: rec(user, ts, *point, text=text),
+              st.sampled_from(["u1", "u2"]), st.integers(0, 2), points, texts),
+    max_size=25,
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(prefilter_records, st.one_of(st.none(), st.just(NOTCHED_RING)), keywords)
+def test_prefilter_matches_brute_force(records, boundary, blocklist):
+    cfg = FilterConfig(boundary=boundary, keyword_blocklist=tuple(blocklist))
+    expected = prefilter_brute_force(records, boundary, blocklist)
+    assert [id(r) for r in prefilter(records, cfg)] == [id(r) for r in expected]
 
 
 def equator_point_at_m(meters: float):

@@ -119,6 +119,22 @@ class TestPipelineRun:
         assert read_only.parcels == indexed.parcels
         assert read_only.parcels.loaded > 0
 
+    def test_ingest_reads_its_own_output(self, world, tmp_path):
+        text = Path(world["paths"]["records"]).read_text(encoding="utf-8")
+        user, _, lat, lon, *_ = text.splitlines()[0].split(",")
+        records = tmp_path / "records.csv"
+        records.write_text(text + f"{user},0999-03-01T12:00:00Z,{lat},{lon},gps,x\n",
+                           encoding="utf-8")
+        cfg = world_config(world, tmp_path / "first", hash_ids=False)
+        cfg.records = str(records)
+        written = run(cfg, "ingest")["paths"]["filtered_records"]
+        assert f"\n{user},0999-03-01T12:00:00Z,{lat},{lon},gps,x\n" in written.read_text("utf-8")
+        cfg = world_config(world, tmp_path / "second", hash_ids=False)
+        cfg.records = str(written)
+        second = run(cfg, "ingest")
+        assert second["manifest"]["parse"]["malformed"] == 1  # the header line
+        assert second["paths"]["filtered_records"].read_bytes() == written.read_bytes()
+
     def test_loaders_make_no_reference_cycles(self, world, tmp_path):
         # the premise of pausing the cyclic collector while they run
         cfg = world_config(world, tmp_path)
