@@ -23,7 +23,6 @@ ACTIVE_SCOPES = ("day", "user")
 
 @dataclass(slots=True)
 class AnnotatedPoint:
-    user_id: str
     ts: int
     lat: float
     lon: float
@@ -41,14 +40,12 @@ class ActiveLocation:
 
 @dataclass(slots=True)
 class HomeAssignment:
-    user_id: str
     home_parcel_id: int | None
     rule_used: str  # night_mode | top_residential | unknown
 
 
 @dataclass(slots=True)
 class UserDay:
-    user_id: str
     local_date: date
     points: list  # chronological AnnotatedPoint
     slot_count: int
@@ -73,7 +70,7 @@ def annotate_history(track: UserTrack, index: SpatialIndex, utc_offset_minutes: 
             parcel_id, code = None, OTHERS_CODE
         else:
             parcel_id, code = hit.parcel_id, hit.activity_code
-        out.append(AnnotatedPoint(p.user_id, p.ts, p.lat, p.lon, parcel_id, code, p.ts + offset_s))
+        out.append(AnnotatedPoint(p.ts, p.lat, p.lon, parcel_id, code, p.ts + offset_s))
     return out
 
 
@@ -129,7 +126,6 @@ def infer_home(history, actives, night_start_hour: int = 21, night_end_hour: int
     unknown (the caller excludes such users). The night window is half-open
     at its end and may wrap midnight.
     """
-    user_id = history[0].user_id if history else ""
     night_counts: dict[int, int] = {}
     total_counts: dict[int, int] = {}
     for p in history:
@@ -143,12 +139,12 @@ def infer_home(history, actives, night_start_hour: int = 21, night_end_hour: int
             night_counts.items(),
             key=lambda kv: (-kv[1], -total_counts[kv[0]], kv[0]),
         )
-        return HomeAssignment(user_id, best[0], "night_mode")
+        return HomeAssignment(best[0], "night_mode")
     residential = {pid for pid in total_counts}
     for loc in actives:  # actives are already rank-ordered
         if loc.parcel_id in residential:
-            return HomeAssignment(user_id, loc.parcel_id, "top_residential")
-    return HomeAssignment(user_id, None, "unknown")
+            return HomeAssignment(loc.parcel_id, "top_residential")
+    return HomeAssignment(None, "unknown")
 
 
 def split_days(history) -> list:
@@ -164,7 +160,7 @@ def split_days(history) -> list:
     for d in sorted(days):
         pts = days[d]
         slots = {slot_of(p.local_ts) for p in pts}
-        out.append(UserDay(pts[0].user_id, d, pts, len(slots)))
+        out.append(UserDay(d, pts, len(slots)))
     return out
 
 

@@ -59,8 +59,6 @@ def _pipeline_config(args) -> pipeline.RunConfig:
         for k, v in vars(args).items()
         if k not in ("command", "config", "func") and v is not None
     }
-    if overrides.get("delimiter") == "tab":
-        overrides["delimiter"] = "\t"
     return pipeline.make_config(args.config, overrides)
 
 

@@ -7,6 +7,7 @@ Land-use dependent filtering lives in :mod:`motifmine.annotate`.
 
 import csv
 import functools
+import re
 from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
 
@@ -156,10 +157,15 @@ def format_timestamp(ts: int, zone: str = "Z") -> str:
     return _iso_day(ts // 86400) + _HH_MM[ts % 86400 // 60] + _SS[ts % 60] + zone
 
 
+# what errors="surrogateescape" decodes a byte that is not UTF-8 to
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
+
+
 def _line_rows(lines, delimiter):
     """One row per physical line: its fields, or None for a line that cannot
     be split, such as one holding a field longer than csv.field_size_limit()
-    or one whose quoted field is still open at its end.
+    or one whose quoted field is still open at its end. A line that is not
+    UTF-8 is handed to the reader as an empty line, which yields no fields.
 
     A quoted field ends at the end of its line: when the reader asks for
     more of an open row, it is handed a closing quote instead of the next
@@ -172,7 +178,7 @@ def _line_rows(lines, delimiter):
         nonlocal in_row, open_quote
         for line in lines:
             in_row = True
-            yield line
+            yield "\n" if not line.isascii() and _ESCAPED_BYTE.search(line) else line
             if in_row:  # the reader wants the next line for this one's open quote
                 open_quote = True
                 yield '"\n'
@@ -195,11 +201,11 @@ def _line_rows(lines, delimiter):
 def parse_records(lines, schema: RecordSchema | None = None):
     """Parse a newline-delimited record stream.
 
-    Malformed lines are skipped and counted, never fatal. A quoted field
-    ends at the end of its line, so a line whose quote is still open there
-    is malformed and the next line parses on its own. Records whose
-    location source is the geocoder rather than a GPS fix are dropped and
-    counted separately.
+    Malformed lines are skipped and counted, never fatal; a line that is
+    not UTF-8 is malformed. A quoted field ends at the end of its line, so
+    a line whose quote is still open there is malformed and the next line
+    parses on its own. Records whose location source is the geocoder
+    rather than a GPS fix are dropped and counted separately.
 
     Returns (records, ParseReport).
     """
@@ -240,7 +246,8 @@ def parse_records(lines, schema: RecordSchema | None = None):
 
 
 def parse_records_path(path, schema: RecordSchema | None = None):
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    # a byte that is not UTF-8 makes its line malformed instead of raising
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
         return parse_records(fh, schema)
 
 

@@ -5,7 +5,9 @@ parcel (constraint I); every node on a closed walk automatically has at
 least one incoming and one outgoing edge (constraint II). One constructor
 builds every network from a walk over keys (a day's parcels, an LBM walk's
 labels for its ABM view, a template's stop tokens): consecutive repeats
-are one visit, and nodes are numbered and labeled by first visit. Two
+are one visit, and nodes are numbered and labeled by first visit. The
+network is the day's one record of its visits: `node_keys[i] for i in walk`
+is its visit sequence, and its kind names its comparison regime. Two
 comparison regimes exist: location-based (LBM), where only structure and
 the pinned home node matter, and activity-based (ABM), where node labels
 must be preserved. Canonical signatures are permutation-minimal adjacency
@@ -45,7 +47,9 @@ ACTIVITY_LABELS = {
 # pseudo-location for points with no parcel context; one node per day
 UNKNOWN_PARCEL = -1
 
-SIGNATURE_NODE_CAP = 12
+# Canonicalizing an n-node network tries up to (n-1)! orderings: 5,040 at
+# 8 nodes. The census's max_nodes may not exceed this cap either.
+SIGNATURE_NODE_CAP = 8
 
 # an entry (edge-set key plus string) of a 6-node network takes ~1.1 KB: ~1 MiB in all
 SIGNATURE_CACHE_SIZE = 1024
@@ -70,11 +74,6 @@ class DailyNetwork:
 def parcel_key(point):
     """A point's location key: its parcel id, or UNKNOWN_PARCEL."""
     return UNKNOWN_PARCEL if point.parcel_id is None else point.parcel_id
-
-
-def visit_keys(points) -> list:
-    """The location key of each visit: consecutive points on one key are one visit."""
-    return [key for key, _ in itertools.groupby(map(parcel_key, points))]
 
 
 def _check_closed_walk(n: int, edges) -> None:
@@ -211,19 +210,18 @@ def decode_signature(sig: str):
     return n, edges, labels
 
 
-def canonical_signature(net: DailyNetwork, kind: str | None = None,
-                        pin_home: bool = True) -> str:
-    """The network's signature string under the LBM or ABM regime (default: its own kind)."""
-    labels = net.labels if (kind or net.kind) == ABM else None
+def canonical_signature(net: DailyNetwork, pin_home: bool = True) -> str:
+    """The network's signature string under the regime of its kind: labels
+    count for an ABM network only."""
+    labels = net.labels if net.kind == ABM else None
     return graph_signature(net.node_count, net.edges, labels, pin_home)
 
 
-def census_signature(net: DailyNetwork, kind: str, max_nodes: int = 6,
-                     pin_home: bool = True) -> str | None:
+def census_signature(net: DailyNetwork, max_nodes: int = 6, pin_home: bool = True) -> str | None:
     """The network's signature string when it joins the motif census, which
     takes networks of 2..max_nodes nodes; None otherwise."""
     if 1 < net.node_count <= max_nodes:
-        return canonical_signature(net, kind, pin_home)
+        return canonical_signature(net, pin_home)
     return None
 
 
@@ -247,9 +245,6 @@ class MotifCensus:
     kind: str
     total: int
     one_node_count: int
-    cutoff: float
-    max_nodes: int
-    signature_counts: dict
     motifs: list
     size_groups: dict  # label -> count
 
@@ -291,7 +286,7 @@ def census_from_signatures(items, kind: str, cutoff: float = 0.005,
             MotifEntry(rank, sig, sig_nodes[sig], c, 100.0 * c / total)
             for rank, (sig, c) in enumerate(qualifying, start=1)
         ]
-    return MotifCensus(kind, total, one_node, cutoff, max_nodes, sig_counts, motifs, size_groups)
+    return MotifCensus(kind, total, one_node, motifs, size_groups)
 
 
 def network_from_label_walk(label_walk) -> DailyNetwork:

@@ -100,7 +100,6 @@ class Parcel:
     parcel_id: int
     exterior: tuple  # (lat, lon) ring, no repeated last vertex
     holes: tuple
-    land_use_category: str
     activity_code: int
     bbox: tuple = field(default=None)  # (minlat, minlon, maxlat, maxlon)
 
@@ -221,9 +220,8 @@ def read_parcels(path, scheme: ActivityScheme | None = None, category_attr: str 
             if rings is None:
                 report.skipped_invalid += 1
                 continue
-            category = str((feat.get("properties") or {}).get(category_attr, ""))
-            code = scheme.code_for(category)
-            parcels.append(Parcel(len(parcels) + 1, rings[0], rings[1], category, code))
+            code = scheme.code_for(str((feat.get("properties") or {}).get(category_attr, "")))
+            parcels.append(Parcel(len(parcels) + 1, rings[0], rings[1], code))
             report.per_code[code] = report.per_code.get(code, 0) + 1
     report.loaded = len(parcels)
     if not parcels:

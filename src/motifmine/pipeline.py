@@ -39,10 +39,6 @@ from .parcels import (
 
 STAGE_LEVELS = {"ingest": 1, "annotate": 2, "mine": 3, "shape": 4, "all": 4}
 
-# Canonicalizing an n-node network tries up to (n-1)! orderings: 5,040 at 8
-# nodes, 11! at motifs.SIGNATURE_NODE_CAP, which still bounds direct calls.
-MAX_CENSUS_NODES = 8
-
 CONFIG_CHOICES = {
     "residency_mode": ing.RESIDENCY_MODES,
     "active_scope": ann.ACTIVE_SCOPES,
@@ -54,7 +50,7 @@ _CONFIG_RANGES = {
     "min_slots": (1, 48),  # half-hour slots in a day
     "night_start_hour": (0, 23),
     "night_end_hour": (0, 23),
-    "max_nodes": (1, MAX_CENSUS_NODES),
+    "max_nodes": (1, mot.SIGNATURE_NODE_CAP),
     "workers": (1, None),
     "density_bins": (1, None),
     "utc_offset_minutes": (-1440, 1440),  # ingest.parse_timestamp leaves a day's margin
@@ -104,6 +100,10 @@ class RunConfig:
     dump_annotations: bool = False
 
     def __post_init__(self):
+        if self.delimiter == "tab":
+            self.delimiter = "\t"
+        if len(self.delimiter) != 1:
+            raise ValueError(f"delimiter must be one character or tab, not {self.delimiter!r}")
         for name, allowed in CONFIG_CHOICES.items():
             value = getattr(self, name)
             if value not in allowed:
@@ -169,6 +169,8 @@ def make_config(file_path=None, overrides=None) -> RunConfig:
     """Precedence: explicit overrides > config file > defaults."""
     values = {}
     if file_path:
+        if not Path(file_path).is_file():
+            raise FileNotFoundError(f"--config is not a file: {file_path}")
         values.update(load_config_file(file_path))
     for key, val in (overrides or {}).items():
         if val is not None:
@@ -195,12 +197,6 @@ def _atomic_file(path):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def write_atomic(path, text: str):
-    """Write-then-rename so a crashed run never leaves a truncated file."""
-    with _atomic_file(path) as fh:
-        fh.write(text)
 
 
 def load_boundary_ring(path) -> tuple:
@@ -254,11 +250,19 @@ class Inputs:
 
 
 def load_inputs(cfg: RunConfig, level: int) -> Inputs:
-    """Read and check every input file; the records are parsed by `ingest`."""
-    for path_field in ("records", "parcels"):
-        value = getattr(cfg, path_field)
-        if not value or not Path(value).exists():
-            raise FileNotFoundError(f"missing {path_field} file: {value or '(unset)'}")
+    """Read and check every input file; the records are parsed by `ingest`.
+
+    Every given path, and the output directory, is checked before any file is read.
+    """
+    for name in ("records", "parcels", "scheme", "boundary", "zones", "blocklist"):
+        value = getattr(cfg, name)  # each is set by the flag of its name
+        if value and not Path(value).is_file():
+            raise FileNotFoundError(f"--{name} is not a file: {value}")
+        if not value and name in ("records", "parcels"):
+            raise FileNotFoundError(f"--{name} is required")
+    out = Path(cfg.out_dir)
+    if not next(p for p in (out, *out.parents) if p.exists()).is_dir():
+        raise ValueError(f"--out is not a directory: {cfg.out_dir}")
     scheme = ActivityScheme.from_file(cfg.scheme) if cfg.scheme else ActivityScheme()
     if level >= 2:
         index, load_report = load_parcels(cfg.parcels, scheme, cfg.category_attr)
@@ -314,7 +318,7 @@ class UserOutcome:
     user_id: str
     drop: str | None = None  # speed | residency | bot | no_home
     points: list | None = None  # PointRecords for ingest-stage survivors
-    annotated_rows: list | None = None
+    history: list | None = None  # AnnotatedPoints, kept only for the annotation dump
     n_days: int = 0
     n_active_days: int = 0
     rejected_open_walk: int = 0
@@ -325,18 +329,21 @@ class UserOutcome:
     align_skip: str | None = None
 
 
-def _day_outcome(day, home, home_anchor, cfg) -> tuple:
-    net, reason = mot.build_daily_network(day, home)
+def _day_outcome(day, home, cfg) -> DayOutcome | None:
+    """The day's outcome, or None when its walk is open: the home is known
+    here, so that is the one reason `motifs.build_daily_network` can give."""
+    net, _ = mot.build_daily_network(day, home)
     if net is None:
-        return None, reason
+        return None
     reduced = mot.abm_reduce(net)
-    lbm_sig = mot.census_signature(net, mot.LBM, cfg.max_nodes, cfg.pin_home)
-    abm_sig = mot.census_signature(reduced, mot.ABM, cfg.max_nodes, cfg.pin_home)
-    keys = mot.visit_keys(day.points)
+    lbm_sig = mot.census_signature(net, cfg.max_nodes, cfg.pin_home)
+    abm_sig = mot.census_signature(reduced, cfg.max_nodes, cfg.pin_home)
+    visits = [net.node_keys[i] for i in net.walk]
     anchors = shp.day_anchors(day)
-    trips = shp.day_trips_km(keys, anchors)
-    gyr = shp.gyradius_from_home(keys, anchors, anchors.get(home.home_parcel_id, home_anchor))
-    return DayOutcome(lbm_sig, abm_sig, shp.day_metrics(net, reduced, trips, gyr)), None
+    trips = shp.day_trips_km(visits, anchors)
+    # the walk starts at home, so the day has an anchor there
+    gyr = shp.gyradius_from_home(visits, anchors, anchors[home.home_parcel_id])
+    return DayOutcome(lbm_sig, abm_sig, shp.day_metrics(net, reduced, trips, gyr))
 
 
 def process_user(track, index, filters: ing.FilterConfig, cfg: RunConfig,
@@ -354,10 +361,7 @@ def process_user(track, index, filters: ing.FilterConfig, cfg: RunConfig,
 
     history = ann.annotate_history(track, index, cfg.utc_offset_minutes, cfg.radius_m)
     if cfg.dump_annotations:
-        out.annotated_rows = [
-            (p.user_id, p.ts, p.local_ts, p.lat, p.lon, p.parcel_id, p.activity_code)
-            for p in history
-        ]
+        out.history = history
     if not ann.stationary_bot_filter(history):
         out.drop = "bot"
         return out
@@ -385,14 +389,11 @@ def process_user(track, index, filters: ing.FilterConfig, cfg: RunConfig,
         return out
 
     for day in active_days:
-        day_out, reason = _day_outcome(day, home, out.home_anchor, cfg)
+        day_out = _day_outcome(day, home, cfg)
         if day_out is None:
-            if reason == "open_walk":
-                out.rejected_open_walk += 1
-            else:
-                out.rejected_no_home += 1
-            continue
-        out.days.append(day_out)
+            out.rejected_open_walk += 1
+        else:
+            out.days.append(day_out)
 
     if level < 4:
         return out
@@ -548,7 +549,9 @@ def _write_csv(path, header, rows):
 
 
 def write_json(path, doc: dict):
-    write_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    with _atomic_file(path) as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def write_filtered_records(path, users):
@@ -561,9 +564,10 @@ def write_filtered_records(path, users):
 
 def write_annotation_dump(path, users):
     rows = (
-        (o.user_id, ing.format_timestamp(r[1]), ing.format_timestamp(r[2], zone=""),
-         f"{r[3]:.7f}", f"{r[4]:.7f}", "" if r[5] is None else r[5], r[6])
-        for o in users for r in o.annotated_rows or ()
+        (o.user_id, ing.format_timestamp(p.ts), ing.format_timestamp(p.local_ts, zone=""),
+         f"{p.lat:.7f}", f"{p.lon:.7f}", "" if p.parcel_id is None else p.parcel_id,
+         p.activity_code)
+        for o in users for p in o.history or ()
     )
     _write_csv(path, ("user_id", "ts_utc", "local_ts", "lat", "lon", "parcel_id",
                       "activity_code"), rows)
@@ -587,16 +591,17 @@ def write_size_groups_csv(path, censuses):
 
 
 def write_motif_edges(path, censuses):
-    blocks = []
-    for census in censuses:
-        for m in census.motifs:
-            n, edges, labels = mot.decode_signature(m.signature)
-            head = f"kind={census.kind} rank={m.rank} nodes={n} signature={m.signature}"
-            if labels:
-                head += " labels=" + ",".join(labels)
-            lines = [head] + [f"{u} -> {v}" for u, v in sorted(edges)]
-            blocks.append("\n".join(lines))
-    write_atomic(path, "\n\n".join(blocks) + ("\n" if blocks else ""))
+    with _atomic_file(path) as fh:
+        sep = ""
+        for census in censuses:
+            for m in census.motifs:
+                n, edges, labels = mot.decode_signature(m.signature)
+                head = f"kind={census.kind} rank={m.rank} nodes={n} signature={m.signature}"
+                if labels:
+                    head += " labels=" + ",".join(labels)
+                fh.write(sep + head + "\n")
+                fh.writelines(f"{u} -> {v}\n" for u, v in sorted(edges))
+                sep = "\n"
 
 
 def write_distance_stats_csv(path, stats):

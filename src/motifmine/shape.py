@@ -6,12 +6,11 @@ tensor points due west, and scaled by the per-axis standard deviations.
 Pooled normalized points form a binned density over the shared intrinsic
 reference frame. Distance statistics aggregate trip lengths, daily
 totals, and the gyradius about home over motif groups. A day's distances
-read the same visits its network is built from (`motifs.visit_keys`),
-each placed at its parcel's per-day anchor; `day_metrics` condenses one
-day for the pipeline and the synthetic ground truth alike. The zone
-correlation's two-sided p-value is a Student-t tail written as a
-regularized incomplete beta and evaluated with `math` alone, so no run
-imports scipy.
+read the visit sequence its network holds, each visit placed at its
+parcel's per-day anchor; `day_metrics` condenses one day for the pipeline
+and the synthetic ground truth alike. The zone correlation's two-sided
+p-value is a Student-t tail written as a regularized incomplete beta and
+evaluated with `math` alone, so no run imports scipy.
 """
 
 import math
@@ -210,8 +209,8 @@ def day_anchors(day: UserDay) -> dict:
 
 
 def day_trips_km(keys, anchors) -> list:
-    """Trip lengths in km between consecutive visits, given a day's visit
-    keys (`motifs.visit_keys`) and its `day_anchors`."""
+    """Trip lengths in km between consecutive visits, given the parcel key
+    of each of a day's visits and its `day_anchors`."""
     trips = []
     for a, b in zip(keys, keys[1:]):
         pa, pb = anchors[a], anchors[b]
@@ -220,8 +219,8 @@ def day_trips_km(keys, anchors) -> list:
 
 
 def gyradius_from_home(keys, anchors, home_latlon) -> float:
-    """RMS distance (km) from home of a day's visits, given its visit keys
-    (`motifs.visit_keys`) and its `day_anchors`.
+    """RMS distance (km) from home of a day's visits, given the parcel key
+    of each visit and the day's `day_anchors`.
 
     One sample per collapsed visit, each evaluated at its parcel's per-day
     anchor, so bursts of points at one stop do not weight the measure.

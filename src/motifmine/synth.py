@@ -15,7 +15,7 @@ users' records do not change when noise actors are added.
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -117,15 +117,7 @@ class GroundTruth:
     expected_distance_stats: list  # dicts mirroring DistanceStats fields
 
     def to_json(self) -> str:
-        doc = {
-            "num_users": self.num_users,
-            "days": self.days,
-            "users": self.users,
-            "templates": self.templates,
-            "expected_census": self.expected_census,
-            "expected_distance_stats": self.expected_distance_stats,
-        }
-        return json.dumps(doc, indent=2, sort_keys=True)
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
 def _weekday_calendar_day(k: int) -> int:
@@ -297,8 +289,8 @@ def _expected_truth(cfg: SynthConfig, counts, assignments, world):
     for idx, template in enumerate(cfg.templates):
         net = network_from_label_walk(template.walk)
         reduced = abm_reduce(net)
-        lbm_sig = canonical_signature(net, LBM)
-        abm_sig = canonical_signature(reduced, ABM)
+        lbm_sig = canonical_signature(net)
+        abm_sig = canonical_signature(reduced)
         pct = 100.0 * counts[idx] * cfg.days / total_days
         for kind, n, sig in ((LBM, net.node_count, lbm_sig), (ABM, reduced.node_count, abm_sig)):
             if n == 1:
@@ -317,13 +309,13 @@ def _expected_truth(cfg: SynthConfig, counts, assignments, world):
                 "abm_nodes": reduced.node_count,
             }
         )
-        # ideal geometry: cell-center offsets of each visit from home
+        # ideal geometry: (east, north) cell-center offsets in m of each visit
+        # from a home at cell (0, 0)
         spacing_cells = _spacing_cells(template, cfg)
         offsets = {"H": (0.0, 0.0)}
         for i, tok in enumerate(template.stops()):
-            r_off = (i // 2) * cfg.cell_m
-            c_off = (1 if i % 2 == 0 else -1) * spacing_cells * cfg.cell_m
-            offsets[tok] = (c_off, r_off)
+            row, col = _stop_cell((0, 0), i, spacing_cells)
+            offsets[tok] = (col * cfg.cell_m, row * cfg.cell_m)
         pos = [offsets[tok] for tok in template.walk]
         trips = tuple(
             math.hypot(b[0] - a[0], b[1] - a[1]) / 1000.0 for a, b in zip(pos, pos[1:])

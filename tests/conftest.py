@@ -26,8 +26,8 @@ def square_ring(lat: float, lon: float, half_m: float):
     )
 
 
-def make_parcel(parcel_id, lat, lon, half_m=50.0, code=1, category="Residential", holes=()):
-    return Parcel(parcel_id, square_ring(lat, lon, half_m), tuple(holes), category, code)
+def make_parcel(parcel_id, lat, lon, half_m=50.0, code=1, holes=()):
+    return Parcel(parcel_id, square_ring(lat, lon, half_m), tuple(holes), code)
 
 
 def make_index(parcels):
@@ -38,8 +38,8 @@ def rec(user="u1", ts=0, lat=41.88, lon=-87.63, source="gps", text=""):
     return PointRecord(user, ts, lat, lon, source, text)
 
 
-def apoint(user="u1", ts=0, lat=41.88, lon=-87.63, parcel=1, code=1, local=None):
-    return AnnotatedPoint(user, ts, lat, lon, parcel, code, ts if local is None else local)
+def apoint(ts=0, lat=41.88, lon=-87.63, parcel=1, code=1, local=None):
+    return AnnotatedPoint(ts, lat, lon, parcel, code, ts if local is None else local)
 
 
 def geojson_polygon_feature(ring_latlon, category="Residential", extra_props=None):

@@ -28,7 +28,7 @@ class TestAnnotateHistory:
         idx = make_index(
             [
                 make_parcel(1, 41.90, -87.60, half_m=100, code=1),
-                make_parcel(2, 41.95, -87.60, half_m=100, code=6, category="Office/Workplace"),
+                make_parcel(2, 41.95, -87.60, half_m=100, code=6),
             ]
         )
         track = UserTrack(

@@ -16,6 +16,7 @@ from motifmine.ingest import (
     format_timestamp,
     group_tracks,
     parse_records,
+    parse_records_path,
     parse_timestamp,
     prefilter,
     residency_filter,
@@ -135,6 +136,18 @@ class TestParse:
             "u2,2014-03-01T12:00:00Z,41.88,-87.63,gps,ok\n",
         ))
         assert [r.user_id for r in recs] == ["u1", "u2"]
+        assert (report.lines, report.malformed) == (4, 2)
+
+    def test_a_line_that_is_not_utf8_is_malformed(self, tmp_path):
+        path = tmp_path / "records.csv"
+        path.write_bytes(
+            b"u1,2014-03-01T12:00:00Z,41.88,-87.63,gps,caf\xc3\xa9\n"  # UTF-8 e-acute
+            b"u2,2014-03-01T12:00:00Z,41.88,-87.63,gps,caf\xe9\n"  # Latin-1 e-acute
+            b"u3,2014-03-01T12:00:00Z,41.88,-87.63,gps,\"open \xff\n"
+            b"u4,2014-03-01T12:00:00Z,41.88,-87.63,gps,ok"
+        )
+        recs, report = parse_records_path(path)
+        assert [(r.user_id, r.text) for r in recs] == [("u1", "caf\u00e9"), ("u4", "ok")]
         assert (report.lines, report.malformed) == (4, 2)
 
 

@@ -251,7 +251,7 @@ def grid_ring(row0, col0, row1, col1):
 
 
 def grid_parcel(parcel_id, row, col, code=1, holes=()):
-    return Parcel(parcel_id, grid_ring(row, col, row + 1, col + 1), tuple(holes), "x", code)
+    return Parcel(parcel_id, grid_ring(row, col, row + 1, col + 1), tuple(holes), code)
 
 
 def query_counter(index):
@@ -277,8 +277,8 @@ def assert_join_matches_scan(lat, lon, parcels, index=None):
 
 class TestContainmentProbe:
     def test_overlapping_parcels_smaller_id_wins(self):
-        big = Parcel(5, grid_ring(0, 0, 3, 3), (), "x", 6)
-        small = Parcel(3, grid_ring(1, 1, 2, 2), (), "x", 9)
+        big = Parcel(5, grid_ring(0, 0, 3, 3), (), 6)
+        small = Parcel(3, grid_ring(1, 1, 2, 2), (), 9)
         parcels = [big, small]
         index = SpatialIndex(parcels)
         calls = query_counter(index)
@@ -297,8 +297,8 @@ class TestContainmentProbe:
 
     def test_point_in_hole_of_one_parcel_inside_another(self):
         hole = grid_ring(1, 1, 2, 2)
-        outer = Parcel(1, grid_ring(0, 0, 3, 3), (hole,), "x", 6)
-        inner = Parcel(2, grid_ring(1.25, 1.25, 1.75, 1.75), (), "x", 9)
+        outer = Parcel(1, grid_ring(0, 0, 3, 3), (hole,), 6)
+        inner = Parcel(2, grid_ring(1.25, 1.25, 1.75, 1.75), (), 9)
         parcels = [outer, inner]
         lat, lon = GRID_LAT0 + 1.5 * GRID_STEP, GRID_LON0 + 1.5 * GRID_STEP
         assert assert_join_matches_scan(lat, lon, parcels) == NearestHit(2, 9, 0.0)
@@ -321,7 +321,7 @@ class TestContainmentProbe:
             ring = grid_ring(0, 0, 1, 1)
             mid = (GRID_LAT0 + 0.5 * GRID_STEP, GRID_LON0 + 0.5 * GRID_STEP)
             ring = (ring[0], ring[1], (mid[0], ring[1][1]), mid, (ring[2][0], mid[1]), ring[3])
-            parcel = Parcel(1, ring, (), "x", 1)
+            parcel = Parcel(1, ring, (), 1)
         index = SpatialIndex([parcel])
         evals = []
         real = parcels_mod.point_polygon_distance_m
@@ -351,9 +351,9 @@ class TestContainmentProbe:
         # haversine bound and the polygon distance both round to 0 m; the
         # scan then picks parcel 1 over the containing parcel 2
         outside = Parcel(1, ((0.4, 1e-200), (0.4, 0.001), (0.6, 0.001), (0.6, 1e-200)),
-                         (), "x", 3)
+                         (), 3)
         containing = Parcel(2, ((0.4, -0.001), (0.4, 0.001), (0.6, 0.001), (0.6, -0.001)),
-                            (), "x", 5)
+                            (), 5)
         hit = assert_join_matches_scan(0.5, 0.0, [outside, containing])
         assert hit == NearestHit(1, 3, 0.0)
 
@@ -369,7 +369,7 @@ def probe_world():
     for pid, (r, c) in zip(ids, cells):
         holes = (grid_ring(r + 0.25, c + 0.25, r + 0.75, c + 0.75),) if (r, c) == (2, 2) else ()
         parcels.append(grid_parcel(pid, r, c, code=pid % 12 + 1, holes=holes))
-    parcels.append(Parcel(len(cells) + 1, grid_ring(3, 3, 5, 5), (), "x", 4))
+    parcels.append(Parcel(len(cells) + 1, grid_ring(3, 3, 5, 5), (), 4))
     return parcels
 
 
@@ -413,9 +413,9 @@ def mixed_world():
     huge = square_ring(51.5, -0.147, 10_000.0)
     ids = list(range(1, len(rings) + 3))
     rng.shuffle(ids)
-    parcels = [Parcel(pid, ring, (), "x", pid % 12 + 1) for pid, ring in zip(ids, rings)]
-    parcels.append(Parcel(ids[-2], park, (), "Recreation", 10))
-    parcels.append(Parcel(ids[-1], huge, (rect(51.45, -0.2, 51.55, -0.1),), "Others", 12))
+    parcels = [Parcel(pid, ring, (), pid % 12 + 1) for pid, ring in zip(ids, rings)]
+    parcels.append(Parcel(ids[-2], park, (), 10))
+    parcels.append(Parcel(ids[-1], huge, (rect(51.45, -0.2, 51.55, -0.1),), 12))
     return parcels
 
 
@@ -459,9 +459,9 @@ class TestGrid:
         # zero-height bboxes make the median cell height 0; a coordinate of
         # 1e308 or NaN has no cell at all
         flat = [Parcel(i, tuple((51.5, 0.001 * i + step) for step in (0.0, 0.0005, 0.001)),
-                       (), "x", 1) for i in range(1, 4)]
-        far = Parcel(4, rect(51.5, 1e308, 51.6, 1.5e308), (), "x", 2)
-        nan = Parcel(5, rect(math.nan, 0.0, 51.6, 0.1), (), "x", 3)
+                       (), 1) for i in range(1, 4)]
+        far = Parcel(4, rect(51.5, 1e308, 51.6, 1.5e308), (), 2)
+        nan = Parcel(5, rect(math.nan, 0.0, 51.6, 0.1), (), 3)
         parcels = flat + [far, nan]
         index = SpatialIndex(parcels)
         assert index.oversize == [far, nan]

@@ -1,3 +1,4 @@
+import csv
 import gc
 import json
 import os
@@ -11,6 +12,7 @@ import motifmine
 from motifmine import ingest as ing
 from motifmine import synth
 from motifmine.cli import main
+from motifmine.parcels import OTHERS_CODE, ActivityScheme, read_parcels
 from motifmine.pipeline import (
     STAGE_LEVELS,
     RunConfig,
@@ -20,10 +22,11 @@ from motifmine.pipeline import (
     make_config,
     pseudonymize,
     run,
-    write_atomic,
+    write_json,
 )
 
 from conftest import geojson_polygon_feature, square_ring, strict_json_loads, write_geojson
+from oracles import iso_timestamp, nearest_parcel_scan
 
 
 @pytest.fixture(scope="module")
@@ -518,8 +521,128 @@ class TestCli:
 
 
 def test_write_atomic_replaces_not_truncates(tmp_path):
-    target = tmp_path / "file.txt"
-    write_atomic(target, "first")
-    write_atomic(target, "second")
-    assert target.read_text() == "second"
+    target = tmp_path / "file.json"
+    write_json(target, {"run": 1})
+    write_json(target, {"run": 2})
+    assert target.read_text() == '{\n  "run": 2\n}\n'
+    # a writer that fails midway leaves the previous file and no temporary
+    with pytest.raises(TypeError):
+        write_json(target, {"a": 1, "b": object()})
+    assert target.read_text() == '{\n  "run": 2\n}\n'
     assert list(tmp_path.iterdir()) == [target]
+
+
+def world_args(world, out_dir):
+    paths = world["paths"]
+    return ["--records", str(paths["records"]), "--parcels", str(paths["parcels"]),
+            "--boundary", str(paths["boundary"]), "--scheme", str(paths["scheme"]),
+            "--out", str(out_dir)]
+
+
+class TestDelimiter:
+    def test_tab_in_a_config_file_reads_like_the_flag(self, world, tmp_path):
+        tsv = tmp_path / "records.tsv"
+        text = Path(world["paths"]["records"]).read_text(encoding="utf-8")
+        assert "\t" not in text
+        tsv.write_text(text.replace(",", "\t"), encoding="utf-8")
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("delimiter = tab\n")
+        args = world_args(world, tmp_path / "flag")
+        args[1] = str(tsv)
+        assert main(["mine", "--delimiter", "tab", *args]) == 0
+        args[-1] = str(tmp_path / "file")
+        assert main(["mine", "--config", str(cfg_file), *args]) == 0
+        flag, file = output_bytes(tmp_path / "flag"), output_bytes(tmp_path / "file")
+        assert flag == file
+        assert strict_json_loads(flag["manifest.json"])["parse"]["records"] > 0
+
+    # a raw tab is stripped with the rest of the value's whitespace
+    @pytest.mark.parametrize("value", [";;", "\t", ""])
+    def test_a_value_that_is_not_one_character_exits_2(self, world, tmp_path, capsys, value):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"delimiter = {value}\n")
+        out_dir = tmp_path / "out"
+        assert main(["mine", "--config", str(cfg_file), *world_args(world, out_dir)]) == 2
+        assert "delimiter" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+
+class TestBadPaths:
+    @pytest.fixture
+    def no_parse(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("records parsed before the paths were checked")
+        monkeypatch.setattr(ing, "parse_records_path", fail)
+
+    @pytest.mark.parametrize("flag", ["--records", "--parcels", "--scheme", "--boundary",
+                                      "--zones", "--blocklist", "--config"])
+    def test_a_directory_as_input_exits_2(self, world, tmp_path, capsys, no_parse, flag):
+        out_dir = tmp_path / "out"
+        args = world_args(world, out_dir)
+        if flag in args:
+            args[args.index(flag) + 1] = str(tmp_path)
+        else:
+            args += [flag, str(tmp_path)]
+        assert main(["all", *args]) == 2
+        err = capsys.readouterr().err
+        assert flag in err and str(tmp_path) in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("below", [False, True])
+    def test_an_out_that_names_a_file_exits_2(self, world, tmp_path, capsys, no_parse, below):
+        target = tmp_path / "taken"
+        target.write_text("keep")
+        out_dir = target / "out" if below else target
+        assert main(["all", *world_args(world, out_dir)]) == 2
+        assert "--out" in capsys.readouterr().err
+        assert target.read_text() == "keep"
+
+
+def test_a_line_that_is_not_utf8_is_one_malformed_line(world, tmp_path):
+    lines = Path(world["paths"]["records"]).read_bytes().splitlines(keepends=True)
+    bad = tmp_path / "records.csv"
+    bad.write_bytes(b"".join(lines[:5] + [lines[5].rstrip(b"\n") + b"\xe9\n"] + lines[5:]))
+    clean = output_bytes(run(world_config(world, tmp_path / "clean"), "all")["paths"]["manifest"]
+                         .parent)
+    cfg = world_config(world, tmp_path / "bad")
+    cfg.records = str(bad)
+    dirty = output_bytes(run(cfg, "all")["paths"]["manifest"].parent)
+    clean_manifest = strict_json_loads(clean.pop("manifest.json"))
+    dirty_manifest = strict_json_loads(dirty.pop("manifest.json"))
+    assert dirty == clean
+    clean_manifest["parse"]["lines"] += 1
+    clean_manifest["parse"]["malformed"] += 1
+    assert dirty_manifest == clean_manifest
+
+
+def test_annotation_dump_rows_match_the_oracles(tmp_path):
+    """Each dumped row is its filtered record, joined by the linear scan and
+    shifted by the UTC offset; the bytes do not depend on the worker count."""
+    cfg = synth.SynthConfig(num_users=4, days=3, grid_side=24, seed=5,
+                            templates=(synth.TemplateSpec(("H", "W", "Sh", "H"), 1.0, 0.3),),
+                            bots=synth.BotSpec(stationary=1))
+    world = synth.generate(cfg, tmp_path / "world")
+    offset = -330
+    dumps = {}
+    for workers in (1, 2):
+        run_cfg = world_config(world, tmp_path / f"w{workers}", utc_offset_minutes=offset,
+                               dump_annotations=True, workers=workers)
+        dumps[workers] = run(run_cfg, "annotate")["paths"]["annotations"].read_bytes()
+    assert dumps[1] == dumps[2]
+
+    parcels, _ = read_parcels(world["paths"]["parcels"],
+                              ActivityScheme.from_file(world["paths"]["scheme"]))
+    with open(tmp_path / "w1" / "filtered_records.csv", encoding="utf-8", newline="") as fh:
+        records = list(csv.DictReader(fh))
+    rows = list(csv.DictReader(dumps[1].decode("utf-8").splitlines()))
+    assert len(rows) == len(records) > 0
+    assert len({r["user_id"] for r in rows}) == 5  # the residents and the broadcaster
+    for rec, row in zip(records, rows):
+        assert (row["user_id"], row["lat"], row["lon"]) == (rec["user_id"], rec["lat"], rec["lon"])
+        ts = ing.parse_timestamp(rec["timestamp"])
+        assert row["ts_utc"] == iso_timestamp(ts)
+        assert row["local_ts"] == iso_timestamp(ts + offset * 60, zone="")
+        hit = nearest_parcel_scan(float(row["lat"]), float(row["lon"]), parcels,
+                                  run_cfg.radius_m)
+        want = ("", OTHERS_CODE) if hit is None else (str(hit.parcel_id), hit.activity_code)
+        assert (row["parcel_id"], int(row["activity_code"])) == want

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from motifmine import shape
 from motifmine.annotate import UserDay
-from motifmine.motifs import visit_keys
+from motifmine.motifs import parcel_key
 from motifmine.shape import (
     DayMetrics,
     DegenerateTrajectory,
@@ -29,7 +29,7 @@ from motifmine.shape import (
 from motifmine.pipeline import write_json
 
 from conftest import apoint, strict_json_loads
-from oracles import gaussian_cell_mass
+from oracles import collapse_label_sequence, gaussian_cell_mass
 
 M_PER_DEG = 6_371_000.0 * math.pi / 180.0  # oracle projection scale
 
@@ -217,26 +217,31 @@ def make_day(latlon_parcels):
         apoint(ts=i * 60, lat=lat, lon=lon, parcel=pid, code=1, local=i * 60)
         for i, (lat, lon, pid) in enumerate(latlon_parcels)
     ]
-    return UserDay("u1", date(2014, 6, 2), pts, slot_count=48)
+    return UserDay(date(2014, 6, 2), pts, slot_count=48)
+
+
+def day_visits(day):
+    """The parcel key of each visit: consecutive points on one key are one visit."""
+    return collapse_label_sequence([parcel_key(p) for p in day.points])
 
 
 class TestGyradiusFromHome:
     def test_all_visits_at_home(self):
         day = make_day([(41.9, -87.6, 1), (41.9, -87.6, 1)])
-        assert gyradius_from_home(visit_keys(day.points), day_anchors(day), (41.9, -87.6)) == 0.0
+        assert gyradius_from_home(day_visits(day), day_anchors(day), (41.9, -87.6)) == 0.0
 
     def test_home_and_two_km_away(self):
         lat2 = 41.9 + 2000.0 / M_PER_DEG
         day = make_day([(41.9, -87.6, 1), (lat2, -87.6, 2)])
-        rms = gyradius_from_home(visit_keys(day.points), day_anchors(day), (41.9, -87.6))
+        rms = gyradius_from_home(day_visits(day), day_anchors(day), (41.9, -87.6))
         assert rms == pytest.approx(math.sqrt(2.0), abs=2e-3)  # sqrt((0 + 4)/2)
 
     def test_burstiness_does_not_weight_visits(self):
         lat2 = 41.9 + 2000.0 / M_PER_DEG
         single = make_day([(41.9, -87.6, 1), (lat2, -87.6, 2)])
         bursty = make_day([(41.9, -87.6, 1)] + [(lat2, -87.6, 2)] * 10)
-        a = gyradius_from_home(visit_keys(single.points), day_anchors(single), (41.9, -87.6))
-        b = gyradius_from_home(visit_keys(bursty.points), day_anchors(bursty), (41.9, -87.6))
+        a = gyradius_from_home(day_visits(single), day_anchors(single), (41.9, -87.6))
+        b = gyradius_from_home(day_visits(bursty), day_anchors(bursty), (41.9, -87.6))
         assert a == pytest.approx(b, abs=1e-9)
 
 
@@ -244,7 +249,7 @@ class TestDistanceStats:
     def test_single_day_pendulum(self):
         lat2 = 41.9 + 5000.0 / M_PER_DEG
         day = make_day([(41.9, -87.6, 1), (lat2, -87.6, 2), (41.9, -87.6, 1)])
-        trips = day_trips_km(visit_keys(day.points), day_anchors(day))
+        trips = day_trips_km(day_visits(day), day_anchors(day))
         assert len(trips) == 2
         assert trips[0] == pytest.approx(5.0, abs=5e-3)
         dm = DayMetrics(2, 2, "W", len(trips), sum(trips), 0.0)
