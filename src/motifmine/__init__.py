@@ -1,7 +1,6 @@
 """motifmine: daily mobility motif mining from geo-located point records."""
 
 from .annotate import (
-    ActiveLocation,
     AnnotatedPoint,
     HomeAssignment,
     UserDay,

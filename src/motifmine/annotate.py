@@ -32,13 +32,6 @@ class AnnotatedPoint:
 
 
 @dataclass(slots=True)
-class ActiveLocation:
-    parcel_id: int
-    tweet_count: int
-    rank: int
-
-
-@dataclass(slots=True)
 class HomeAssignment:
     home_parcel_id: int | None
     rule_used: str  # night_mode | top_residential | unknown
@@ -91,7 +84,8 @@ def stationary_bot_filter(history) -> bool:
 
 
 def active_locations(history) -> list:
-    """Parcels visited strictly more often than the user's per-parcel mean.
+    """Ids of the parcels visited strictly more often than the user's
+    per-parcel mean, in rank order.
 
     Unanchored points (no parcel within the radius) carry no location
     identity and are excluded from the counting. Ranking is by descending
@@ -105,11 +99,8 @@ def active_locations(history) -> list:
     if not counts:
         return []
     mean = sum(counts.values()) / len(counts)
-    ranked = sorted(
-        ((pid, n) for pid, n in counts.items() if n > mean),
-        key=lambda kv: (-kv[1], kv[0]),
-    )
-    return [ActiveLocation(pid, n, rank) for rank, (pid, n) in enumerate(ranked, start=1)]
+    return sorted((pid for pid, n in counts.items() if n > mean),
+                  key=lambda pid: (-counts[pid], pid))
 
 
 def _in_night_window(local_ts: int, night_start_hour: int, night_end_hour: int) -> bool:
@@ -140,10 +131,9 @@ def infer_home(history, actives, night_start_hour: int = 21, night_end_hour: int
             key=lambda kv: (-kv[1], -total_counts[kv[0]], kv[0]),
         )
         return HomeAssignment(best[0], "night_mode")
-    residential = {pid for pid in total_counts}
-    for loc in actives:  # actives are already rank-ordered
-        if loc.parcel_id in residential:
-            return HomeAssignment(loc.parcel_id, "top_residential")
+    for pid in actives:  # rank-ordered; total_counts holds the residential parcels
+        if pid in total_counts:
+            return HomeAssignment(pid, "top_residential")
     return HomeAssignment(None, "unknown")
 
 

@@ -325,7 +325,7 @@ class UserOutcome:
     rejected_no_home: int = 0
     days: list = field(default_factory=list)  # DayOutcome
     home_anchor: tuple | None = None
-    normalized: object = None  # (n, 2) array of aligned coordinates
+    normalized: list | None = None  # (x, y) pairs of aligned coordinates
     align_skip: str | None = None
 
 
@@ -620,7 +620,7 @@ def write_density_csv(path, density: shp.ReferenceFrameDensity):
     centers = density.centers()
     mass = density.mass()
     rows = (
-        (f"{centers[i]:.6f}", f"{centers[j]:.6f}", f"{mass[i, j]:.10g}")
+        (f"{centers[i]:.6f}", f"{centers[j]:.6f}", f"{mass[i][j]:.10g}")
         for i in range(density.bins) for j in range(density.bins)
     )
     _write_csv(path, ("bin_x_center", "bin_y_center", "mass"), rows)

@@ -2,22 +2,23 @@
 
 Each user's location history is projected to meters about its center of
 mass, rotated so the principal axis of the second-moment (gyration)
-tensor points due west, and scaled by the per-axis standard deviations.
-Pooled normalized points form a binned density over the shared intrinsic
-reference frame. Distance statistics aggregate trip lengths, daily
+tensor points due west, and scaled by the per-axis standard deviations;
+the axis comes from the 2x2 tensor in closed form. Pooled normalized
+points form a binned density over the shared intrinsic reference frame,
+held in nested lists. Distance statistics aggregate trip lengths, daily
 totals, and the gyradius about home over motif groups. A day's distances
 read the visit sequence its network holds, each visit placed at its
 parcel's per-day anchor; `day_metrics` condenses one day for the pipeline
 and the synthetic ground truth alike. The zone correlation's two-sided
 p-value is a Student-t tail written as a regularized incomplete beta and
-evaluated with `math` alone, so no run imports scipy.
+evaluated with `math` alone. The module needs only the standard library,
+so a run imports no third-party package.
 """
 
 import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass
-
-import numpy as np
 
 from .annotate import UserDay
 from .geo import METERS_PER_DEGREE, haversine_m
@@ -36,126 +37,140 @@ class DegenerateTrajectory(ValueError):
 
 @dataclass(slots=True)
 class AlignedTrajectory:
-    points: np.ndarray  # (n, 2) sigma-normalized coordinates
+    points: list  # (x, y) sigma-normalized coordinates, one pair per input point
     sigma_x: float
     sigma_y: float
     axis: tuple  # oriented principal axis in the local east/north frame
 
 
-def gyration_tensor(xy: np.ndarray) -> np.ndarray:
-    """Second-moment matrix [[Sxx, Sxy], [Sxy, Syy]] / n of centered coords."""
-    x = xy[:, 0]
-    y = xy[:, 1]
-    n = len(xy)
-    return np.array(
-        [
-            [np.dot(x, x) / n, np.dot(x, y) / n],
-            [np.dot(x, y) / n, np.dot(y, y) / n],
-        ]
-    )
-
-
-def tensor_eigen(tensor: np.ndarray):
-    """Eigenvalues (descending) and matching unit eigenvectors as columns."""
-    evals, evecs = np.linalg.eigh(tensor)
-    order = np.argsort(evals)[::-1]
-    return evals[order], evecs[:, order]
-
-
-def _project_local(latlon: np.ndarray):
-    lat0 = float(latlon[:, 0].mean())
-    lon0 = float(latlon[:, 1].mean())
-    coslat = math.cos(math.radians(lat0))
-    x = (latlon[:, 1] - lon0) * METERS_PER_DEGREE * coslat
-    y = (latlon[:, 0] - lat0) * METERS_PER_DEGREE
-    return x - x.mean(), y - y.mean(), (lat0, lon0, coslat, float(x.mean()), float(y.mean()))
+def _principal_axis(sxx: float, sxy: float, syy: float) -> tuple:
+    """Unit eigenvector of the larger eigenvalue of [[sxx, sxy], [sxy, syy]],
+    from whichever closed form keeps its larger component free of
+    cancellation. An isotropic tensor gives (0, 1)."""
+    r = math.hypot((sxx - syy) / 2.0, sxy)
+    if r == 0.0:
+        return 0.0, 1.0
+    if sxx >= syy:
+        vx, vy = (sxx - syy) / 2.0 + r, sxy
+    else:
+        vx, vy = sxy, (syy - sxx) / 2.0 + r
+    norm = math.hypot(vx, vy)
+    return vx / norm, vy / norm
 
 
 def align_trajectory(latlon_points, home=None) -> AlignedTrajectory:
-    """Normalize a trajectory into the intrinsic reference frame.
+    """Normalize a trajectory, a sequence of (lat, lon) pairs, into the
+    intrinsic reference frame.
 
-    Points are centered on the trajectory's center of mass, the principal
-    axis (largest-eigenvalue eigenvector of the gyration tensor) is
-    oriented so the most distant point projects negative (ties resolved
-    toward the home location projecting negative when given), everything
-    is rotated so that axis lies along -x, and coordinates are divided by
-    the per-axis standard deviations.
+    Points are projected to local meters about their center of mass, the
+    principal axis (largest-eigenvalue eigenvector of the gyration tensor)
+    is oriented so the point of largest |projection| projects negative (on
+    a tie between the two ends, the home location when given, else the
+    first point at either end), everything is rotated so that axis lies
+    along -x, and coordinates are divided by the per-axis standard
+    deviations.
 
     Raises DegenerateTrajectory for fewer than three points, identical
-    points, or collinear input (sigma_y = 0).
+    points, or collinear input (sigma_y < 1e-9 m).
     """
-    latlon = np.asarray(latlon_points, dtype=float).reshape(-1, 2)
-    if len(latlon) < 3:
+    pts = latlon_points
+    n = len(pts)
+    if n < 3:
         raise DegenerateTrajectory("too_few")
-    x, y, frame = _project_local(latlon)
-    if float(np.max(np.abs(x))) == 0.0 and float(np.max(np.abs(y))) == 0.0:
+    lat_r, lon_r = pts[0]
+    if all(lat == lat_r and lon == lon_r for lat, lon in pts):
         raise DegenerateTrajectory("identical")
 
-    evals, evecs = tensor_eigen(gyration_tensor(np.column_stack([x, y])))
-    ax, ay = float(evecs[0, 0]), float(evecs[1, 0])
-    proj = x * ax + y * ay
+    # Offsets from the first point keep the second moments free of cancellation.
+    su = sv = suu = svv = suv = 0.0
+    for lat, lon in pts:
+        u = lon - lon_r
+        v = lat - lat_r
+        su += u
+        sv += v
+        suu += u * u
+        svv += v * v
+        suv += u * v
+    mu, mv = su / n, sv / n
+    kx = METERS_PER_DEGREE * math.cos(math.radians(lat_r + mv))
+    ky = METERS_PER_DEGREE
+    ax, ay = _principal_axis((suu / n - mu * mu) * kx * kx, (suv / n - mu * mv) * kx * ky,
+                             (svv / n - mv * mv) * ky * ky)
 
-    pmax = float(proj.max())
-    pmin = float(proj.min())
-    flip = False
-    if home is not None and pmax == -pmin:
-        lat0, lon0, coslat, mx, my = frame
-        hx = (home[1] - lon0) * METERS_PER_DEGREE * coslat - mx
-        hy = (home[0] - lat0) * METERS_PER_DEGREE - my
-        hproj = hx * ax + hy * ay
-        flip = hproj > 0.0
-    else:
-        flip = proj[int(np.argmax(np.abs(proj)))] > 0.0
-    if flip:
-        ax, ay = -ax, -ay
-
-    xr = -(ax * x + ay * y)
-    yr = ay * x - ax * y
-    sigma_x = float(xr.std())
-    sigma_y = float(yr.std())
+    # Projections along (p) and across (q) the axis are centered, so their
+    # RMS are the spreads.
+    pu, pv, qu, qv = kx * ax, ky * ay, kx * ay, -ky * ax
+    spp = sqq = 0.0
+    pmax, pmin = -math.inf, math.inf
+    imax = imin = 0
+    for i, (lat, lon) in enumerate(pts):
+        u = lon - lon_r - mu
+        v = lat - lat_r - mv
+        p = u * pu + v * pv
+        q = u * qu + v * qv
+        spp += p * p
+        sqq += q * q
+        if p > pmax:
+            pmax, imax = p, i
+        if p < pmin:
+            pmin, imin = p, i
+    sigma_x = math.sqrt(spp / n)
+    sigma_y = math.sqrt(sqq / n)
     if sigma_y < 1e-9:
         raise DegenerateTrajectory("collinear")
-    normalized = np.column_stack([xr / sigma_x, yr / sigma_y])
-    return AlignedTrajectory(normalized, sigma_x, sigma_y, (ax, ay))
+
+    if pmax != -pmin:
+        flip = pmax > -pmin
+    elif home is not None:
+        flip = (home[1] - lon_r - mu) * pu + (home[0] - lat_r - mv) * pv > 0.0
+    else:
+        flip = imax < imin and pmax > 0.0
+    if flip:
+        ax, ay = -ax, -ay
+    # the rotated point is (-p, q) with the oriented axis, over the spreads
+    xu, xv = -kx * ax / sigma_x, -ky * ay / sigma_x
+    yu, yv = kx * ay / sigma_y, -ky * ax / sigma_y
+    out = [((lon - lon_r - mu) * xu + (lat - lat_r - mv) * xv,
+            (lon - lon_r - mu) * yu + (lat - lat_r - mv) * yv) for lat, lon in pts]
+    return AlignedTrajectory(out, sigma_x, sigma_y, (ax, ay))
 
 
 @dataclass(slots=True)
 class ReferenceFrameDensity:
-    """Binned point counts over the normalized frame.
+    """Binned point counts over the normalized frame, counts[x_bin][y_bin].
 
-    Counts are kept as integers so mass bookkeeping is exact:
-    counts.sum() == in_range and in_range + out_range == total.
+    Counts are integers, so the mass bookkeeping is exact:
+    sum(map(sum, counts)) == in_range and in_range + out_range == total.
     """
 
     bins: int
     bound: float
-    counts: np.ndarray  # (bins, bins) int64, [x_bin, y_bin]
+    counts: list  # bins lists of bins ints
     in_range: int
     out_range: int
-    user_mass: np.ndarray | None = None  # the mass when each user weighs the same
+    user_mass: list | None = None  # the mass when each user weighs the same
 
     @property
     def total(self) -> int:
         return self.in_range + self.out_range
 
-    def mass(self) -> np.ndarray:
+    def mass(self) -> list:
         if self.user_mass is not None:
             return self.user_mass
-        if self.total == 0:
-            return np.zeros_like(self.counts, dtype=float)
-        return self.counts / self.total
+        total = self.total
+        return [[c / total if total else 0.0 for c in row] for row in self.counts]
 
     def out_of_range_mass(self) -> float:
         return self.out_range / self.total if self.total else 0.0
 
-    def centers(self) -> np.ndarray:
+    def centers(self) -> list:
         cell = 2.0 * self.bound / self.bins
-        return -self.bound + cell * (np.arange(self.bins) + 0.5)
+        return [-self.bound + cell * (k + 0.5) for k in range(self.bins)]
 
 
 def density_histogram(streams, bins: int = 80, bound: float = 4.0,
                       weight: str = "point") -> ReferenceFrameDensity:
-    """Pool normalized point arrays into one 2-D histogram.
+    """Pool streams of normalized (x, y) points into one 2-D histogram.
 
     Cells are half-open (lower edge inclusive); points at or beyond +bound
     fall out of range and only lower the total mass inside the grid. With
@@ -165,36 +180,29 @@ def density_histogram(streams, bins: int = 80, bound: float = 4.0,
     if weight not in DENSITY_WEIGHTS:
         raise ValueError(f"weight must be one of {', '.join(DENSITY_WEIGHTS)}, not {weight!r}")
     cell = 2.0 * bound / bins
-    counts = np.zeros((bins, bins), dtype=np.int64)
-    user_mass = np.zeros((bins, bins), dtype=float) if weight == "user" else None
+    clip = [*range(bins), bins - 1]  # a coordinate just below +bound can round to `bins`
+    floor = math.floor
+    counts = [[0] * bins for _ in range(bins)]
+    user_mass = [[0.0] * bins for _ in range(bins)] if weight == "user" else None
     users = 0
     in_range = 0
     total = 0
-    for arr in streams:
-        arr = np.asarray(arr, dtype=float).reshape(-1, 2)
-        total += len(arr)
-        if not len(arr):
-            continue
-        x = arr[:, 0]
-        y = arr[:, 1]
-        mask = (x >= -bound) & (x < bound) & (y >= -bound) & (y < bound)
-        xs = x[mask]
-        ys = y[mask]
-        in_range += int(mask.sum())
-        ix = np.clip(np.floor((xs + bound) / cell).astype(np.int64), 0, bins - 1)
-        iy = np.clip(np.floor((ys + bound) / cell).astype(np.int64), 0, bins - 1)
-        if user_mass is None:
-            np.add.at(counts, (ix, iy), 1)
-        else:
-            grid = np.zeros((bins, bins), dtype=np.int64)
-            np.add.at(grid, (ix, iy), 1)
-            counts += grid
-            user_mass += grid / len(arr)
-            users += 1
+    for points in streams:
+        n = len(points)
+        total += n
+        hits = Counter([clip[floor((x + bound) / cell)] * bins + clip[floor((y + bound) / cell)]
+                        for x, y in points if -bound <= x < bound and -bound <= y < bound])
+        for key, k in hits.items():
+            i, j = divmod(key, bins)
+            counts[i][j] += k
+            in_range += k
+            if user_mass is not None:
+                user_mass[i][j] += k / n
+        users += n > 0
     if in_range == 0:
         warnings.warn("density_histogram: no points fell inside the grid", stacklevel=2)
-    if users:
-        user_mass /= users
+    if user_mass is not None and users:
+        user_mass = [[m / users for m in row] for row in user_mass]
     return ReferenceFrameDensity(bins, bound, counts, in_range, total - in_range, user_mass)
 
 

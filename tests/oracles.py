@@ -6,7 +6,9 @@ refinement-based isomorphism matcher, closed-walk enumeration over a small
 node budget, label-sequence collapsing, walk-to-network construction,
 analytic Gaussian cell integrals, and the all-pairs ring check and
 two-pass GeoJSON polygon reader that `geo` replaced, timestamps formatted
-through `datetime.isoformat`, and a brute-force prefilter. The exceptions
+through `datetime.isoformat`, a brute-force prefilter, and the numpy
+trajectory alignment (`np.linalg.eigh` of the gyration tensor) and density
+histogram (`np.add.at`) that `shape` replaced with the standard library. The exceptions
 are the linear parcel scan, which reuses the package's point-to-polygon
 distance and hit type, because what it checks is the grid search and its
 pruning, not the distance, and the prefilter, which reuses the package's
@@ -17,6 +19,8 @@ Production code is checked against these, never the reverse.
 import itertools
 import math
 from datetime import datetime, timedelta
+
+import numpy as np
 
 from motifmine.geo import point_in_ring, point_polygon_distance_m
 from motifmine.parcels import DEFAULT_RADIUS_M, NearestHit
@@ -419,3 +423,99 @@ def geojson_polygon_two_pass(geometry):
     if ring_self_intersects_all_pairs(converted[0]):
         return None
     return converted[0], tuple(converted[1:])
+
+
+M_PER_DEG = 6_371_000.0 * math.pi / 180.0
+
+
+class OracleDegenerate(ValueError):
+    """A trajectory the numpy alignment cannot normalize, and why."""
+
+    def __init__(self, reason: str):
+        super().__init__(reason)
+        self.reason = reason
+
+
+def gyration_tensor(xy: np.ndarray) -> np.ndarray:
+    """Second-moment matrix [[Sxx, Sxy], [Sxy, Syy]] / n of centered coords."""
+    x = xy[:, 0]
+    y = xy[:, 1]
+    n = len(xy)
+    return np.array([[np.dot(x, x) / n, np.dot(x, y) / n],
+                     [np.dot(x, y) / n, np.dot(y, y) / n]])
+
+
+def tensor_eigen(tensor: np.ndarray):
+    """Eigenvalues (descending) and matching unit eigenvectors as columns."""
+    evals, evecs = np.linalg.eigh(tensor)
+    order = np.argsort(evals)[::-1]
+    return evals[order], evecs[:, order]
+
+
+def align_trajectory_numpy(latlon_points, home=None):
+    """`shape.align_trajectory` with numpy: (points as an (n, 2) array,
+    sigma_x, sigma_y, axis). Identical points are told from the input
+    coordinates, as the package does."""
+    latlon = np.asarray(latlon_points, dtype=float).reshape(-1, 2)
+    if len(latlon) < 3:
+        raise OracleDegenerate("too_few")
+    if np.all(latlon == latlon[0]):
+        raise OracleDegenerate("identical")
+    lat0 = float(latlon[:, 0].mean())
+    lon0 = float(latlon[:, 1].mean())
+    coslat = math.cos(math.radians(lat0))
+    x = (latlon[:, 1] - lon0) * M_PER_DEG * coslat
+    y = (latlon[:, 0] - lat0) * M_PER_DEG
+    mx, my = float(x.mean()), float(y.mean())
+    x, y = x - mx, y - my
+
+    _, evecs = tensor_eigen(gyration_tensor(np.column_stack([x, y])))
+    ax, ay = float(evecs[0, 0]), float(evecs[1, 0])
+    proj = x * ax + y * ay
+    pmax = float(proj.max())
+    pmin = float(proj.min())
+    if home is not None and pmax == -pmin:
+        hx = (home[1] - lon0) * M_PER_DEG * coslat - mx
+        hy = (home[0] - lat0) * M_PER_DEG - my
+        flip = hx * ax + hy * ay > 0.0
+    else:
+        flip = proj[int(np.argmax(np.abs(proj)))] > 0.0
+    if flip:
+        ax, ay = -ax, -ay
+
+    xr = -(ax * x + ay * y)
+    yr = ay * x - ax * y
+    sigma_x = float(xr.std())
+    sigma_y = float(yr.std())
+    if sigma_y < 1e-9:
+        raise OracleDegenerate("collinear")
+    return np.column_stack([xr / sigma_x, yr / sigma_y]), sigma_x, sigma_y, (ax, ay)
+
+
+def density_histogram_numpy(streams, bins: int, bound: float, weight: str = "point"):
+    """`shape.density_histogram` with numpy: (counts, in_range, out_range,
+    mass), counts and mass as (bins, bins) arrays indexed [x_bin, y_bin]."""
+    cell = 2.0 * bound / bins
+    counts = np.zeros((bins, bins), dtype=np.int64)
+    user_mass = np.zeros((bins, bins), dtype=float)
+    users = in_range = total = 0
+    for arr in streams:
+        arr = np.asarray(arr, dtype=float).reshape(-1, 2)
+        total += len(arr)
+        if not len(arr):
+            continue
+        x, y = arr[:, 0], arr[:, 1]
+        mask = (x >= -bound) & (x < bound) & (y >= -bound) & (y < bound)
+        in_range += int(mask.sum())
+        ix = np.clip(np.floor((x[mask] + bound) / cell).astype(np.int64), 0, bins - 1)
+        iy = np.clip(np.floor((y[mask] + bound) / cell).astype(np.int64), 0, bins - 1)
+        grid = np.zeros((bins, bins), dtype=np.int64)
+        np.add.at(grid, (ix, iy), 1)
+        counts += grid
+        user_mass += grid / len(arr)
+        users += 1
+    if weight == "user":
+        mass = user_mass / users if users else user_mass
+    else:
+        mass = counts / total if total else np.zeros((bins, bins))
+    return counts, in_range, total - in_range, mass

@@ -313,10 +313,11 @@ def test_criterion_6_shape_analysis():
     rot = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
     base = align_trajectory(latlon_from_xy(xy))
     turned = align_trajectory(latlon_from_xy(xy @ rot.T))
-    assert np.max(np.abs(base.points - turned.points)) < 1e-6
+    base_points = np.asarray(base.points)
+    assert np.max(np.abs(base_points - np.asarray(turned.points))) < 1e-6
 
-    assert base.points[:, 0].var() == pytest.approx(1.0, abs=1e-9)
-    assert base.points[:, 1].var() == pytest.approx(1.0, abs=1e-9)
+    assert base_points[:, 0].var() == pytest.approx(1.0, abs=1e-9)
+    assert base_points[:, 1].var() == pytest.approx(1.0, abs=1e-9)
 
     # 2:1 anisotropic cloud of 10^4 points: principal axis within one degree
     cloud = np.column_stack([rng.normal(0, 2.0, 10_000), rng.normal(0, 1.0, 10_000)])

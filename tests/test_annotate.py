@@ -94,9 +94,9 @@ def history_with_counts(counts, code=6, start_ts=0):
 class TestActiveLocations:
     def test_strictly_above_mean(self):
         # counts {A:10, B:2, C:3}: mean 5, only A qualifies
-        history = history_with_counts({1: 10, 2: 2, 3: 3})
-        active = active_locations(history)
-        assert [(a.parcel_id, a.tweet_count, a.rank) for a in active] == [(1, 10, 1)]
+        assert active_locations(history_with_counts({1: 10, 2: 2, 3: 3})) == [1]
+        # counts {A:6, B:10, C:2, D:2}: mean 5, B then A by count
+        assert active_locations(history_with_counts({1: 6, 2: 10, 3: 2, 4: 2})) == [2, 1]
 
     def test_boundary_mean_excluded(self):
         history = history_with_counts({1: 4, 2: 4})
@@ -105,15 +105,14 @@ class TestActiveLocations:
     def test_tie_breaks_by_parcel_id(self):
         # counts {A:9, B:9, C:3}: mean 7, A and B tie and rank by id
         history = history_with_counts({2: 9, 1: 9, 3: 3})
-        active = active_locations(history)
-        assert [(a.parcel_id, a.rank) for a in active] == [(1, 1), (2, 2)]
+        assert active_locations(history) == [1, 2]
 
     def test_code_12_points_do_not_count(self):
-        history = history_with_counts({1: 2})
+        # counts {A:2, B:1}: mean 1.5; the 50 code-12 points at parcel 9 are not counted
+        history = history_with_counts({1: 2, 2: 1})
         history += [apoint(ts=100 + i, parcel=None, code=12) for i in range(50)]
         history += [apoint(ts=200 + i, parcel=9, code=12) for i in range(50)]
-        active = active_locations(history)
-        assert all(a.parcel_id == 1 for a in active) or active == []
+        assert active_locations(history) == [1]
 
 
 def night_point(parcel, ts, hour=22):
@@ -130,7 +129,7 @@ class TestInferHome:
         # parcel 2 is the top active residential, but parcel 1 has night tweets
         history = [night_point(1, 0)] + history_with_counts({2: 30, 3: 1}, code=1)
         actives = active_locations(history)
-        assert actives and actives[0].parcel_id == 2
+        assert actives == [2]
         home = infer_home(history, actives)
         assert (home.home_parcel_id, home.rule_used) == (1, "night_mode")
 
@@ -140,7 +139,7 @@ class TestInferHome:
             {7: 20, 8: 1}, code=1, start_ts=1000
         )
         actives = active_locations(history)
-        assert [a.parcel_id for a in actives] == [5, 7]
+        assert actives == [5, 7]
         home = infer_home(history, actives)
         assert (home.home_parcel_id, home.rule_used) == (7, "top_residential")
 

@@ -229,7 +229,8 @@ def run_all_with_zones_in_child(world, tmp_path, prelude=""):
     script = (prelude + "import sys\n"
               "from motifmine.cli import main\n"
               f"code = main({argv!r})\n"
-              "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+              "print(code, sorted(m for m in sys.modules\n"
+              "                   if m.split('.')[0] in ('numpy', 'scipy')))\n")
     src = str(Path(motifmine.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
@@ -239,9 +240,20 @@ def run_all_with_zones_in_child(world, tmp_path, prelude=""):
     return proc.stdout.splitlines()[-1], tmp_path / "out" / "correlation.json"
 
 
+def test_import_loads_no_numpy():
+    # the package runs on the standard library: importing numpy would cost
+    # every stage, ingest included, ~0.2 s and ~14 MiB
+    src = str(Path(motifmine.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", "import motifmine, sys; assert 'numpy' not in sys.modules"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_full_run_with_zones_does_not_import_scipy_stats(world, tmp_path):
-    # the correlation p-value is computed with math alone: importing scipy
-    # would cost a fifth of a second and ~14 MiB per run
+    # the correlation p-value is computed with math alone and the alignment
+    # and density with lists: importing scipy or numpy would cost a fifth of
+    # a second and ~14 MiB per run
     last, correlation = run_all_with_zones_in_child(world, tmp_path)
     assert correlation.exists()
     assert last == "0 []"

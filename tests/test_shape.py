@@ -4,7 +4,7 @@ from datetime import date
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from motifmine import shape
@@ -20,18 +20,23 @@ from motifmine.shape import (
     day_trips_km,
     density_histogram,
     distance_stats,
-    gyration_tensor,
     gyradius_from_home,
     pearson_r,
-    tensor_eigen,
 )
 
 from motifmine.pipeline import write_json
 
 from conftest import apoint, strict_json_loads
-from oracles import collapse_label_sequence, gaussian_cell_mass
-
-M_PER_DEG = 6_371_000.0 * math.pi / 180.0  # oracle projection scale
+from oracles import (
+    M_PER_DEG,
+    OracleDegenerate,
+    align_trajectory_numpy,
+    collapse_label_sequence,
+    density_histogram_numpy,
+    gaussian_cell_mass,
+    gyration_tensor,
+    tensor_eigen,
+)
 
 
 def latlon_from_xy(xy, lat0=41.9, lon0=-87.6):
@@ -39,7 +44,11 @@ def latlon_from_xy(xy, lat0=41.9, lon0=-87.6):
     xy = np.asarray(xy, dtype=float)
     lat = lat0 + xy[:, 1] / M_PER_DEG
     lon = lon0 + xy[:, 0] / (M_PER_DEG * math.cos(math.radians(lat0)))
-    return np.column_stack([lat, lon])
+    return [(float(a), float(b)) for a, b in zip(lat, lon)]
+
+
+def cell_sum(grid):
+    return sum(map(sum, grid))
 
 
 class TestAlignTrajectory:
@@ -55,8 +64,9 @@ class TestAlignTrajectory:
         assert err.value.reason == "collinear"
 
     def test_identical_points_degenerate(self):
-        with pytest.raises(DegenerateTrajectory):
+        with pytest.raises(DegenerateTrajectory) as err:
             align_trajectory([(41.9, -87.6)] * 5)
+        assert err.value.reason == "identical"
 
     def test_anisotropic_cloud_recovers_axis_and_unit_variance(self):
         rng = np.random.default_rng(2)
@@ -67,8 +77,9 @@ class TestAlignTrajectory:
         assert abs(ay) < 0.05
         assert ax * ax + ay * ay == pytest.approx(1.0, abs=1e-12)
         # normalized output has exactly unit variance on both axes
-        assert aligned.points[:, 0].var() == pytest.approx(1.0, abs=1e-9)
-        assert aligned.points[:, 1].var() == pytest.approx(1.0, abs=1e-9)
+        points = np.asarray(aligned.points)
+        assert points[:, 0].var() == pytest.approx(1.0, abs=1e-9)
+        assert points[:, 1].var() == pytest.approx(1.0, abs=1e-9)
         assert aligned.sigma_x > aligned.sigma_y
 
     def test_rotation_equivariance(self):
@@ -78,36 +89,176 @@ class TestAlignTrajectory:
         xy -= xy.mean(axis=0)
         theta = math.radians(37.0)
         rot = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
-        base = align_trajectory(latlon_from_xy(xy)).points
-        turned = align_trajectory(latlon_from_xy(xy @ rot.T)).points
+        base = np.asarray(align_trajectory(latlon_from_xy(xy)).points)
+        turned = np.asarray(align_trajectory(latlon_from_xy(xy @ rot.T)).points)
         assert np.max(np.abs(base - turned)) < 1e-6
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(4)
         xy = np.column_stack([rng.normal(0, 300.0, 400), rng.normal(0, 120.0, 400)])
         xy -= xy.mean(axis=0)
-        base = align_trajectory(latlon_from_xy(xy)).points
-        shifted = align_trajectory(latlon_from_xy(xy, lon0=-87.55)).points
+        base = np.asarray(align_trajectory(latlon_from_xy(xy)).points)
+        shifted = np.asarray(align_trajectory(latlon_from_xy(xy, lon0=-87.55)).points)
         assert np.max(np.abs(base - shifted)) < 1e-6
 
     def test_orientation_puts_most_distant_point_at_positive_x(self):
         # one decisive outlier to the east
         xy = [(-50.0, 3.0), (-40.0, -4.0), (0.0, 2.0), (500.0, 0.0), (10.0, -2.0)]
-        aligned = align_trajectory(latlon_from_xy(xy))
-        idx = int(np.argmax(np.abs(aligned.points[:, 0])))
+        points = np.asarray(align_trajectory(latlon_from_xy(xy)).points)
+        idx = int(np.argmax(np.abs(points[:, 0])))
         assert idx == 3
-        assert aligned.points[idx, 0] > 0
+        assert points[idx, 0] > 0
 
     def test_center_of_mass_is_origin(self):
         rng = np.random.default_rng(8)
         xy = rng.normal(0, 50.0, size=(200, 2))
-        aligned = align_trajectory(latlon_from_xy(xy))
+        points = np.asarray(align_trajectory(latlon_from_xy(xy)).points)
         # normalized coordinates are centered
-        assert abs(aligned.points[:, 0].mean()) < 1e-9
-        assert abs(aligned.points[:, 1].mean()) < 1e-9
+        assert abs(points[:, 0].mean()) < 1e-9
+        assert abs(points[:, 1].mean()) < 1e-9
+
+
+LAT = st.floats(-90.0, 90.0, allow_nan=False)
+LON = st.floats(-180.0, 180.0, allow_nan=False)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(LAT, LON, st.integers(3, 39))
+def test_copies_of_one_point_are_identical(lat, lon, n):
+    # the mean of n equal floats need not equal them: the reason is read from
+    # the input coordinates, not from the centered projection
+    with pytest.raises(DegenerateTrajectory) as err:
+        align_trajectory([(lat, lon)] * n)
+    assert err.value.reason == "identical"
+
+
+def aligned_or_reason(align, pts, home=None):
+    try:
+        return align(pts, home)
+    except (DegenerateTrajectory, OracleDegenerate) as exc:
+        return exc.reason
+
+
+def assert_matches_oracle(pts, home=None):
+    """The package's alignment equals the numpy oracle's: the same degenerate
+    reason, or normalized points within 1e-9 and the same oriented axis."""
+    got = aligned_or_reason(align_trajectory, pts, home)
+    want = aligned_or_reason(align_trajectory_numpy, pts, home)
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want
+        return
+    points, sigma_x, sigma_y, axis = want
+    assert len(got.points) == len(points)
+    assert np.max(np.abs(np.asarray(got.points) - points)) < 1e-9
+    assert got.sigma_x == pytest.approx(sigma_x, rel=1e-9)
+    assert got.sigma_y == pytest.approx(sigma_y, rel=1e-9)
+    assert got.axis == pytest.approx(axis, abs=1e-12)
+
+
+def well_conditioned(pts):
+    """The oracle's tensor has distinct eigenvalues and the extreme
+    projections are no near tie, so both implementations round alike."""
+    try:
+        points, sigma_x, sigma_y, _ = align_trajectory_numpy(pts)
+    except OracleDegenerate:
+        return True
+    if sigma_y > 0.99 * sigma_x or sigma_y < 1e-4 * sigma_x:
+        return False
+    proj = points[:, 0] * sigma_x
+    return abs(proj.max() + proj.min()) > 1e-6 * (proj.max() - proj.min())
+
+
+CENTER = st.tuples(st.floats(-60.0, 60.0), st.floats(-179.0, 179.0))
+OFFSET_M = st.floats(-5000.0, 5000.0, allow_nan=False)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(CENTER, st.lists(st.tuples(OFFSET_M, OFFSET_M), min_size=3, max_size=60))
+def test_alignment_matches_numpy_oracle(center, offsets):
+    pts = latlon_from_xy(offsets, *center)
+    assume(well_conditioned(pts))
+    assert_matches_oracle(pts)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.tuples(st.floats(-60.0, 60.0), st.floats(-60.0, 60.0)),
+       st.tuples(st.floats(-0.05, 0.05), st.floats(-0.05, 0.05)),
+       st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=30))
+def test_collinear_points_match_oracle(origin, step, ts):
+    # points on one line in (lat, lon), which is a line in the local frame;
+    # below |coordinate| 60 their rounding leaves them < 1e-9 m off it
+    pts = [(origin[0] + t * step[0], origin[1] + t * step[1]) for t in ts]
+    got = aligned_or_reason(align_trajectory, pts)
+    assert got in ("collinear", "identical")
+    assert got == aligned_or_reason(align_trajectory_numpy, pts)
+
+
+DYADIC = st.integers(-400, 400).map(lambda k: k / 4096.0)  # exact sums and means
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.tuples(st.integers(-960, 960), st.integers(-2800, 2800)),
+       st.lists(st.tuples(DYADIC, DYADIC), min_size=1, max_size=3),
+       st.booleans(), st.sampled_from([None, "first", "last"]))
+def test_exact_ties_match_oracle(center16, pairs, with_center, home_at):
+    # mirrored pairs about a center: the two extreme projections tie exactly
+    # in both implementations, so the home or the first extreme point decides
+    lat0, lon0 = center16[0] / 16.0, center16[1] / 16.0
+    pts = []
+    for dlat, dlon in pairs:
+        pts += [(lat0 + dlat, lon0 + dlon), (lat0 - dlat, lon0 - dlon)]
+    if with_center:
+        pts.append((lat0, lon0))
+    home = {None: None, "first": pts[0], "last": pts[-2]}[home_at]
+    assume(well_conditioned_for_ties(pts, home))
+    assert_matches_oracle(pts, home)
+
+
+def well_conditioned_for_ties(pts, home):
+    try:
+        _, sigma_x, sigma_y, axis = align_trajectory_numpy(pts)
+    except OracleDegenerate:
+        return True
+    if sigma_y > 0.99 * sigma_x:
+        return False
+    if home is None:
+        return True
+    # the home must project off the perpendicular through the center
+    lat0 = sum(p[0] for p in pts) / len(pts)
+    lon0 = sum(p[1] for p in pts) / len(pts)
+    hx = (home[1] - lon0) * math.cos(math.radians(lat0))
+    hy = home[0] - lat0
+    return abs(hx * axis[0] + hy * axis[1]) > 1e-6
+
+
+def test_symmetric_tie_orientation_by_hand():
+    # a cross, longer east-west, mirrored about its center: the projections tie
+    lat0, lon0 = 41.875, -87.625
+    pts = [(lat0, lon0 - 0.015625), (lat0 + 0.0078125, lon0), (lat0, lon0 + 0.015625),
+           (lat0 - 0.0078125, lon0)]
+    # without a home the first point is the most distant one: it lands on +x
+    assert align_trajectory(pts).points[0][0] > 0
+    # with a home, the home's side lands on +x
+    east = align_trajectory(pts, home=(lat0, lon0 + 0.001))
+    assert east.points[2][0] > 0 and east.points[0][0] < 0
+    west = align_trajectory(pts, home=(lat0, lon0 - 0.001))
+    assert west.points[0][0] > 0
+    for home in (None, (lat0, lon0 + 0.001), (lat0, lon0 - 0.001)):
+        assert_matches_oracle(pts, home)
+
+
+def test_isotropic_cross_takes_the_oracle_axis():
+    # on the equator a degree spans the same meters both ways, so the tensor
+    # is exactly isotropic and any axis is a principal one: numpy's eigh picks
+    # north, and so does the package
+    pts = [(0.0, 0.5), (0.5, 0.0), (0.0, -0.5), (-0.5, 0.0)]
+    assert align_trajectory(pts).axis == (-0.0, -1.0)
+    assert_matches_oracle(pts)
 
 
 class TestGyrationTensor:
+    """The numpy oracle's tensor and eigen-decomposition."""
+
     def test_axis_aligned_moments(self):
         xy = np.array([(-2.0, 0.0), (2.0, 0.0), (0.0, -1.0), (0.0, 1.0)])
         t = gyration_tensor(xy)
@@ -131,65 +282,71 @@ class TestGyrationTensor:
             for k in range(2):
                 residual = t @ evecs[:, k] - evals[k] * evecs[:, k]
                 assert np.max(np.abs(residual)) < 1e-10
+            # the package's closed-form axis is the leading eigenvector
+            ax, ay = shape._principal_axis(a, b, c)
+            assert abs(ax * evecs[1, 0] - ay * evecs[0, 0]) < 1e-10
 
     def test_eigen_oracle_diagonal(self):
         evals, evecs = tensor_eigen(np.array([[4.0, 0.0], [0.0, 1.0]]))
         assert list(evals) == [4.0, 1.0]
         assert abs(abs(evecs[0, 0]) - 1.0) < 1e-12
+        assert shape._principal_axis(4.0, 0.0, 1.0) == (1.0, 0.0)
+        assert shape._principal_axis(1.0, 0.0, 4.0) == (0.0, 1.0)
 
 
 class TestDensityHistogram:
     def test_all_mass_at_origin(self):
-        d = density_histogram([np.zeros((100, 2))], bins=80, bound=4.0)
-        assert d.mass()[40, 40] == pytest.approx(1.0)
-        assert d.counts.sum() == 100
+        d = density_histogram([[(0.0, 0.0)] * 100], bins=80, bound=4.0)
+        assert d.mass()[40][40] == pytest.approx(1.0)
+        assert cell_sum(d.counts) == 100
 
     def test_two_equal_clusters(self):
-        pts = np.array([(-1.0, 0.0)] * 50 + [(1.0, 0.0)] * 50)
+        pts = [(-1.0, 0.0)] * 50 + [(1.0, 0.0)] * 50
         d = density_histogram([pts], bins=8, bound=4.0)
-        assert sorted(d.mass().flatten())[-2:] == [pytest.approx(0.5), pytest.approx(0.5)]
+        assert sorted(v for row in d.mass() for v in row)[-2:] == [pytest.approx(0.5),
+                                                                  pytest.approx(0.5)]
 
     def test_mass_conservation_is_exact_in_counts(self):
         rng = np.random.default_rng(9)
-        streams = [rng.normal(0, 2.5, size=(1000, 2)) for _ in range(5)]
+        streams = [rng.normal(0, 2.5, size=(1000, 2)).tolist() for _ in range(5)]
         d = density_histogram(streams, bins=40, bound=3.0)
         assert d.in_range + d.out_range == d.total == 5000
-        assert int(d.counts.sum()) == d.in_range
+        assert cell_sum(d.counts) == d.in_range
         assert d.out_range > 0  # sigma 2.5 against bound 3 spills over
 
     def test_half_open_cells_lower_edge_inclusive(self):
-        d = density_histogram([np.array([[-4.0, 0.0], [4.0, 0.0], [0.0, 4.0]])], bins=8, bound=4.0)
+        d = density_histogram([[(-4.0, 0.0), (4.0, 0.0), (0.0, 4.0)]], bins=8, bound=4.0)
         assert d.in_range == 1  # only the lower edge is inside
-        assert d.counts[0, 4] == 1
+        assert d.counts[0][4] == 1
 
     def test_user_weighting_by_hand(self):
         # bins=2 over [-1, 1): cells split at 0. Stream a has 2 points, stream
         # b has 4 with one out of range; the empty stream carries no weight.
-        a = np.array([[-0.5, -0.5], [0.5, 0.5]])
-        b = np.array([[-0.5, -0.5], [-0.5, -0.5], [0.5, -0.5], [2.0, 0.0]])
-        d = density_histogram([a, b, np.zeros((0, 2))], bins=2, bound=1.0, weight="user")
+        a = [(-0.5, -0.5), (0.5, 0.5)]
+        b = [(-0.5, -0.5), (-0.5, -0.5), (0.5, -0.5), (2.0, 0.0)]
+        d = density_histogram([a, b, []], bins=2, bound=1.0, weight="user")
         # a: 1/2 in (0,0) and (1,1); b: 2/4 in (0,0), 1/4 in (1,0); then averaged
-        assert d.mass().tolist() == [[0.5, 0.0], [0.125, 0.25]]
-        assert d.counts.tolist() == [[3, 0], [1, 1]]
+        assert d.mass() == [[0.5, 0.0], [0.125, 0.25]]
+        assert d.counts == [[3, 0], [1, 1]]
         assert (d.in_range, d.out_range) == (5, 1)
         assert d.out_of_range_mass() == 1 / 6  # counted per point in both weightings
         point = density_histogram([a, b], bins=2, bound=1.0)
-        assert point.mass().tolist() == [[0.5, 0.0], [1 / 6, 1 / 6]]
+        assert point.mass() == [[0.5, 0.0], [1 / 6, 1 / 6]]
 
     def test_unknown_weight_rejected(self):
         with pytest.raises(ValueError, match="weight"):
-            density_histogram([np.zeros((3, 2))], bins=2, bound=1.0, weight="day")
+            density_histogram([[(0.0, 0.0)] * 3], bins=2, bound=1.0, weight="day")
 
     def test_empty_input_warns(self):
         with pytest.warns(UserWarning):
             d = density_histogram([], bins=8, bound=4.0)
         assert d.total == 0
-        assert d.mass().sum() == 0.0
+        assert cell_sum(d.mass()) == 0.0
 
     def test_standard_normal_matches_analytic_cell_integrals(self):
         rng = np.random.default_rng(12345)
         n = 1_000_000
-        pts = rng.standard_normal((n, 2))
+        pts = rng.standard_normal((n, 2)).tolist()
         bins, bound = 80, 4.0
         d = density_histogram([pts], bins=bins, bound=bound)
         edges = np.linspace(-bound, bound, bins + 1)
@@ -202,7 +359,7 @@ class TestDensityHistogram:
                 sigma = math.sqrt(n * p * (1.0 - p))
                 if sigma < 1.0:
                     continue
-                z = abs(d.counts[i, j] - n * p) / sigma
+                z = abs(d.counts[i][j] - n * p) / sigma
                 cells += 1
                 z_high = max(z_high, z)
                 beyond3 += z > 3.0
@@ -210,6 +367,41 @@ class TestDensityHistogram:
         assert cells > 1000
         assert beyond3 / cells < 0.01
         assert z_high < 4.5
+
+
+def grid_coordinate(bins, bound):
+    """A coordinate on a cell edge, at or past +-bound, or anywhere near the grid."""
+    cell = 2.0 * bound / bins
+    return st.one_of(
+        st.integers(-1, bins + 1).map(lambda k: -bound + k * cell),
+        st.sampled_from([-bound, bound, math.nextafter(bound, 0.0),
+                         math.nextafter(-bound, -math.inf)]),
+        st.floats(-1.5 * bound, 1.5 * bound),
+    )
+
+
+@st.composite
+def histogram_inputs(draw):
+    bins = draw(st.integers(1, 12))
+    bound = draw(st.sampled_from([1.0, 2.5, 3.0, 4.0, 0.7]))
+    coord = grid_coordinate(bins, bound)
+    streams = draw(st.lists(st.lists(st.tuples(coord, coord), max_size=25), max_size=5))
+    return bins, bound, streams
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(histogram_inputs(), st.sampled_from(shape.DENSITY_WEIGHTS))
+def test_density_matches_numpy_oracle(inputs, weight):
+    bins, bound, streams = inputs
+    counts, in_range, out_range, mass = density_histogram_numpy(streams, bins, bound, weight)
+    if in_range == 0:
+        with pytest.warns(UserWarning):
+            d = density_histogram(streams, bins, bound, weight)
+    else:
+        d = density_histogram(streams, bins, bound, weight)
+    assert d.counts == counts.tolist()
+    assert (d.in_range, d.out_range) == (in_range, out_range)
+    assert d.mass() == mass.tolist()  # the same float operations, so the same bits
 
 
 def make_day(latlon_parcels):
