@@ -16,7 +16,6 @@ from .parcels import OTHERS_CODE, RESIDENTIAL_CODE, SpatialIndex, nearest_parcel
 EPOCH_DATE = date(1970, 1, 1)
 
 SLOT_SECONDS = 1800  # 48 half-hour slots per day
-SLOTS_PER_DAY = 86400 // SLOT_SECONDS
 
 ACTIVE_SCOPES = ("day", "user")
 
@@ -42,14 +41,6 @@ class UserDay:
     local_date: date
     points: list  # chronological AnnotatedPoint
     slot_count: int
-
-
-def local_date_of(local_ts: int) -> date:
-    return EPOCH_DATE + timedelta(days=local_ts // 86400)
-
-
-def slot_of(local_ts: int) -> int:
-    return (local_ts % 86400) // SLOT_SECONDS
 
 
 def annotate_history(track: UserTrack, index: SpatialIndex, utc_offset_minutes: int,
@@ -143,15 +134,16 @@ def split_days(history) -> list:
     The partition is exhaustive and disjoint; slot_count is the number of
     distinct half-hour slots occupied within the day.
     """
-    days: dict[date, list] = {}
+    days: dict[int, list] = {}  # epoch day -> its points
     for p in history:
-        days.setdefault(local_date_of(p.local_ts), []).append(p)
-    out = []
-    for d in sorted(days):
-        pts = days[d]
-        slots = {slot_of(p.local_ts) for p in pts}
-        out.append(UserDay(d, pts, len(slots)))
-    return out
+        days.setdefault(p.local_ts // 86400, []).append(p)
+    # a day is a whole number of slots, so within one day the distinct
+    # local_ts // SLOT_SECONDS are the distinct slots of the day
+    return [
+        UserDay(EPOCH_DATE + timedelta(days=k), pts,
+                len({p.local_ts // SLOT_SECONDS for p in pts}))
+        for k, pts in sorted(days.items())
+    ]
 
 
 def select_active_days(days, min_slots: int = 6, weekdays_only: bool = True,

@@ -39,24 +39,15 @@ class UserTrack:
     points: list  # PointRecord, non-decreasing ts
 
 
+SCHEMA_FIELDS = ("user_id", "timestamp", "lat", "lon", "location_source", "text")
+
+
 @dataclass(slots=True)
 class RecordSchema:
     """Column layout of the delimited input stream."""
 
     delimiter: str = ","
-    columns: dict = field(
-        default_factory=lambda: {
-            "user_id": 0,
-            "timestamp": 1,
-            "lat": 2,
-            "lon": 3,
-            "location_source": 4,
-            "text": 5,
-        }
-    )
-
-
-SCHEMA_FIELDS = ("user_id", "timestamp", "lat", "lon", "location_source", "text")
+    columns: dict = field(default_factory=lambda: {f: i for i, f in enumerate(SCHEMA_FIELDS)})
 
 
 def parse_schema_columns(spec: str) -> dict:

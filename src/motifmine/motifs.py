@@ -21,7 +21,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .annotate import HomeAssignment, UserDay
+from .annotate import UserDay
 
 LBM = "lbm"
 ABM = "abm"
@@ -112,22 +112,17 @@ def _walk_network(kind: str, keys, labels) -> DailyNetwork:
     return DailyNetwork(kind, tuple(index), tuple(node_labels), tuple(walk))
 
 
-def build_daily_network(day: UserDay, home: HomeAssignment):
-    """Build the day's directed network, or reject it with a reason.
-
-    Returns (DailyNetwork, None) on success, (None, reason) otherwise with
-    reason in {"no_home", "open_walk"}. A day spent entirely at home yields
-    the one-node network.
+def build_daily_network(day: UserDay, home_parcel_id: int) -> DailyNetwork | None:
+    """The day's directed network, or None when its walk is open (it does
+    not start and end at the home parcel). A day spent entirely at home
+    yields the one-node network.
     """
-    if home is None or home.home_parcel_id is None:
-        return None, "no_home"
-    home_key = home.home_parcel_id
     keys = [parcel_key(p) for p in day.points]
-    if keys[0] != home_key or keys[-1] != home_key:
-        return None, "open_walk"
-    labels = [HOME_LABEL if k == home_key else ACTIVITY_LABELS[p.activity_code]
+    if keys[0] != home_parcel_id or keys[-1] != home_parcel_id:
+        return None
+    labels = [HOME_LABEL if k == home_parcel_id else ACTIVITY_LABELS[p.activity_code]
               for k, p in zip(keys, day.points)]
-    return _walk_network(LBM, keys, labels), None
+    return _walk_network(LBM, keys, labels)
 
 
 def abm_reduce(net: DailyNetwork) -> DailyNetwork:

@@ -4,7 +4,10 @@ Stages build on each other (ingest -> annotate -> mine -> shape); each run
 executes the chain up to the requested stage and writes its artifacts plus
 a run manifest of per-stage counts. Every input is read and checked before
 any record is processed, and nothing is written until every computation
-has succeeded, so a failed run leaves its output directory untouched.
+has succeeded. The artifacts are then staged in a directory inside the
+output directory and renamed into place, the manifest last, only after the
+last one is written, so a failed run leaves the previous artifacts (and any
+unrelated file) as they were.
 Users are processed independently and may fan out over worker processes;
 every reduction happens in sorted user order, so output bytes never depend
 on the worker count.
@@ -16,9 +19,9 @@ import hashlib
 import json
 import math
 import os
+import shutil
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from operator import attrgetter
 from pathlib import Path
@@ -148,21 +151,16 @@ def load_config_file(path) -> dict:
             key, value = (s.strip() for s in line.split("=", 1))
             if key not in typed:
                 raise ValueError(f"unknown config key: {key}")
-            out[key] = _coerce(key, value)
+            out[key] = _coerce(key, typed[key], value)
     return out
 
 
-def _coerce(key, value: str):
-    proto = getattr(RunConfig(), key)
-    if isinstance(proto, bool):
+def _coerce(key, kind: type, value: str):
+    if kind is bool:
         if value.lower() not in _BOOL_VALUES:
             raise ValueError(f"bad boolean for {key}: {value}")
         return _BOOL_VALUES[value.lower()]
-    if isinstance(proto, int):
-        return int(value)
-    if isinstance(proto, float):
-        return float(value)
-    return value
+    return kind(value)  # int, float or str
 
 
 def make_config(file_path=None, overrides=None) -> RunConfig:
@@ -180,23 +178,6 @@ def make_config(file_path=None, overrides=None) -> RunConfig:
 
 def pseudonymize(user_id: str) -> str:
     return hashlib.sha256(user_id.encode("utf-8")).hexdigest()[:16]
-
-
-@contextmanager
-def _atomic_file(path):
-    """Text file written to a temporary sibling and renamed over `path` only
-    when the block succeeds, so a crashed run never leaves a truncated file."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def load_boundary_ring(path) -> tuple:
@@ -322,7 +303,6 @@ class UserOutcome:
     n_days: int = 0
     n_active_days: int = 0
     rejected_open_walk: int = 0
-    rejected_no_home: int = 0
     days: list = field(default_factory=list)  # DayOutcome
     home_anchor: tuple | None = None
     normalized: list | None = None  # (x, y) pairs of aligned coordinates
@@ -330,9 +310,8 @@ class UserOutcome:
 
 
 def _day_outcome(day, home, cfg) -> DayOutcome | None:
-    """The day's outcome, or None when its walk is open: the home is known
-    here, so that is the one reason `motifs.build_daily_network` can give."""
-    net, _ = mot.build_daily_network(day, home)
+    """The day's outcome, or None when its walk is open."""
+    net = mot.build_daily_network(day, home.home_parcel_id)
     if net is None:
         return None
     reduced = mot.abm_reduce(net)
@@ -376,7 +355,6 @@ def process_user(track, index, filters: ing.FilterConfig, cfg: RunConfig,
 
     if home.home_parcel_id is None:
         out.drop = "no_home"
-        out.rejected_no_home = len(active_days)
         return out
 
     home_pts = [(p.lat, p.lon) for p in history if p.parcel_id == home.home_parcel_id]
@@ -525,7 +503,8 @@ def build_manifest(cfg: RunConfig, stage: str, inputs: Inputs, ingested: Ingeste
         }
     if mined is not None:
         manifest["days"]["rejected_open_walk"] = sum(o.rejected_open_walk for o in users)
-        manifest["days"]["rejected_no_home"] = sum(o.rejected_no_home for o in users)
+        manifest["days"]["rejected_no_home"] = sum(
+            o.n_active_days for o in users if o.drop == "no_home")
         manifest["days"]["networks"] = len(mined.days)
         manifest["census"] = {
             c.kind: {
@@ -542,14 +521,14 @@ def build_manifest(cfg: RunConfig, stage: str, inputs: Inputs, ingested: Ingeste
 def _write_csv(path, header, rows):
     # streamed: the write step runs after every stage, so whatever a writer
     # holds at once adds to the run's peak memory
-    with _atomic_file(path) as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
 
 
 def write_json(path, doc: dict):
-    with _atomic_file(path) as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -591,7 +570,7 @@ def write_size_groups_csv(path, censuses):
 
 
 def write_motif_edges(path, censuses):
-    with _atomic_file(path) as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         sep = ""
         for census in censuses:
             for m in census.motifs:
@@ -628,28 +607,41 @@ def write_density_csv(path, density: shp.ReferenceFrameDensity):
 
 def write_outputs(out_dir: Path, users, manifest: dict, mined: Mined | None,
                   shaped: Shaped | None, annotations: bool) -> dict:
-    """Write every artifact of a finished run, the manifest last; returns their paths."""
+    """Publish every artifact of a finished run; returns their paths.
+
+    Each writer fills a file in one staging directory inside `out_dir`, so
+    every rename stays on one filesystem. Only after the last writer has
+    succeeded is each file renamed into place, the manifest last. Files in
+    `out_dir` that are not this run's artifacts are left alone.
+    """
+    out_dir.mkdir(parents=True, exist_ok=True)
+    staging = Path(tempfile.mkdtemp(dir=out_dir, prefix=".staging-"))
     paths = {}
 
     def put(name, filename, writer, *args):
+        writer(staging / filename, *args)
         paths[name] = out_dir / filename
-        writer(paths[name], *args)
 
-    put("filtered_records", "filtered_records.csv", write_filtered_records, users)
-    if annotations:
-        put("annotations", "annotations.csv", write_annotation_dump, users)
-    if mined is not None:
-        put("census_lbm", "census_lbm.csv", write_census_csv, mined.lbm)
-        put("census_abm", "census_abm.csv", write_census_csv, mined.abm)
-        put("size_groups", "size_groups.csv", write_size_groups_csv, [mined.lbm, mined.abm])
-        put("motif_edges", "motif_edges.txt", write_motif_edges, [mined.lbm, mined.abm])
-    if shaped is not None:
-        put("distance_stats", "distance_stats.csv", write_distance_stats_csv, shaped.stats)
-        put("density", "density.csv", write_density_csv, shaped.density)
-        put("shape_summary", "shape_summary.json", write_json, shaped.summary)
-        if shaped.correlation is not None:
-            put("correlation", "correlation.json", write_json, shaped.correlation)
-    put("manifest", "manifest.json", write_json, manifest)
+    try:
+        put("filtered_records", "filtered_records.csv", write_filtered_records, users)
+        if annotations:
+            put("annotations", "annotations.csv", write_annotation_dump, users)
+        if mined is not None:
+            put("census_lbm", "census_lbm.csv", write_census_csv, mined.lbm)
+            put("census_abm", "census_abm.csv", write_census_csv, mined.abm)
+            put("size_groups", "size_groups.csv", write_size_groups_csv, [mined.lbm, mined.abm])
+            put("motif_edges", "motif_edges.txt", write_motif_edges, [mined.lbm, mined.abm])
+        if shaped is not None:
+            put("distance_stats", "distance_stats.csv", write_distance_stats_csv, shaped.stats)
+            put("density", "density.csv", write_density_csv, shaped.density)
+            put("shape_summary", "shape_summary.json", write_json, shaped.summary)
+            if shaped.correlation is not None:
+                put("correlation", "correlation.json", write_json, shaped.correlation)
+        put("manifest", "manifest.json", write_json, manifest)
+        for path in paths.values():  # insertion order: the manifest last
+            os.replace(staging / path.name, path)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
     return paths
 
 

@@ -6,9 +6,10 @@ refinement-based isomorphism matcher, closed-walk enumeration over a small
 node budget, label-sequence collapsing, walk-to-network construction,
 analytic Gaussian cell integrals, and the all-pairs ring check and
 two-pass GeoJSON polygon reader that `geo` replaced, timestamps formatted
-through `datetime.isoformat`, a brute-force prefilter, and the numpy
-trajectory alignment (`np.linalg.eigh` of the gyration tensor) and density
-histogram (`np.add.at`) that `shape` replaced with the standard library. The exceptions
+through `datetime.isoformat`, local dates and half-hour slots read from a
+`datetime`, a brute-force prefilter, and the numpy trajectory alignment
+(`np.linalg.eigh` of the gyration tensor) and density histogram
+(`np.add.at`) that `shape` replaced with the standard library. The exceptions
 are the linear parcel scan, which reuses the package's point-to-polygon
 distance and hit type, because what it checks is the grid search and its
 pruning, not the distance, and the prefilter, which reuses the package's
@@ -328,6 +329,17 @@ def nearest_parcel_scan(lat: float, lon: float, parcels, radius_m: float = DEFAU
 def iso_timestamp(ts: int, zone: str = "Z") -> str:
     """Epoch seconds to "YYYY-MM-DDTHH:MM:SS" + zone by `datetime.isoformat`."""
     return (datetime(1970, 1, 1) + timedelta(seconds=ts)).isoformat() + zone
+
+
+def local_date_of(local_ts: int):
+    """The calendar date of local epoch seconds, by `datetime` arithmetic."""
+    return (datetime(1970, 1, 1) + timedelta(seconds=local_ts)).date()
+
+
+def slot_of(local_ts: int) -> int:
+    """The half-hour slot (0-47) of local epoch seconds within their day."""
+    t = datetime(1970, 1, 1) + timedelta(seconds=local_ts)
+    return 2 * t.hour + t.minute // 30
 
 
 def prefilter_brute_force(records, boundary, blocklist):

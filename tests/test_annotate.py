@@ -5,15 +5,14 @@ from motifmine.annotate import (
     active_locations,
     annotate_history,
     infer_home,
-    local_date_of,
     select_active_days,
-    slot_of,
     split_days,
     stationary_bot_filter,
 )
 from motifmine.ingest import UserTrack
 
 from conftest import apoint, make_index, make_parcel, rec
+from oracles import local_date_of, slot_of
 
 HOUR = 3600
 DAY = 86400
@@ -188,6 +187,19 @@ class TestSplitDays:
                 assert id(p) not in seen
                 seen.add(id(p))
                 assert local_date_of(p.local_ts) == d.local_date
+
+    def test_dates_and_slot_counts_match_the_reference(self):
+        rng = random.Random(5)
+        for _ in range(50):  # before and after the epoch, sparse and dense days
+            span = rng.choice([HOUR, DAY, 4 * DAY])
+            start = rng.randrange(-3 * DAY, 3 * DAY)
+            local = sorted(rng.randrange(start, start + span) for _ in range(rng.randrange(1, 60)))
+            days = split_days([apoint(ts=t, local=t) for t in local])
+            expected = {}
+            for t in local:
+                expected.setdefault(local_date_of(t), set()).add(slot_of(t))
+            assert [(d.local_date, d.slot_count) for d in days] == [
+                (k, len(v)) for k, v in sorted(expected.items())]
 
 
 class TestSelectActiveDays:

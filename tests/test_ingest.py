@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from motifmine.annotate import local_date_of
 from motifmine.ingest import (
     _END_TS,
     _MIN_TS,
@@ -24,7 +23,7 @@ from motifmine.ingest import (
 )
 
 from conftest import rec
-from oracles import iso_timestamp, prefilter_brute_force
+from oracles import iso_timestamp, local_date_of, prefilter_brute_force
 
 R = 6_371_000.0
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from motifmine import motifs
-from motifmine.annotate import HomeAssignment, UserDay
+from motifmine.annotate import UserDay
 from motifmine.motifs import (
     ABM,
     LBM,
@@ -31,7 +31,7 @@ from oracles import (
     walk_network,
 )
 
-HOME = HomeAssignment(1, "night_mode")
+HOME = 1  # the home parcel id
 
 
 def day_from_parcels(parcel_codes):
@@ -46,8 +46,8 @@ def day_from_parcels(parcel_codes):
 class TestBuildDailyNetwork:
     def test_home_office_home(self):
         day = day_from_parcels([(1, 1), (2, 6), (1, 1)])
-        net, reason = build_daily_network(day, HOME)
-        assert reason is None
+        net = build_daily_network(day, HOME)
+        assert net is not None
         assert net.node_count == 2
         assert net.labels == ("H", "W")
         assert net.edges == frozenset({(0, 1), (1, 0)})
@@ -55,26 +55,21 @@ class TestBuildDailyNetwork:
 
     def test_consecutive_same_parcel_collapses(self):
         day = day_from_parcels([(1, 1)] * 4 + [(2, 6)] * 3 + [(1, 1)] * 2)
-        net, _ = build_daily_network(day, HOME)
+        net = build_daily_network(day, HOME)
         assert net.walk == (0, 1, 0)
 
     def test_all_day_at_home_is_one_node(self):
         day = day_from_parcels([(1, 1)] * 10)
-        net, reason = build_daily_network(day, HOME)
-        assert reason is None
+        net = build_daily_network(day, HOME)
+        assert net is not None
         assert net.node_count == 1
         assert net.edges == frozenset()
         assert net.walk == (0,)
 
     def test_open_walk_rejected(self):
         day = day_from_parcels([(2, 6), (1, 1), (2, 6)])
-        net, reason = build_daily_network(day, HOME)
-        assert net is None and reason == "open_walk"
-
-    def test_missing_home_rejected(self):
-        day = day_from_parcels([(1, 1), (2, 6), (1, 1)])
-        net, reason = build_daily_network(day, HomeAssignment(None, "unknown"))
-        assert net is None and reason == "no_home"
+        net = build_daily_network(day, HOME)
+        assert net is None
 
     def test_closed_walk_check_raises_without_assert(self):
         # an explicit raise, so the check also runs under python -O
@@ -84,12 +79,12 @@ class TestBuildDailyNetwork:
 
     def test_labels_home_vs_other_residential(self):
         day = day_from_parcels([(1, 1), (9, 1), (1, 1)])
-        net, _ = build_daily_network(day, HOME)
+        net = build_daily_network(day, HOME)
         assert net.labels == ("H", "R")
 
     def test_unanchored_points_form_one_pseudo_location(self):
         day = day_from_parcels([(1, 1), (None, 12), (2, 6), (None, 12), (1, 1)])
-        net, _ = build_daily_network(day, HOME)
+        net = build_daily_network(day, HOME)
         # both unanchored runs land on the same node labeled O
         assert net.node_count == 3
         assert net.labels == ("H", "O", "W")
@@ -106,8 +101,8 @@ class TestBuildDailyNetwork:
             walk.append(1)
             codes = {1: 1, 2: 6, 3: 9, 4: 1}
             day = day_from_parcels([(p, codes[p]) for p in walk])
-            net, reason = build_daily_network(day, HOME)
-            assert reason is None
+            net = build_daily_network(day, HOME)
+            assert net is not None
             indeg = {i: 0 for i in range(net.node_count)}
             outdeg = {i: 0 for i in range(net.node_count)}
             for u, v in net.edges:
@@ -120,7 +115,7 @@ class TestBuildDailyNetwork:
 class TestAbmReduce:
     def test_two_work_parcels_merge(self):
         day = day_from_parcels([(1, 1), (2, 6), (3, 6), (1, 1)])
-        net, _ = build_daily_network(day, HOME)
+        net = build_daily_network(day, HOME)
         reduced = abm_reduce(net)
         assert reduced.node_count == 2
         assert set(reduced.labels) == {"H", "W"}
@@ -128,7 +123,7 @@ class TestAbmReduce:
 
     def test_distinct_labels_keep_structure(self):
         day = day_from_parcels([(1, 1), (2, 6), (3, 9), (1, 1)])
-        net, _ = build_daily_network(day, HOME)
+        net = build_daily_network(day, HOME)
         reduced = abm_reduce(net)
         assert reduced.node_count == 3
         assert reduced.labels == ("H", "W", "Sh")
@@ -137,7 +132,7 @@ class TestAbmReduce:
     def test_two_residences_collapse_to_pendulum(self):
         # walk H R H R H over two distinct friend homes
         day = day_from_parcels([(1, 1), (5, 1), (1, 1), (6, 1), (1, 1)])
-        net, _ = build_daily_network(day, HOME)
+        net = build_daily_network(day, HOME)
         reduced = abm_reduce(net)
         label_walk = [net.labels[i] for i in net.walk]
         assert collapse_label_sequence(label_walk) == ["H", "R", "H", "R", "H"]
@@ -156,8 +151,8 @@ class TestAbmReduce:
             if walk[-2] == 1:
                 walk.pop()
             day = day_from_parcels([(p, codes[p]) for p in walk])
-            net, reason = build_daily_network(day, HOME)
-            if reason:
+            net = build_daily_network(day, HOME)
+            if net is None:
                 continue
             reduced = abm_reduce(net)
             assert reduced.node_count <= net.node_count
@@ -186,11 +181,11 @@ def test_walk_constructors_match_the_reference(stops, close):
         stops = [1, *stops, 1]
     day = day_from_parcels([(pid, WALK_PARCELS[pid][0]) for pid in stops])
     keys = [motifs.UNKNOWN_PARCEL if pid is None else pid for pid in stops]
-    net, reason = build_daily_network(day, HOME)
+    net = build_daily_network(day, HOME)
     if keys[0] != 1 or keys[-1] != 1:
-        assert (net, reason) == (None, "open_walk")
+        assert net is None
         return
-    assert reason is None and net.kind == LBM
+    assert net.kind == LBM
     assert network_fields(net) == walk_network(keys, [WALK_PARCELS[pid][1] for pid in stops])
     # the network holds the day's visit sequence
     assert [net.node_keys[i] for i in net.walk] == collapse_label_sequence(keys)
@@ -223,15 +218,15 @@ class TestCanonicalSignature:
     def test_relabeling_same_signature(self):
         a = day_from_parcels([(1, 1), (2, 6), (1, 1)])
         b = day_from_parcels([(1, 1), (9, 9), (1, 1)])
-        net_a, _ = build_daily_network(a, HOME)
-        net_b, _ = build_daily_network(b, HOME)
+        net_a = build_daily_network(a, HOME)
+        net_b = build_daily_network(b, HOME)
         assert canonical_signature(net_a) == canonical_signature(net_b)
 
     def test_swapping_intermediate_stops_same_lbm_signature(self):
         a = day_from_parcels([(1, 1), (2, 6), (3, 9), (1, 1)])  # H A B H
         b = day_from_parcels([(1, 1), (3, 9), (2, 6), (1, 1)])  # H B A H
-        net_a, _ = build_daily_network(a, HOME)
-        net_b, _ = build_daily_network(b, HOME)
+        net_a = build_daily_network(a, HOME)
+        net_b = build_daily_network(b, HOME)
         sig_a = canonical_signature(net_a)
         sig_b = canonical_signature(net_b)
         assert sig_a == sig_b
@@ -241,8 +236,8 @@ class TestCanonicalSignature:
     def test_abm_label_mismatch_differs(self):
         work = day_from_parcels([(1, 1), (2, 6), (1, 1)])
         school = day_from_parcels([(1, 1), (2, 4), (1, 1)])
-        net_w, _ = build_daily_network(work, HOME)
-        net_s, _ = build_daily_network(school, HOME)
+        net_w = build_daily_network(work, HOME)
+        net_s = build_daily_network(school, HOME)
         red_w, red_s = abm_reduce(net_w), abm_reduce(net_s)
         assert canonical_signature(red_w) != canonical_signature(red_s)
 
@@ -293,18 +288,18 @@ def relabeled(edges, n, rng, labels=None):
 
 class TestIsomorphic:
     def test_network_vs_itself(self):
-        net, _ = build_daily_network(day_from_parcels([(1, 1), (2, 6), (1, 1)]), HOME)
+        net = build_daily_network(day_from_parcels([(1, 1), (2, 6), (1, 1)]), HOME)
         assert isomorphic(net, net, LBM)
         assert isomorphic(net, net, ABM)
 
     def test_different_cardinality(self):
-        two, _ = build_daily_network(day_from_parcels([(1, 1), (2, 6), (1, 1)]), HOME)
-        three, _ = build_daily_network(day_from_parcels([(1, 1), (2, 6), (3, 9), (1, 1)]), HOME)
+        two = build_daily_network(day_from_parcels([(1, 1), (2, 6), (1, 1)]), HOME)
+        three = build_daily_network(day_from_parcels([(1, 1), (2, 6), (3, 9), (1, 1)]), HOME)
         assert not isomorphic(two, three, LBM)
 
     def test_directed_cycle_vs_reversal(self):
-        fwd, _ = build_daily_network(day_from_parcels([(1, 1), (2, 6), (3, 9), (1, 1)]), HOME)
-        rev, _ = build_daily_network(day_from_parcels([(1, 1), (3, 9), (2, 6), (1, 1)]), HOME)
+        fwd = build_daily_network(day_from_parcels([(1, 1), (2, 6), (3, 9), (1, 1)]), HOME)
+        rev = build_daily_network(day_from_parcels([(1, 1), (3, 9), (2, 6), (1, 1)]), HOME)
         assert isomorphic(fwd, rev, LBM)
 
     def test_agrees_with_signature_and_oracle_random_pairs(self):

@@ -2,6 +2,7 @@ import csv
 import gc
 import json
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ import pytest
 
 import motifmine
 from motifmine import ingest as ing
-from motifmine import synth
+from motifmine import pipeline, synth
 from motifmine.cli import main
 from motifmine.parcels import OTHERS_CODE, ActivityScheme, read_parcels
 from motifmine.pipeline import (
@@ -22,7 +23,6 @@ from motifmine.pipeline import (
     make_config,
     pseudonymize,
     run,
-    write_json,
 )
 
 from conftest import geojson_polygon_feature, square_ring, strict_json_loads, write_geojson
@@ -532,16 +532,38 @@ class TestCli:
         assert "absent.csv" in capsys.readouterr().err
 
 
-def test_write_atomic_replaces_not_truncates(tmp_path):
-    target = tmp_path / "file.json"
-    write_json(target, {"run": 1})
-    write_json(target, {"run": 2})
-    assert target.read_text() == '{\n  "run": 2\n}\n'
-    # a writer that fails midway leaves the previous file and no temporary
-    with pytest.raises(TypeError):
-        write_json(target, {"a": 1, "b": object()})
-    assert target.read_text() == '{\n  "run": 2\n}\n'
-    assert list(tmp_path.iterdir()) == [target]
+def test_failed_write_keeps_the_previous_run(world, tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    run(world_config(world, out), "all")
+    (out / "notes.txt").write_text("kept\n", encoding="utf-8")
+    before = output_bytes(out)
+
+    def full_disk(path, density):  # writes part of its file, then fails
+        Path(path).write_text("bin_x_center,bin_", encoding="utf-8")
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(pipeline, "write_density_csv", full_disk)
+    # unhashed ids change filtered_records.csv, which is written before the density
+    with pytest.raises(OSError, match="No space"):
+        run(world_config(world, out, hash_ids=False), "all")
+    assert output_bytes(out) == before
+    assert sorted(p.name for p in out.iterdir()) == sorted(before)  # no .staging-*
+
+
+def test_publication_keeps_unrelated_files_and_follows_the_umask(world, tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "notes.txt").write_text("kept\n", encoding="utf-8")
+    old_mask = os.umask(0o022)
+    try:
+        paths = run(world_config(world, out), "all")["paths"]
+    finally:
+        os.umask(old_mask)
+    assert (out / "notes.txt").read_text(encoding="utf-8") == "kept\n"
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        ["notes.txt", *(p.name for p in paths.values())])
+    for path in paths.values():
+        assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~0o022
 
 
 def world_args(world, out_dir):
