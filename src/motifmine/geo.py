@@ -151,17 +151,21 @@ def ring_self_intersects(ring) -> bool:
 
 
 def point_in_ring(lat: float, lon: float, ring) -> bool:
-    """Even-odd crossing test. Ring vertices are (lat, lon) without repeat."""
+    """Even-odd crossing test. Ring vertices are (lat, lon) without repeat.
+
+    Each edge runs from the previous vertex to the current one, starting
+    with the closing edge from the last vertex to the first.
+    """
+    if not ring:
+        return False
     inside = False
-    n = len(ring)
-    for i in range(n):
-        alat, alon = ring[i]
-        blat, blon = ring[(i + 1) % n]
+    alat, alon = ring[-1]
+    for blat, blon in ring:
         if (alat > lat) != (blat > lat):
             t = (lat - alat) / (blat - alat)
-            lon_cross = alon + t * (blon - alon)
-            if lon_cross > lon:
+            if alon + t * (blon - alon) > lon:
                 inside = not inside
+        alat, alon = blat, blon
     return inside
 
 

@@ -11,7 +11,7 @@ import re
 from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
 
-from .geo import haversine_m, point_in_ring, ring_self_intersects
+from .geo import METERS_PER_DEGREE, haversine_m, point_in_ring, ring_self_intersects
 
 DEFAULT_BLOCKLIST = ("job", "jobs", "hiring", "recruiting", "traffic", "weather alert")
 
@@ -284,23 +284,38 @@ def group_tracks(records) -> list:
     return tracks
 
 
+# haversine_m gives at most this many meters per degree of |dlat| + |dlon|:
+# a path along a meridian and then a parallel is no shorter than the great
+# circle, and 1e-6 covers its rounding, up to 7e-9 relative near antipodes.
+_SPEED_BOUND_M_PER_DEG = METERS_PER_DEGREE * (1.0 + 1e-6)
+# Below ~1e-150 m its squared sines are subnormal and it can read 41 % above
+# the bound, so a pair is skipped only when the cap leaves this much room.
+_SPEED_BOUND_FLOOR_M = 1e-100
+
+
 def speed_filter(track: UserTrack, cfg: FilterConfig) -> SpeedDecision:
     """Drop the whole user when any consecutive relocation exceeds the speed cap.
 
     A zero time gap with nonzero displacement also drops the user; a zero
     gap with zero displacement is ignored (duplicates are removed upstream).
-    The threshold is strict: exactly max_speed_mps is kept.
+    The threshold is strict: exactly max_speed_mps is kept. A pair whose
+    degree-space bound stays below the cap cannot trip it, so its haversine
+    distance is not computed.
     """
     pts = track.points
+    cap = cfg.max_speed_mps
     for a, b in zip(pts, pts[1:]):
         dt = b.ts - a.ts
+        if dt > 0 and (_SPEED_BOUND_M_PER_DEG * (abs(b.lat - a.lat) + abs(b.lon - a.lon))
+                       + _SPEED_BOUND_FLOOR_M < cap * dt):
+            continue
         dist = haversine_m(a.lat, a.lon, b.lat, b.lon)
         if dt <= 0:
             if dist > 0.0:
                 return SpeedDecision(False, (a, b), float("inf"))
             continue
         speed = dist / dt
-        if speed > cfg.max_speed_mps:
+        if speed > cap:
             return SpeedDecision(False, (a, b), speed)
     return SpeedDecision(True)
 

@@ -4,14 +4,17 @@ Parcels are simple polygons (holes treated as outside) carrying a land-use
 category that maps to one of twelve activity codes. Nearest-parcel lookups
 run against a uniform grid of parcel bounding boxes, plus an oversize list
 of the few parcels too large to grid, whose results are, by construction,
-identical to a linear scan; the grid is purely an accelerator.
+identical to a linear scan; the grid is purely an accelerator. A bbox
+query returns its parcels in id order. A box inside one grid cell, which
+every point is, is answered from that cell's list, kept in id order, and
+the oversize list, with no deduplication.
 
 A lookup first asks the grid only for the parcels whose bbox holds the
-point and returns the smallest-id one that contains it. Those parcels are
-exactly the ones the full radius search would probe first (distance lower
-bound 0, in id order), and a containing parcel there is its final answer,
-so the probe returns the same hit. Only a point that no parcel contains
-pays for the radius search.
+point and returns the first, so smallest-id, one that contains it. Those
+parcels are exactly the ones the full radius search would probe first
+(distance lower bound 0, in id order), and a containing parcel there is its
+final answer, so the probe returns the same hit. Only a point that no
+parcel contains pays for the radius search.
 
 Loading is a bulk build: tens of thousands of parcels, each a few tuples,
 all kept alive. None of them refers back to another, so the cyclic garbage
@@ -122,6 +125,8 @@ OVERSIZE_CELLS = 4096
 
 _MIN_CELL_DEG = 1e-9  # ~0.1 mm: degenerate parcels must not make a cell size 0
 
+_BY_ID = attrgetter("parcel_id")
+
 
 class SpatialIndex:
     """Uniform grid over parcel bounding boxes.
@@ -131,17 +136,18 @@ class SpatialIndex:
     where a coordinate's row or column is floor(coordinate / cell size).
     That is monotone in the coordinate, so a query box and a parcel bbox
     that share a point share a cell: the grid misses nothing, even on a
-    shared edge or vertex.
+    shared edge or vertex. A parcel object passed twice is placed once, so
+    no cell lists a parcel twice.
     """
 
     def __init__(self, parcels):
-        self.parcels = list(parcels)
+        self.parcels = list({id(p): p for p in parcels}.values())
         cells = self.cells = defaultdict(list)
         self.oversize = []
         boxes = [p.bbox for p in self.parcels] or [(0.0, 0.0, 0.0, 0.0)]  # empty: any size
         self.cell_size = (max(_MIN_CELL_DEG, statistics.median(b[2] - b[0] for b in boxes)),
                           max(_MIN_CELL_DEG, statistics.median(b[3] - b[1] for b in boxes)))
-        for parcel in sorted(self.parcels, key=attrgetter("parcel_id")):
+        for parcel in sorted(self.parcels, key=_BY_ID):
             r0, c0, r1, c1, n_cells = self._cell_span(parcel.bbox)
             if n_cells > OVERSIZE_CELLS:
                 self.oversize.append(parcel)
@@ -152,40 +158,47 @@ class SpatialIndex:
 
     def _cell_span(self, bbox) -> tuple:
         """(row0, col0, row1, col1, cell count) of the cells a box meets; the
-        count is infinite when a bound is infinite, NaN or too large to index."""
+        count is infinite when a bound is infinite, NaN or too large to index.
+        An axis of zero extent takes one floor."""
         dlat, dlon = self.cell_size
+        lat0, lon0, lat1, lon1 = bbox
         try:
-            r0, r1 = math.floor(bbox[0] / dlat), math.floor(bbox[2] / dlat)
-            c0, c1 = math.floor(bbox[1] / dlon), math.floor(bbox[3] / dlon)
+            r0 = math.floor(lat0 / dlat)
+            r1 = r0 if lat1 == lat0 else math.floor(lat1 / dlat)
+            c0 = math.floor(lon0 / dlon)
+            c1 = c0 if lon1 == lon0 else math.floor(lon1 / dlon)
         except (OverflowError, ValueError):
             return 0, 0, 0, 0, math.inf
         return r0, c0, r1, c1, (r1 - r0 + 1) * (c1 - c0 + 1)
 
     def query_bbox(self, bbox) -> list:
-        """All parcels whose bounding box intersects the query box, each once.
+        """All parcels whose bounding box intersects the query box, each once,
+        in id order.
 
-        The oversize list is scanned with the query's cells, and a query
+        A box inside one cell is answered from that cell's list, which holds
+        each parcel once and in id order, and the oversize list. Otherwise
+        the oversize list is scanned with the query's cells, and a query
         that covers more cells than the grid holds reads every cell once
         instead, so a huge box costs one pass over the grid.
         """
         r0, c0, r1, c1, n_cells = self._cell_span(bbox)
         cells = self.cells
         if n_cells == 1:
-            buckets = [self.oversize, cells.get((r0, c0), ())]
+            buckets = (cells.get((r0, c0), ()),)
         elif n_cells > len(cells):
-            buckets = [self.oversize, *cells.values()]
+            buckets = cells.values()
         else:
-            buckets = [self.oversize]
-            for r in range(r0, r1 + 1):
-                buckets += [cells.get((r, c), ()) for c in range(c0, c1 + 1)]
+            buckets = [cells.get((r, c), ()) for r in range(r0, r1 + 1) for c in range(c0, c1 + 1)]
         qlat0, qlon0, qlat1, qlon1 = bbox
-        found = {}
-        for bucket in buckets:
+        found = []
+        for bucket in (self.oversize, *buckets):
             for p in bucket:
                 b = p.bbox
                 if b[0] <= qlat1 and qlat0 <= b[2] and b[1] <= qlon1 and qlon0 <= b[3]:
-                    found[id(p)] = p
-        return list(found.values())
+                    found.append(p)
+        if n_cells == 1:
+            return sorted(found, key=_BY_ID) if self.oversize else found
+        return sorted({id(p): p for p in found}.values(), key=_BY_ID)
 
 
 @contextmanager
@@ -318,7 +331,7 @@ def nearest_parcel(lat: float, lon: float, index: SpatialIndex,
     # _best_parcel, so no polygon is evaluated twice.
     probed = {}
     if abs(lat) >= _PROBE_MIN_ABS_DEG and abs(lon) >= _PROBE_MIN_ABS_DEG:
-        for parcel in sorted(index.query_bbox((lat, lon, lat, lon)), key=attrgetter("parcel_id")):
+        for parcel in index.query_bbox((lat, lon, lat, lon)):
             d = point_polygon_distance_m(lat, lon, parcel.exterior, parcel.holes)
             if d == 0.0:
                 return NearestHit(parcel.parcel_id, parcel.activity_code, 0.0)

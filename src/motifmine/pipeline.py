@@ -611,8 +611,9 @@ def write_outputs(out_dir: Path, users, manifest: dict, mined: Mined | None,
 
     Each writer fills a file in one staging directory inside `out_dir`, so
     every rename stays on one filesystem. Only after the last writer has
-    succeeded is each file renamed into place, the manifest last. Files in
-    `out_dir` that are not this run's artifacts are left alone.
+    succeeded, and every target is checked to be absent or a regular file
+    (else ValueError), is each file renamed into place, the manifest last.
+    Files in `out_dir` that are not this run's artifacts are left alone.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     staging = Path(tempfile.mkdtemp(dir=out_dir, prefix=".staging-"))
@@ -638,6 +639,9 @@ def write_outputs(out_dir: Path, users, manifest: dict, mined: Mined | None,
             if shaped.correlation is not None:
                 put("correlation", "correlation.json", write_json, shaped.correlation)
         put("manifest", "manifest.json", write_json, manifest)
+        for path in paths.values():  # a rename onto a directory would fail part-way
+            if path.exists() and not path.is_file():
+                raise ValueError(f"cannot replace {path}: it is not a regular file")
         for path in paths.values():  # insertion order: the manifest last
             os.replace(staging / path.name, path)
     finally:

@@ -7,13 +7,15 @@ node budget, label-sequence collapsing, walk-to-network construction,
 analytic Gaussian cell integrals, and the all-pairs ring check and
 two-pass GeoJSON polygon reader that `geo` replaced, timestamps formatted
 through `datetime.isoformat`, local dates and half-hour slots read from a
-`datetime`, a brute-force prefilter, and the numpy trajectory alignment
+`datetime`, a brute-force prefilter, the modulo-indexed crossing test that
+`geo.point_in_ring` replaced, and the numpy trajectory alignment
 (`np.linalg.eigh` of the gyration tensor) and density histogram
 (`np.add.at`) that `shape` replaced with the standard library. The exceptions
 are the linear parcel scan, which reuses the package's point-to-polygon
 distance and hit type, because what it checks is the grid search and its
-pruning, not the distance, and the prefilter, which reuses the package's
-crossing test, because what it checks is dedup, order and the blocklist.
+pruning, not the distance, and the speed filter without its bound, which
+reuses the package's haversine distance and decision type, because what it
+checks is which pairs may skip the distance.
 Production code is checked against these, never the reverse.
 """
 
@@ -23,7 +25,8 @@ from datetime import datetime, timedelta
 
 import numpy as np
 
-from motifmine.geo import point_in_ring, point_polygon_distance_m
+from motifmine.geo import haversine_m, point_polygon_distance_m
+from motifmine.ingest import SpeedDecision
 from motifmine.parcels import DEFAULT_RADIUS_M, NearestHit
 
 MAX_NODES = 6
@@ -342,6 +345,38 @@ def slot_of(local_ts: int) -> int:
     return 2 * t.hour + t.minute // 30
 
 
+def point_in_ring_modulo(lat: float, lon: float, ring) -> bool:
+    """Even-odd crossing test over the edges ring[i] -> ring[(i + 1) % n]."""
+    inside = False
+    n = len(ring)
+    for i in range(n):
+        alat, alon = ring[i]
+        blat, blon = ring[(i + 1) % n]
+        if (alat > lat) != (blat > lat):
+            t = (lat - alat) / (blat - alat)
+            lon_cross = alon + t * (blon - alon)
+            if lon_cross > lon:
+                inside = not inside
+    return inside
+
+
+def speed_filter_unbounded(points, max_speed_mps: float):
+    """`ingest.speed_filter` that computes the haversine distance of every
+    consecutive pair: the first pair that moves in no time, or faster than
+    the cap, drops the user."""
+    for a, b in zip(points, points[1:]):
+        dt = b.ts - a.ts
+        dist = haversine_m(a.lat, a.lon, b.lat, b.lon)
+        if dt <= 0:
+            if dist > 0.0:
+                return SpeedDecision(False, (a, b), float("inf"))
+            continue
+        speed = dist / dt
+        if speed > max_speed_mps:
+            return SpeedDecision(False, (a, b), speed)
+    return SpeedDecision(True)
+
+
 def prefilter_brute_force(records, boundary, blocklist):
     """Records whose (user, ts, lat, lon) key no earlier record has, that lie
     inside `boundary` (None: everywhere) and whose lowered text contains no
@@ -351,7 +386,7 @@ def prefilter_brute_force(records, boundary, blocklist):
         key = (r.user_id, r.ts, r.lat, r.lon)
         if any((q.user_id, q.ts, q.lat, q.lon) == key for q in records[:i]):
             continue
-        if boundary is not None and not point_in_ring(r.lat, r.lon, boundary):
+        if boundary is not None and not point_in_ring_modulo(r.lat, r.lon, boundary):
             continue
         if any(k.lower() in r.text.lower() for k in blocklist):
             continue

@@ -17,7 +17,7 @@ from motifmine.geo import (
 )
 
 from conftest import square_ring
-from oracles import geojson_polygon_two_pass, ring_self_intersects_all_pairs
+from oracles import geojson_polygon_two_pass, point_in_ring_modulo, ring_self_intersects_all_pairs
 
 R = 6_371_000.0  # oracle constant, independent of the package's
 
@@ -172,6 +172,38 @@ RING_COORD = st.one_of(LATTICE.map(float), LATTICE.map(lambda v: v + 0.5),
 def test_ring_check_matches_all_pairs(ring):
     ring = tuple(ring)
     assert ring_self_intersects(ring) == ring_self_intersects_all_pairs(ring)
+
+
+@st.composite
+def ring_probes(draw):
+    """A ring and a point on a vertex, on a chord between two vertices (an
+    edge when they are adjacent), a hair above or below one (next to a
+    horizontal edge when the lattice makes one), level with one, or free."""
+    ring = tuple(draw(st.lists(st.tuples(RING_COORD, RING_COORD), min_size=1, max_size=8)))
+    a, b = draw(st.sampled_from(ring)), draw(st.sampled_from(ring))
+    s = draw(st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0)))
+    lat, lon = a[0] + s * (b[0] - a[0]), a[1] + s * (b[1] - a[1])
+    kind = draw(st.sampled_from(["chord", "hair", "level", "free"]))
+    if kind == "hair":
+        lat = math.nextafter(lat, draw(st.sampled_from([-math.inf, math.inf])))
+    elif kind == "level":
+        lon = draw(RING_COORD)
+    elif kind == "free":
+        lat, lon = draw(RING_COORD), draw(RING_COORD)
+    return ring, lat, lon
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(ring_probes())
+def test_point_in_ring_matches_the_modulo_walk(probe):
+    ring, lat, lon = probe
+    assert point_in_ring(lat, lon, ring) is point_in_ring_modulo(lat, lon, ring)
+    assert point_in_ring(lat, lon, list(ring)) is point_in_ring_modulo(lat, lon, ring)
+
+
+def test_point_in_empty_ring_is_outside():
+    assert point_in_ring(0.0, 0.0, ()) is False
+    assert point_in_ring_modulo(0.0, 0.0, ()) is False
 
 
 @pytest.mark.parametrize("properties, ok", [

@@ -3,9 +3,10 @@ import random
 from datetime import datetime, timezone
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from motifmine.geo import haversine_m
 from motifmine.ingest import (
     _END_TS,
     _MIN_TS,
@@ -23,7 +24,7 @@ from motifmine.ingest import (
 )
 
 from conftest import rec
-from oracles import iso_timestamp, local_date_of, prefilter_brute_force
+from oracles import iso_timestamp, local_date_of, prefilter_brute_force, speed_filter_unbounded
 
 R = 6_371_000.0
 
@@ -308,6 +309,77 @@ class TestSpeedFilter:
             # append a point whose implied speed is well under the cap
             slow = rec(ts=pts[-1].ts + 3600, lat=pts[-1].lat + 0.001, lon=pts[-1].lon)
             assert speed_filter(UserTrack("u1", pts + [slow]), cfg).keep == before
+
+    # Each cap lies just above R * (|dlat| + |dlon|) in radians, the bound
+    # below which a pair may skip the haversine distance, yet below that
+    # distance: near antipodes haversine_m exceeds the bound by up to ~7e-9
+    # relative, and below ~1e-150 m, where its squared sines are subnormal,
+    # by 41 %. A margin of 1e-9, or one without a floor, would keep the user.
+    @pytest.mark.parametrize("a, b, dt, slack", [
+        ((0.0, -45.83882204988214), (0.0, 134.16117674282194), 100_000, 2e-9),
+        ((0.0, 0.0), (1.802e-160, 0.0), 1, 0.1),
+    ])
+    def test_a_cap_just_above_the_degree_bound_still_drops(self, a, b, dt, slack):
+        bound = R * math.radians(abs(b[0] - a[0]) + abs(b[1] - a[1]))
+        cap = bound * (1 + slack) / dt
+        pts = [rec(ts=0, lat=a[0], lon=a[1]), rec(ts=dt, lat=b[0], lon=b[1])]
+        decision = speed_filter(UserTrack("u1", pts), FilterConfig(max_speed_mps=cap))
+        assert not decision.keep
+        assert decision == speed_filter_unbounded(pts, cap)
+
+
+LATS = st.one_of(st.floats(-90.0, 90.0), st.sampled_from([-90.0, -0.0, 0.0, 90.0]),
+                 st.floats(89.999, 90.0), st.floats(-90.0, -89.999))
+LONS = st.one_of(st.floats(-180.0, 180.0), st.sampled_from([-180.0, 0.0, 180.0]),
+                 st.floats(179.999, 180.0), st.floats(-180.0, -179.999))
+TINY = st.floats(-1e-150, 1e-150)
+
+
+@st.composite
+def speed_tracks(draw):
+    """Points that step a little, anywhere, to near the antipode, across
+    the antimeridian, to within 1e-150 degrees of (0, 0) or nowhere, with
+    time steps that may be zero or negative, and a cap: within 1e-8
+    relative of one pair's haversine speed, infinite, or any."""
+    lat, lon = draw(LATS), draw(LONS)
+    ts = draw(st.integers(0, 10 ** 9))
+    pts = [rec(ts=ts, lat=lat, lon=lon)]
+    for _ in range(draw(st.integers(1, 4))):
+        step = draw(st.sampled_from(["near", "any", "antipode", "antimeridian", "tiny", "stay"]))
+        if step == "near":
+            lat = min(90.0, max(-90.0, lat + draw(st.floats(-0.01, 0.01))))
+            lon = min(180.0, max(-180.0, lon + draw(st.floats(-0.01, 0.01))))
+        elif step == "any":
+            lat, lon = draw(LATS), draw(LONS)
+        elif step == "antipode":
+            lat = min(90.0, max(-90.0, -lat + draw(st.floats(-1e-6, 1e-6))))
+            lon = lon - math.copysign(180.0, lon) + draw(st.floats(-1e-6, 1e-6))
+        elif step == "antimeridian":
+            lon = math.copysign(180.0, -lon) - math.copysign(draw(st.floats(0.0, 1e-3)), -lon)
+        elif step == "tiny":
+            lat, lon = draw(TINY), draw(TINY)
+        ts += draw(st.one_of(st.integers(-60, 0), st.integers(1, 10 ** 6)))
+        pts.append(rec(ts=ts, lat=lat, lon=lon))
+    k = draw(st.integers(0, len(pts) - 2))
+    a, b = pts[k], pts[k + 1]
+    dist, dt = haversine_m(a.lat, a.lon, b.lat, b.lon), b.ts - a.ts
+    kind = draw(st.sampled_from(["near", "inf", "any"]))
+    if kind == "near" and dt > 0 and dist > 0.0:
+        cap = dist * (1.0 + draw(st.floats(-1e-8, 1e-8))) / dt
+    elif kind == "inf":
+        cap = math.inf
+    else:
+        cap = draw(st.floats(1e-3, 1e4))
+    assume(cap > 0.0)
+    return pts, cap
+
+
+@settings(max_examples=800, deadline=None, derandomize=True, database=None)
+@given(speed_tracks())
+def test_speed_filter_matches_the_unbounded_filter(case):
+    pts, cap = case
+    decision = speed_filter(UserTrack("u1", pts), FilterConfig(max_speed_mps=cap))
+    assert decision == speed_filter_unbounded(pts, cap)
 
 
 class TestResidencyFilter:

@@ -222,21 +222,29 @@ class TestIndexEquivalence:
 
 
 def test_query_bbox_matches_brute_force():
+    # ids in shuffled input order; each box in id order, on one or more
+    # cells, with and without a parcel on the oversize list
     rng = random.Random(3)
     parcels = random_world(rng, 200)
-    idx = SpatialIndex(parcels)
-    for _ in range(100):
-        lat = 41.5 + rng.random() * 0.08
-        lon = -88.0 + rng.random() * 0.08
-        box = (lat - 0.004, lon - 0.004, lat + 0.004, lon + 0.004)
-        got = {p.parcel_id for p in idx.query_bbox(box)}
-        expected = {
-            p.parcel_id
-            for p in parcels
-            if p.bbox[0] <= box[2] and box[0] <= p.bbox[2]
-            and p.bbox[1] <= box[3] and box[1] <= p.bbox[3]
-        }
-        assert got == expected
+    rng.shuffle(parcels)
+    for oversize in (False, True):
+        if oversize:
+            parcels.insert(100, make_parcel(201, 41.54, -87.96, half_m=60_000.0))
+        idx = SpatialIndex(parcels)
+        assert len(idx.oversize) == oversize
+        dlat, dlon = idx.cell_size
+        for _ in range(100):
+            lat = 41.5 + rng.random() * 0.08
+            lon = -88.0 + rng.random() * 0.08
+            r, c = math.floor(lat / dlat), math.floor(lon / dlon)
+            u = sorted(rng.uniform(0.01, 0.99) for _ in range(2))
+            v = sorted(rng.uniform(0.01, 0.99) for _ in range(2))
+            one_cell = ((r + u[0]) * dlat, (c + v[0]) * dlon, (r + u[1]) * dlat, (c + v[1]) * dlon)
+            assert idx._cell_span(one_cell)[4] == 1
+            for box in [(lat, lon, lat, lon), one_cell,
+                        (lat - 0.004, lon - 0.004, lat + 0.004, lon + 0.004)]:
+                assert [p.parcel_id for p in idx.query_bbox(box)] == \
+                    brute_force_bbox(parcels, box)
 
 
 # Grid worlds share exact vertex floats between neighbours, so points can sit
@@ -466,9 +474,22 @@ class TestGrid:
         index = SpatialIndex(parcels)
         assert index.oversize == [far, nan]
         for box in [(51.5, 0.0015, 51.5, 0.0015), (51.0, 0.0, 52.0, 2e308), (-90, -180, 90, 180)]:
-            assert sorted(p.parcel_id for p in index.query_bbox(box)) == \
+            assert [p.parcel_id for p in index.query_bbox(box)] == \
                 brute_force_bbox(parcels, box)
         assert_join_matches_scan(51.5, 0.0015, parcels, index)
+
+    def test_a_parcel_passed_twice_is_placed_once(self):
+        lot, huge = MIXED_WORLD[0], MIXED_WORLD[-1]  # huge: on the oversize list
+        index = SpatialIndex([lot, *MIXED_WORLD, huge])
+        assert [id(p) for p in index.parcels] == [id(p) for p in MIXED_WORLD]
+        assert index.cell_size == MIXED_INDEX.cell_size and index.oversize == [huge]
+        assert all(len({id(p) for p in bucket}) == len(bucket)
+                   for bucket in index.cells.values())
+        lat0, lon0, lat1, lon1 = lot.bbox
+        mid = ((lat0 + lat1) / 2, (lon0 + lon1) / 2)
+        for box in [(*mid, *mid), lot.bbox]:  # one cell, four cells
+            assert [p.parcel_id for p in index.query_bbox(box)] == \
+                brute_force_bbox(MIXED_WORLD, box)
 
     def test_empty_index(self):
         assert SpatialIndex([]).query_bbox((-90.0, -180.0, 90.0, 180.0)) == []
@@ -481,14 +502,14 @@ class TestGrid:
         (math.nan, 0.0, math.nan, 0.0),
     ])
     def test_extreme_boxes(self, box):
-        assert sorted(p.parcel_id for p in MIXED_INDEX.query_bbox(box)) == \
+        assert [p.parcel_id for p in MIXED_INDEX.query_bbox(box)] == \
             brute_force_bbox(MIXED_WORLD, box)
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(lat=st.tuples(mixed_lat, mixed_lat), lon=st.tuples(mixed_lon, mixed_lon))
     def test_query_bbox_matches_brute_force(self, lat, lon):
         for box in ((min(lat), min(lon), max(lat), max(lon)), (lat[0], lon[0], lat[0], lon[0])):
-            assert sorted(p.parcel_id for p in MIXED_INDEX.query_bbox(box)) == \
+            assert [p.parcel_id for p in MIXED_INDEX.query_bbox(box)] == \
                 brute_force_bbox(MIXED_WORLD, box)
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)

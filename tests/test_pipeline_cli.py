@@ -550,6 +550,22 @@ def test_failed_write_keeps_the_previous_run(world, tmp_path, monkeypatch):
     assert sorted(p.name for p in out.iterdir()) == sorted(before)  # no .staging-*
 
 
+def test_an_artifact_name_taken_by_a_directory_exits_2_and_keeps_the_previous_run(
+        world, tmp_path, capsys):
+    out = tmp_path / "out"
+    args = world_args(world, out)
+    assert main(["all", *args]) == 0
+    (out / "density.csv").unlink()
+    (out / "density.csv").mkdir()
+    before = output_bytes(out)
+    capsys.readouterr()
+    # unhashed ids change filtered_records.csv, which is renamed before the density
+    assert main(["all", "--no-hash-ids", *args]) == 2
+    assert str(out / "density.csv") in capsys.readouterr().err
+    assert output_bytes(out) == before
+    assert sorted(p.name for p in out.iterdir()) == sorted([*before, "density.csv"])
+
+
 def test_publication_keeps_unrelated_files_and_follows_the_umask(world, tmp_path):
     out = tmp_path / "out"
     out.mkdir()
