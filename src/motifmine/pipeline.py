@@ -3,25 +3,33 @@
 Stages build on each other (ingest -> annotate -> mine -> shape); each run
 executes the chain up to the requested stage and writes its artifacts plus
 a run manifest of per-stage counts. Every input is read and checked before
-any record is processed, and nothing is written until every computation
-has succeeded. The artifacts are then staged in a directory inside the
-output directory and renamed into place, the manifest last, only after the
-last one is written, so a failed run leaves the previous artifacts (and any
+any record is processed, and so is every artifact name the run will take in
+the output directory. Nothing is written until every computation has
+succeeded. The artifacts are then staged in a directory inside the output
+directory and renamed into place, the manifest last, only after the last
+one is written, so a failed run leaves the previous artifacts (and any
 unrelated file) as they were.
 Users are processed independently and may fan out over worker processes;
 every reduction happens in sorted user order, so output bytes never depend
 on the worker count.
+
+`run` pauses the cyclic garbage collector from the first input read to the
+last artifact written. Its premise: the records, parcels, points, networks
+and outcomes a run builds form no reference cycles, so reference counting
+frees them and a collector pass over them finds nothing. The few cycles a
+run does make (`json.dump`'s encoder closures) are a fixed handful per
+artifact; they are collected once the collector is back on.
 """
 
 import csv
 import functools
 import hashlib
+import itertools
 import json
 import math
 import os
 import shutil
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from operator import attrgetter
 from pathlib import Path
@@ -219,6 +227,30 @@ def load_zones(path, pop_attr: str) -> list:
     return zones
 
 
+def artifact_files(cfg: RunConfig, level: int) -> list:
+    """The file names a run up to `level` publishes, in publication order:
+    the manifest last."""
+    files = ["filtered_records.csv"]
+    if cfg.dump_annotations and level >= 2:
+        files.append("annotations.csv")
+    if level >= 3:
+        files += ["census_lbm.csv", "census_abm.csv", "size_groups.csv", "motif_edges.txt"]
+    if level >= 4:
+        files += ["distance_stats.csv", "density.csv", "shape_summary.json"]
+        if cfg.zones:
+            files.append("correlation.json")
+    return files + ["manifest.json"]
+
+
+def _check_targets(out_dir: Path, files):
+    """A rename onto a directory or other non-file fails, so refuse the run
+    (ValueError) before it publishes anything."""
+    for name in files:
+        path = out_dir / name
+        if path.exists() and not path.is_file():
+            raise ValueError(f"cannot replace {path}: it is not a regular file")
+
+
 @dataclass(slots=True)
 class Inputs:
     """Every input except the record stream, read and checked."""
@@ -228,12 +260,14 @@ class Inputs:
     schema: ing.RecordSchema
     filters: ing.FilterConfig
     zones: list | None  # only read for the shape stage
+    artifacts: list  # file names, from `artifact_files`
 
 
 def load_inputs(cfg: RunConfig, level: int) -> Inputs:
     """Read and check every input file; the records are parsed by `ingest`.
 
-    Every given path, and the output directory, is checked before any file is read.
+    Every given path, the output directory and the artifact names the run
+    will take in it are checked before any file is read.
     """
     for name in ("records", "parcels", "scheme", "boundary", "zones", "blocklist"):
         value = getattr(cfg, name)  # each is set by the flag of its name
@@ -244,6 +278,8 @@ def load_inputs(cfg: RunConfig, level: int) -> Inputs:
     out = Path(cfg.out_dir)
     if not next(p for p in (out, *out.parents) if p.exists()).is_dir():
         raise ValueError(f"--out is not a directory: {cfg.out_dir}")
+    artifacts = artifact_files(cfg, level)
+    _check_targets(out, artifacts)
     scheme = ActivityScheme.from_file(cfg.scheme) if cfg.scheme else ActivityScheme()
     if level >= 2:
         index, load_report = load_parcels(cfg.parcels, scheme, cfg.category_attr)
@@ -261,7 +297,7 @@ def load_inputs(cfg: RunConfig, level: int) -> Inputs:
         residency_mode=cfg.residency_mode,
     )
     zones = load_zones(cfg.zones, cfg.zone_pop_attr) if cfg.zones and level >= 4 else None
-    return Inputs(index, load_report, schema, filters, zones)
+    return Inputs(index, load_report, schema, filters, zones, artifacts)
 
 
 @dataclass(slots=True)
@@ -272,19 +308,14 @@ class Ingested:
 
 
 def ingest(cfg: RunConfig, inputs: Inputs) -> Ingested:
-    """Parse the records, pseudonymize users, prefilter and group into tracks.
-
-    A bulk build like `parcels.load_parcels`: the records form no reference
-    cycles, so the cyclic collector is paused while they are built.
-    """
-    with gc_paused():
-        records, parse_report = ing.parse_records_path(cfg.records, inputs.schema)
-        if cfg.hash_ids:
-            pseudonym = functools.cache(pseudonymize)  # one hash per distinct user
-            for rec in records:
-                rec.user_id = pseudonym(rec.user_id)
-        filtered = ing.prefilter(records, inputs.filters)
-        return Ingested(parse_report, len(filtered), ing.group_tracks(filtered))
+    """Parse the records, pseudonymize users, prefilter and group into tracks."""
+    records, parse_report = ing.parse_records_path(cfg.records, inputs.schema)
+    if cfg.hash_ids:
+        pseudonym = functools.cache(pseudonymize)  # one hash per distinct user
+        for rec in records:
+            rec.user_id = pseudonym(rec.user_id)
+    filtered = ing.prefilter(records, inputs.filters)
+    return Ingested(parse_report, len(filtered), ing.group_tracks(filtered))
 
 
 @dataclass(slots=True)
@@ -402,6 +433,9 @@ def process_users(tracks, index, filters: ing.FilterConfig, cfg: RunConfig, leve
     if cfg.workers <= 1:
         outcomes = [process_user(t, index, filters, cfg, level) for t in tracks]
     else:
+        # imported here: no default run uses the pool, and the import costs ~30 ms
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(
             max_workers=cfg.workers, initializer=_pool_init,
             initargs=(index, filters, cfg, level),
@@ -518,13 +552,36 @@ def build_manifest(cfg: RunConfig, stage: str, inputs: Inputs, ingested: Ingeste
     return manifest
 
 
+_CSV_CHUNK = 1024  # rows
+
+
 def _write_csv(path, header, rows):
-    # streamed: the write step runs after every stage, so whatever a writer
-    # holds at once adds to the run's peak memory
+    """Write `header` and `rows` (tuples of str) as `csv.writer` would, with
+    minimal quoting and "\n" line ends.
+
+    The rows go out in chunks of `_CSV_CHUNK`. A chunk is written as its
+    fields joined by "," and its rows by "\n" when that text needs no
+    quoting: every row has the header's width, which is at least 2 (csv
+    quotes a row of one empty field), the text holds exactly (width - 1)
+    commas and one newline per row, so no field holds either, and it holds
+    no '"' and no "\r". Any other chunk goes through `csv.writer`, the
+    reference for these bytes. Streamed: the write step runs after every
+    stage, so whatever a writer holds at once adds to the run's peak memory.
+    """
+    width = len(header)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(rows)
+        rows = iter(rows)
+        while chunk := list(itertools.islice(rows, _CSV_CHUNK)):
+            text = "\n".join([",".join(row) for row in chunk]) + "\n"
+            if (width >= 2 and all(len(row) == width for row in chunk)
+                    and text.count(",") == (width - 1) * len(chunk)
+                    and text.count("\n") == len(chunk)
+                    and '"' not in text and "\r" not in text):
+                fh.write(text)
+            else:
+                writer.writerows(chunk)
 
 
 def write_json(path, doc: dict):
@@ -544,8 +601,8 @@ def write_filtered_records(path, users):
 def write_annotation_dump(path, users):
     rows = (
         (o.user_id, ing.format_timestamp(p.ts), ing.format_timestamp(p.local_ts, zone=""),
-         f"{p.lat:.7f}", f"{p.lon:.7f}", "" if p.parcel_id is None else p.parcel_id,
-         p.activity_code)
+         f"{p.lat:.7f}", f"{p.lon:.7f}", "" if p.parcel_id is None else str(p.parcel_id),
+         str(p.activity_code))
         for o in users for p in o.history or ()
     )
     _write_csv(path, ("user_id", "ts_utc", "local_ts", "lat", "lon", "parcel_id",
@@ -554,7 +611,8 @@ def write_annotation_dump(path, users):
 
 def write_census_csv(path, census: mot.MotifCensus):
     rows = [
-        (census.kind, m.rank, m.signature, m.node_count, m.count, f"{m.percentage:.6f}")
+        (census.kind, str(m.rank), m.signature, str(m.node_count), str(m.count),
+         f"{m.percentage:.6f}")
         for m in census.motifs
     ]
     _write_csv(path, ("kind", "rank", "signature", "node_count", "count", "percentage"), rows)
@@ -565,7 +623,7 @@ def write_size_groups_csv(path, censuses):
     for census in censuses:
         pct = census.size_group_percentages()
         for group, count in census.size_groups.items():
-            rows.append((census.kind, group, count, f"{pct[group]:.6f}"))
+            rows.append((census.kind, group, str(count), f"{pct[group]:.6f}"))
     _write_csv(path, ("kind", "size_group", "count", "percentage"), rows)
 
 
@@ -586,7 +644,7 @@ def write_motif_edges(path, censuses):
 def write_distance_stats_csv(path, stats):
     rows = [
         (
-            s.kind, s.group, s.n_days, s.n_trips,
+            s.kind, s.group, str(s.n_days), str(s.n_trips),
             f"{s.d_hat:.6f}", f"{s.D_hat:.6f}", f"{s.gyradius_home:.6f}",
         )
         for s in stats
@@ -605,54 +663,60 @@ def write_density_csv(path, density: shp.ReferenceFrameDensity):
     _write_csv(path, ("bin_x_center", "bin_y_center", "mass"), rows)
 
 
-def write_outputs(out_dir: Path, users, manifest: dict, mined: Mined | None,
-                  shaped: Shaped | None, annotations: bool) -> dict:
-    """Publish every artifact of a finished run; returns their paths.
+def write_outputs(out_dir: Path, files: list, users, manifest: dict, mined: Mined | None,
+                  shaped: Shaped | None) -> dict:
+    """Publish the artifacts `files` (from `artifact_files`) of a finished
+    run; returns their paths, keyed by file stem.
 
     Each writer fills a file in one staging directory inside `out_dir`, so
     every rename stays on one filesystem. Only after the last writer has
-    succeeded, and every target is checked to be absent or a regular file
-    (else ValueError), is each file renamed into place, the manifest last.
-    Files in `out_dir` that are not this run's artifacts are left alone.
+    succeeded, and every target is checked again to be absent or a regular
+    file (else ValueError), is each file renamed into place, in the order of
+    `files`: the manifest last. Files in `out_dir` that are not this run's
+    artifacts are left alone.
     """
+    # deferred: `mined` and `shaped` are None in the stages that do not reach them
+    writers = {
+        "filtered_records.csv": lambda path: write_filtered_records(path, users),
+        "annotations.csv": lambda path: write_annotation_dump(path, users),
+        "census_lbm.csv": lambda path: write_census_csv(path, mined.lbm),
+        "census_abm.csv": lambda path: write_census_csv(path, mined.abm),
+        "size_groups.csv": lambda path: write_size_groups_csv(path, [mined.lbm, mined.abm]),
+        "motif_edges.txt": lambda path: write_motif_edges(path, [mined.lbm, mined.abm]),
+        "distance_stats.csv": lambda path: write_distance_stats_csv(path, shaped.stats),
+        "density.csv": lambda path: write_density_csv(path, shaped.density),
+        "shape_summary.json": lambda path: write_json(path, shaped.summary),
+        "correlation.json": lambda path: write_json(path, shaped.correlation),
+        "manifest.json": lambda path: write_json(path, manifest),
+    }
     out_dir.mkdir(parents=True, exist_ok=True)
     staging = Path(tempfile.mkdtemp(dir=out_dir, prefix=".staging-"))
-    paths = {}
-
-    def put(name, filename, writer, *args):
-        writer(staging / filename, *args)
-        paths[name] = out_dir / filename
-
     try:
-        put("filtered_records", "filtered_records.csv", write_filtered_records, users)
-        if annotations:
-            put("annotations", "annotations.csv", write_annotation_dump, users)
-        if mined is not None:
-            put("census_lbm", "census_lbm.csv", write_census_csv, mined.lbm)
-            put("census_abm", "census_abm.csv", write_census_csv, mined.abm)
-            put("size_groups", "size_groups.csv", write_size_groups_csv, [mined.lbm, mined.abm])
-            put("motif_edges", "motif_edges.txt", write_motif_edges, [mined.lbm, mined.abm])
-        if shaped is not None:
-            put("distance_stats", "distance_stats.csv", write_distance_stats_csv, shaped.stats)
-            put("density", "density.csv", write_density_csv, shaped.density)
-            put("shape_summary", "shape_summary.json", write_json, shaped.summary)
-            if shaped.correlation is not None:
-                put("correlation", "correlation.json", write_json, shaped.correlation)
-        put("manifest", "manifest.json", write_json, manifest)
-        for path in paths.values():  # a rename onto a directory would fail part-way
-            if path.exists() and not path.is_file():
-                raise ValueError(f"cannot replace {path}: it is not a regular file")
-        for path in paths.values():  # insertion order: the manifest last
-            os.replace(staging / path.name, path)
+        for name in files:
+            writers[name](staging / name)
+        _check_targets(out_dir, files)  # the directory may have changed since load_inputs
+        for name in files:
+            os.replace(staging / name, out_dir / name)
     finally:
         shutil.rmtree(staging, ignore_errors=True)
-    return paths
+    return {Path(name).stem: out_dir / name for name in files}
 
 
 def run(cfg: RunConfig, stage: str = "all") -> dict:
-    """Execute the chain up to `stage`; returns {"manifest":..., "paths":...}."""
+    """Execute the chain up to `stage`; returns {"manifest":..., "paths":...}.
+
+    The cyclic collector is paused for the whole run (see the module
+    docstring) and its previous state restored, also when a stage raises.
+    The stages run in `_run_stages`, so what they built is freed before the
+    collector is back on, and its first pass walks only what the run returns.
+    """
     if stage not in STAGE_LEVELS:
         raise ValueError(f"unknown stage {stage!r}")
+    with gc_paused():
+        return _run_stages(cfg, stage)
+
+
+def _run_stages(cfg: RunConfig, stage: str) -> dict:
     level = STAGE_LEVELS[stage]
     inputs = load_inputs(cfg, level)
     ingested = ingest(cfg, inputs)
@@ -660,6 +724,5 @@ def run(cfg: RunConfig, stage: str = "all") -> dict:
     mined = mine(users, cfg) if level >= 3 else None
     shaped = shape(users, mined.days, inputs.zones, cfg) if level >= 4 else None
     manifest = build_manifest(cfg, stage, inputs, ingested, users, mined)
-    paths = write_outputs(Path(cfg.out_dir), users, manifest, mined, shaped,
-                          annotations=cfg.dump_annotations and level >= 2)
+    paths = write_outputs(Path(cfg.out_dir), inputs.artifacts, users, manifest, mined, shaped)
     return {"manifest": manifest, "paths": paths}

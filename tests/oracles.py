@@ -8,17 +8,19 @@ analytic Gaussian cell integrals, and the all-pairs ring check and
 two-pass GeoJSON polygon reader that `geo` replaced, timestamps formatted
 through `datetime.isoformat`, local dates and half-hour slots read from a
 `datetime`, a brute-force prefilter, the modulo-indexed crossing test that
-`geo.point_in_ring` replaced, and the numpy trajectory alignment
+`geo.point_in_ring` replaced, the numpy trajectory alignment
 (`np.linalg.eigh` of the gyration tensor) and density histogram
-(`np.add.at`) that `shape` replaced with the standard library. The exceptions
-are the linear parcel scan, which reuses the package's point-to-polygon
-distance and hit type, because what it checks is the grid search and its
-pruning, not the distance, and the speed filter without its bound, which
-reuses the package's haversine distance and decision type, because what it
-checks is which pairs may skip the distance.
+(`np.add.at`) that `shape` replaced with the standard library, and the
+plain `csv.writer` whose bytes the pipeline's chunked CSV writer must
+reproduce. The exceptions are the linear parcel scan, which reuses the
+package's point-to-polygon distance and hit type, because what it checks
+is the grid search and its pruning, not the distance, and the speed
+filter without its bound, which reuses the package's haversine distance and
+decision type, because what it checks is which pairs may skip the distance.
 Production code is checked against these, never the reverse.
 """
 
+import csv
 import itertools
 import math
 from datetime import datetime, timedelta
@@ -566,3 +568,11 @@ def density_histogram_numpy(streams, bins: int, bound: float, weight: str = "poi
     else:
         mass = counts / total if total else np.zeros((bins, bins))
     return counts, in_range, total - in_range, mass
+
+
+def write_csv_reference(path, header, rows):
+    """A header and rows through one plain `csv.writer`, with "\n" line ends."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)

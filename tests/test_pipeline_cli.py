@@ -5,12 +5,19 @@ import os
 import stat
 import subprocess
 import sys
+import tempfile
+import types
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import motifmine
+from motifmine import annotate as ann
 from motifmine import ingest as ing
+from motifmine import motifs as mot
 from motifmine import pipeline, synth
 from motifmine.cli import main
 from motifmine.parcels import OTHERS_CODE, ActivityScheme, read_parcels
@@ -26,7 +33,7 @@ from motifmine.pipeline import (
 )
 
 from conftest import geojson_polygon_feature, square_ring, strict_json_loads, write_geojson
-from oracles import iso_timestamp, nearest_parcel_scan
+from oracles import iso_timestamp, nearest_parcel_scan, write_csv_reference
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +58,24 @@ def output_bytes(out_dir):
     return {
         p.name: p.read_bytes() for p in sorted(Path(out_dir).iterdir()) if p.is_file()
     }
+
+
+def run_garbage(cfg):
+    """What the cyclic collector finds unreachable after `run(cfg, "all")`."""
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        run(cfg, "all")
+        gc.collect()
+        return list(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+
+
+def _from_package(obj) -> bool:
+    module = obj.__module__ if isinstance(obj, types.FunctionType) else type(obj).__module__
+    return str(module).split(".")[0] == "motifmine"
 
 
 class TestPipelineRun:
@@ -123,51 +148,75 @@ class TestPipelineRun:
         assert read_only.parcels.loaded > 0
 
     def test_ingest_reads_its_own_output(self, world, tmp_path):
+        # quoted fields send their chunk of filtered_records.csv through csv.writer
         text = Path(world["paths"]["records"]).read_text(encoding="utf-8")
         user, _, lat, lon, *_ = text.splitlines()[0].split(",")
+        extra = [
+            f"{user},0999-03-01T12:00:00Z,{lat},{lon},gps,x",
+            f'{user},0999-03-02T12:00:00Z,{lat},{lon},gps,"a, ""quoted"" text"',
+            f'"{user},x",0999-03-01T12:00:00Z,{lat},{lon},gps,"one, two"',
+            f'"{user},x",0999-05-01T12:00:00Z,{lat},{lon},gps,plain',
+        ]
         records = tmp_path / "records.csv"
-        records.write_text(text + f"{user},0999-03-01T12:00:00Z,{lat},{lon},gps,x\n",
-                           encoding="utf-8")
+        records.write_text(text + "\n".join(extra) + "\n", encoding="utf-8")
         cfg = world_config(world, tmp_path / "first", hash_ids=False)
         cfg.records = str(records)
         written = run(cfg, "ingest")["paths"]["filtered_records"]
-        assert f"\n{user},0999-03-01T12:00:00Z,{lat},{lon},gps,x\n" in written.read_text("utf-8")
+        body = written.read_text("utf-8")
+        for line in extra:  # the input lines are already in csv's minimal quoting
+            assert f"\n{line}\n" in body
         cfg = world_config(world, tmp_path / "second", hash_ids=False)
         cfg.records = str(written)
         second = run(cfg, "ingest")
         assert second["manifest"]["parse"]["malformed"] == 1  # the header line
         assert second["paths"]["filtered_records"].read_bytes() == written.read_bytes()
 
-    def test_loaders_make_no_reference_cycles(self, world, tmp_path):
-        # the premise of pausing the cyclic collector while they run
-        cfg = world_config(world, tmp_path)
-        gc.collect()
-        inputs = load_inputs(cfg, STAGE_LEVELS["all"])
-        ingested = ingest(cfg, inputs)
-        assert gc.collect() == 0
-        assert inputs.index.parcels and ingested.tracks
+    def test_a_run_makes_no_reference_cycles_of_its_own(self, world, tmp_path):
+        # the premise of pausing the cyclic collector for the whole run: what
+        # it would collect is a fixed handful of objects, none of the package's
+        bigger = synth.generate(synth.SynthConfig(num_users=40, days=4, seed=3),
+                                tmp_path / "world40")
+        counts = []
+        for w, out in ((world, "w10"), (bigger, "w40")):
+            garbage = run_garbage(world_config(w, tmp_path / out))
+            assert [o for o in garbage if _from_package(o)] == []
+            counts.append(len(garbage))
+        assert counts[0] == counts[1]
 
     @pytest.mark.parametrize("enabled", [True, False])
-    def test_ingest_pauses_the_collector_and_restores_its_state(self, world, tmp_path,
-                                                                monkeypatch, enabled):
-        seen = []
-        real = ing.prefilter
+    def test_run_pauses_the_collector_and_restores_its_state(self, world, tmp_path,
+                                                             monkeypatch, enabled):
+        seen = {}
 
-        def prefilter(records, filters):
-            seen.append(gc.isenabled())
-            return real(records, filters)
+        def spy(owner, name):
+            real = getattr(owner, name)
 
-        monkeypatch.setattr(ing, "prefilter", prefilter)
-        cfg = world_config(world, tmp_path)
-        inputs = load_inputs(cfg, STAGE_LEVELS["ingest"])
+            def hook(*args, **kwargs):
+                seen.setdefault(name, set()).add(gc.isenabled())
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, hook)
+
+        stages = ((ing, "prefilter"), (ann, "annotate_history"),
+                  (mot, "census_from_signatures"), (pipeline, "write_filtered_records"))
+        for owner, name in stages:
+            spy(owner, name)
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("census failed")
+
         was_enabled = gc.isenabled()
         (gc.enable if enabled else gc.disable)()
         try:
-            ingest(cfg, inputs)
+            run(world_config(world, tmp_path / "ok"), "all")
+            assert gc.isenabled() is enabled
+            monkeypatch.setattr(mot, "census_from_signatures", broken)
+            with pytest.raises(RuntimeError, match="census failed"):
+                run(world_config(world, tmp_path / "failed"), "all")
             assert gc.isenabled() is enabled
         finally:
             (gc.enable if was_enabled else gc.disable)()
-        assert seen == [False]
+        assert seen == {name: {False} for _, name in stages}
 
     def test_repeat_run_byte_identical(self, world, tmp_path):
         run(world_config(world, tmp_path / "a"), "all")
@@ -240,14 +289,24 @@ def run_all_with_zones_in_child(world, tmp_path, prelude=""):
     return proc.stdout.splitlines()[-1], tmp_path / "out" / "correlation.json"
 
 
+def assert_import_skips(module, skipped):
+    """`import module` in a fresh interpreter loads no `skipped`."""
+    src = str(Path(motifmine.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import {module}, sys; assert {skipped!r} not in sys.modules"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_import_loads_no_numpy():
     # the package runs on the standard library: importing numpy would cost
     # every stage, ingest included, ~0.2 s and ~14 MiB
-    src = str(Path(motifmine.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-c", "import motifmine, sys; assert 'numpy' not in sys.modules"],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    assert_import_skips("motifmine", "numpy")
+
+
+def test_import_loads_no_process_pool():
+    # only a run with workers > 1 needs the pool; the import costs ~30 ms
+    assert_import_skips("motifmine.pipeline", "concurrent.futures")
 
 
 def test_full_run_with_zones_does_not_import_scipy_stats(world, tmp_path):
@@ -532,6 +591,13 @@ class TestCli:
         assert "absent.csv" in capsys.readouterr().err
 
 
+@pytest.fixture
+def no_parse(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("records parsed before the paths were checked")
+    monkeypatch.setattr(ing, "parse_records_path", fail)
+
+
 def test_failed_write_keeps_the_previous_run(world, tmp_path, monkeypatch):
     out = tmp_path / "out"
     run(world_config(world, out), "all")
@@ -551,7 +617,7 @@ def test_failed_write_keeps_the_previous_run(world, tmp_path, monkeypatch):
 
 
 def test_an_artifact_name_taken_by_a_directory_exits_2_and_keeps_the_previous_run(
-        world, tmp_path, capsys):
+        world, tmp_path, capsys, request):
     out = tmp_path / "out"
     args = world_args(world, out)
     assert main(["all", *args]) == 0
@@ -559,6 +625,7 @@ def test_an_artifact_name_taken_by_a_directory_exits_2_and_keeps_the_previous_ru
     (out / "density.csv").mkdir()
     before = output_bytes(out)
     capsys.readouterr()
+    request.getfixturevalue("no_parse")  # the names are checked before any record is read
     # unhashed ids change filtered_records.csv, which is renamed before the density
     assert main(["all", "--no-hash-ids", *args]) == 2
     assert str(out / "density.csv") in capsys.readouterr().err
@@ -618,12 +685,6 @@ class TestDelimiter:
 
 
 class TestBadPaths:
-    @pytest.fixture
-    def no_parse(self, monkeypatch):
-        def fail(*args, **kwargs):
-            raise AssertionError("records parsed before the paths were checked")
-        monkeypatch.setattr(ing, "parse_records_path", fail)
-
     @pytest.mark.parametrize("flag", ["--records", "--parcels", "--scheme", "--boundary",
                                       "--zones", "--blocklist", "--config"])
     def test_a_directory_as_input_exits_2(self, world, tmp_path, capsys, no_parse, flag):
@@ -696,3 +757,70 @@ def test_annotation_dump_rows_match_the_oracles(tmp_path):
                                   run_cfg.radius_m)
         want = ("", OTHERS_CODE) if hit is None else (str(hit.parcel_id), hit.activity_code)
         assert (row["parcel_id"], int(row["activity_code"])) == want
+
+
+_PLAIN_FIELDS = st.text(st.sampled_from("aZ0 .-é日"), max_size=3)
+_EDGE_COUNTS = (0, 1, pipeline._CSV_CHUNK - 1, pipeline._CSV_CHUNK, pipeline._CSV_CHUNK + 1)
+
+
+@st.composite
+def csv_tables(draw):
+    """A header of 1-7 columns and rows cycled from a few plain ones, with
+    one odd row at a chunk edge: of any width near the header's, holding up
+    to two of `,"\r\n`."""
+    width = draw(st.integers(1, 7))
+    plain = draw(st.lists(st.tuples(*[_PLAIN_FIELDS] * width), min_size=1, max_size=4))
+    n_rows = draw(st.sampled_from(_EDGE_COUNTS))
+    rows = [plain[i % len(plain)] for i in range(n_rows)]
+    chunk = pipeline._CSV_CHUNK
+    edges = sorted({i for i in (0, chunk - 1, chunk, n_rows - 1) if 0 <= i < n_rows})
+    if edges:
+        odd_width = draw(st.sampled_from([width, width, width - 1, width + 1]))
+        odd = list(draw(st.tuples(*[_PLAIN_FIELDS] * odd_width)))
+        for char in draw(st.lists(st.sampled_from(',"\r\n'), max_size=2)) if odd else ():
+            i = draw(st.integers(0, len(odd) - 1))
+            j = draw(st.integers(0, len(odd[i])))
+            odd[i] = odd[i][:j] + char + odd[i][j:]
+        rows[draw(st.sampled_from(edges))] = tuple(odd)
+    return tuple(f"h{i}" for i in range(width)), rows
+
+
+def _needs_quoting_care(row, width) -> bool:
+    return width < 2 or len(row) != width or any(c in f for f in row for c in ',"\r\n')
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(csv_tables())
+@example((("a",), [("",)]))  # csv quotes a row of one empty field
+@example((("a", "b"), [("x,y",)]))  # a short row whose comma makes up the width
+@example((("a", "b"), [("x", "y,z")]))
+@example((("a", "b"), [("x", "y\nz")]))
+@example((("a", "b"), [("x", 'y"z')]))
+@example((("a", "b"), [("x", "y\rz")]))
+def test_write_csv_matches_csv_writer(table):
+    """`_write_csv` writes the bytes of one plain csv.writer, and hands
+    csv.writer exactly the chunks that hold a row needing its care."""
+    header, rows = table
+    real_writer = csv.writer
+    routed = []
+
+    class Spy:
+        def __init__(self, fh, **kwargs):
+            self.inner = real_writer(fh, **kwargs)
+
+        def writerow(self, row):
+            return self.inner.writerow(row)
+
+        def writerows(self, chunk):
+            routed.append(list(chunk))
+            return self.inner.writerows(routed[-1])
+
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
+        with mock.patch.object(pipeline.csv, "writer", Spy):
+            pipeline._write_csv(got, header, iter(rows))
+        write_csv_reference(want, header, rows)
+        assert got.read_bytes() == want.read_bytes()
+    chunk = pipeline._CSV_CHUNK
+    chunks = [rows[i:i + chunk] for i in range(0, len(rows), chunk)]
+    assert routed == [c for c in chunks if any(_needs_quoting_care(r, len(header)) for r in c)]
