@@ -227,21 +227,6 @@ def load_zones(path, pop_attr: str) -> list:
     return zones
 
 
-def artifact_files(cfg: RunConfig, level: int) -> list:
-    """The file names a run up to `level` publishes, in publication order:
-    the manifest last."""
-    files = ["filtered_records.csv"]
-    if cfg.dump_annotations and level >= 2:
-        files.append("annotations.csv")
-    if level >= 3:
-        files += ["census_lbm.csv", "census_abm.csv", "size_groups.csv", "motif_edges.txt"]
-    if level >= 4:
-        files += ["distance_stats.csv", "density.csv", "shape_summary.json"]
-        if cfg.zones:
-            files.append("correlation.json")
-    return files + ["manifest.json"]
-
-
 def _check_targets(out_dir: Path, files):
     """A rename onto a directory or other non-file fails, so refuse the run
     (ValueError) before it publishes anything."""
@@ -260,7 +245,6 @@ class Inputs:
     schema: ing.RecordSchema
     filters: ing.FilterConfig
     zones: list | None  # only read for the shape stage
-    artifacts: list  # file names, from `artifact_files`
 
 
 def load_inputs(cfg: RunConfig, level: int) -> Inputs:
@@ -278,8 +262,7 @@ def load_inputs(cfg: RunConfig, level: int) -> Inputs:
     out = Path(cfg.out_dir)
     if not next(p for p in (out, *out.parents) if p.exists()).is_dir():
         raise ValueError(f"--out is not a directory: {cfg.out_dir}")
-    artifacts = artifact_files(cfg, level)
-    _check_targets(out, artifacts)
+    _check_targets(out, artifact_writers(cfg, level))
     scheme = ActivityScheme.from_file(cfg.scheme) if cfg.scheme else ActivityScheme()
     if level >= 2:
         index, load_report = load_parcels(cfg.parcels, scheme, cfg.category_attr)
@@ -297,7 +280,7 @@ def load_inputs(cfg: RunConfig, level: int) -> Inputs:
         residency_mode=cfg.residency_mode,
     )
     zones = load_zones(cfg.zones, cfg.zone_pop_attr) if cfg.zones and level >= 4 else None
-    return Inputs(index, load_report, schema, filters, zones, artifacts)
+    return Inputs(index, load_report, schema, filters, zones)
 
 
 @dataclass(slots=True)
@@ -559,12 +542,14 @@ def _write_csv(path, header, rows):
     """Write `header` and `rows` (tuples of str) as `csv.writer` would, with
     minimal quoting and "\n" line ends.
 
-    The rows go out in chunks of `_CSV_CHUNK`. A chunk is written as its
-    fields joined by "," and its rows by "\n" when that text needs no
-    quoting: every row has the header's width, which is at least 2 (csv
-    quotes a row of one empty field), the text holds exactly (width - 1)
-    commas and one newline per row, so no field holds either, and it holds
-    no '"' and no "\r". Any other chunk goes through `csv.writer`, the
+    A row is plain when it has the header's width, which is at least 2 (csv
+    quotes a row of one empty field), and its fields hold no ',', '"', "\r"
+    or "\n": csv writes such a row as its fields joined by ",". The rows go
+    out in chunks of `_CSV_CHUNK`. A chunk is written as one joined text when
+    every row has the header's width and that text holds exactly (width - 1)
+    commas and one newline per row, and no '"' or "\r", so every row is
+    plain. In any other chunk the plain rows are still written joined, one at
+    a time and in order, and only the others go through `csv.writer`, the
     reference for these bytes. Streamed: the write step runs after every
     stage, so whatever a writer holds at once adds to the run's peak memory.
     """
@@ -572,16 +557,25 @@ def _write_csv(path, header, rows):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
+        if width < 2:
+            writer.writerows(rows)
+            return
         rows = iter(rows)
         while chunk := list(itertools.islice(rows, _CSV_CHUNK)):
-            text = "\n".join([",".join(row) for row in chunk]) + "\n"
-            if (width >= 2 and all(len(row) == width for row in chunk)
+            lines = [",".join(row) for row in chunk]
+            text = "\n".join(lines) + "\n"
+            if (all(len(row) == width for row in chunk)
                     and text.count(",") == (width - 1) * len(chunk)
                     and text.count("\n") == len(chunk)
                     and '"' not in text and "\r" not in text):
                 fh.write(text)
-            else:
-                writer.writerows(chunk)
+                continue
+            for row, line in zip(chunk, lines):
+                if (len(row) == width and line.count(",") == width - 1
+                        and '"' not in line and "\r" not in line and "\n" not in line):
+                    fh.write(line + "\n")
+                else:
+                    writer.writerow(row)
 
 
 def write_json(path, doc: dict):
@@ -663,43 +657,56 @@ def write_density_csv(path, density: shp.ReferenceFrameDensity):
     _write_csv(path, ("bin_x_center", "bin_y_center", "mass"), rows)
 
 
-def write_outputs(out_dir: Path, files: list, users, manifest: dict, mined: Mined | None,
-                  shaped: Shaped | None) -> dict:
-    """Publish the artifacts `files` (from `artifact_files`) of a finished
-    run; returns their paths, keyed by file stem.
+def artifact_writers(cfg: RunConfig, level: int, users=(), manifest: dict | None = None,
+                     mined: Mined | None = None, shaped: Shaped | None = None) -> dict:
+    """File name -> writer(path) of every artifact a run up to `level`
+    publishes, in publication order: the manifest last.
+
+    The names follow from the stage and the flags alone, so `load_inputs`
+    checks them before anything is computed; a writer reads `users`,
+    `manifest`, `mined` or `shaped` only when `write_outputs` calls it.
+    """
+    writers = {"filtered_records.csv": lambda path: write_filtered_records(path, users)}
+    if cfg.dump_annotations and level >= 2:
+        writers["annotations.csv"] = lambda path: write_annotation_dump(path, users)
+    if level >= 3:
+        writers["census_lbm.csv"] = lambda path: write_census_csv(path, mined.lbm)
+        writers["census_abm.csv"] = lambda path: write_census_csv(path, mined.abm)
+        writers["size_groups.csv"] = lambda path: write_size_groups_csv(
+            path, [mined.lbm, mined.abm])
+        writers["motif_edges.txt"] = lambda path: write_motif_edges(path, [mined.lbm, mined.abm])
+    if level >= 4:
+        writers["distance_stats.csv"] = lambda path: write_distance_stats_csv(path, shaped.stats)
+        writers["density.csv"] = lambda path: write_density_csv(path, shaped.density)
+        writers["shape_summary.json"] = lambda path: write_json(path, shaped.summary)
+        if cfg.zones:
+            writers["correlation.json"] = lambda path: write_json(path, shaped.correlation)
+    writers["manifest.json"] = lambda path: write_json(path, manifest)
+    return writers
+
+
+def write_outputs(out_dir: Path, writers: dict) -> dict:
+    """Publish the artifacts of a finished run, `writers` from
+    `artifact_writers`; returns their paths, keyed by file stem.
 
     Each writer fills a file in one staging directory inside `out_dir`, so
     every rename stays on one filesystem. Only after the last writer has
     succeeded, and every target is checked again to be absent or a regular
     file (else ValueError), is each file renamed into place, in the order of
-    `files`: the manifest last. Files in `out_dir` that are not this run's
+    `writers`: the manifest last. Files in `out_dir` that are not this run's
     artifacts are left alone.
     """
-    # deferred: `mined` and `shaped` are None in the stages that do not reach them
-    writers = {
-        "filtered_records.csv": lambda path: write_filtered_records(path, users),
-        "annotations.csv": lambda path: write_annotation_dump(path, users),
-        "census_lbm.csv": lambda path: write_census_csv(path, mined.lbm),
-        "census_abm.csv": lambda path: write_census_csv(path, mined.abm),
-        "size_groups.csv": lambda path: write_size_groups_csv(path, [mined.lbm, mined.abm]),
-        "motif_edges.txt": lambda path: write_motif_edges(path, [mined.lbm, mined.abm]),
-        "distance_stats.csv": lambda path: write_distance_stats_csv(path, shaped.stats),
-        "density.csv": lambda path: write_density_csv(path, shaped.density),
-        "shape_summary.json": lambda path: write_json(path, shaped.summary),
-        "correlation.json": lambda path: write_json(path, shaped.correlation),
-        "manifest.json": lambda path: write_json(path, manifest),
-    }
     out_dir.mkdir(parents=True, exist_ok=True)
     staging = Path(tempfile.mkdtemp(dir=out_dir, prefix=".staging-"))
     try:
-        for name in files:
-            writers[name](staging / name)
-        _check_targets(out_dir, files)  # the directory may have changed since load_inputs
-        for name in files:
+        for name, writer in writers.items():
+            writer(staging / name)
+        _check_targets(out_dir, writers)  # the directory may have changed since load_inputs
+        for name in writers:
             os.replace(staging / name, out_dir / name)
     finally:
         shutil.rmtree(staging, ignore_errors=True)
-    return {Path(name).stem: out_dir / name for name in files}
+    return {Path(name).stem: out_dir / name for name in writers}
 
 
 def run(cfg: RunConfig, stage: str = "all") -> dict:
@@ -724,5 +731,6 @@ def _run_stages(cfg: RunConfig, stage: str) -> dict:
     mined = mine(users, cfg) if level >= 3 else None
     shaped = shape(users, mined.days, inputs.zones, cfg) if level >= 4 else None
     manifest = build_manifest(cfg, stage, inputs, ingested, users, mined)
-    paths = write_outputs(Path(cfg.out_dir), inputs.artifacts, users, manifest, mined, shaped)
+    writers = artifact_writers(cfg, level, users, manifest, mined, shaped)
+    paths = write_outputs(Path(cfg.out_dir), writers)
     return {"manifest": manifest, "paths": paths}

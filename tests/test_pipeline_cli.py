@@ -171,6 +171,15 @@ class TestPipelineRun:
         assert second["manifest"]["parse"]["malformed"] == 1  # the header line
         assert second["paths"]["filtered_records"].read_bytes() == written.read_bytes()
 
+    def test_loaders_make_no_reference_cycles(self, world, tmp_path):
+        # the premise of pausing the cyclic collector while they run
+        cfg = world_config(world, tmp_path)
+        gc.collect()
+        inputs = load_inputs(cfg, STAGE_LEVELS["all"])
+        ingested = ingest(cfg, inputs)
+        assert gc.collect() == 0
+        assert inputs.index.parcels and ingested.tracks
+
     def test_a_run_makes_no_reference_cycles_of_its_own(self, world, tmp_path):
         # the premise of pausing the cyclic collector for the whole run: what
         # it would collect is a fixed handful of objects, none of the package's
@@ -766,22 +775,27 @@ _EDGE_COUNTS = (0, 1, pipeline._CSV_CHUNK - 1, pipeline._CSV_CHUNK, pipeline._CS
 @st.composite
 def csv_tables(draw):
     """A header of 1-7 columns and rows cycled from a few plain ones, with
-    one odd row at a chunk edge: of any width near the header's, holding up
-    to two of `,"\r\n`."""
+    one to three odd rows at chunk edges or mid-chunk: each of any width
+    near the header's, holding up to two characters from one of `,`, `"`,
+    `\r` or `\n` alone, or from all four, so that each check is at times
+    the only one a chunk fails."""
     width = draw(st.integers(1, 7))
     plain = draw(st.lists(st.tuples(*[_PLAIN_FIELDS] * width), min_size=1, max_size=4))
     n_rows = draw(st.sampled_from(_EDGE_COUNTS))
     rows = [plain[i % len(plain)] for i in range(n_rows)]
+    dirt = draw(st.sampled_from([",", '"', "\r", "\n", ',"\r\n']))
     chunk = pipeline._CSV_CHUNK
-    edges = sorted({i for i in (0, chunk - 1, chunk, n_rows - 1) if 0 <= i < n_rows})
-    if edges:
+    spots = sorted({i for i in (0, 1, n_rows // 2, chunk - 1, chunk, n_rows - 1)
+                    if 0 <= i < n_rows})
+    for at in draw(st.lists(st.sampled_from(spots), min_size=1, max_size=3,
+                            unique=True)) if spots else ():
         odd_width = draw(st.sampled_from([width, width, width - 1, width + 1]))
         odd = list(draw(st.tuples(*[_PLAIN_FIELDS] * odd_width)))
-        for char in draw(st.lists(st.sampled_from(',"\r\n'), max_size=2)) if odd else ():
+        for char in draw(st.lists(st.sampled_from(dirt), max_size=2)) if odd else ():
             i = draw(st.integers(0, len(odd) - 1))
             j = draw(st.integers(0, len(odd[i])))
             odd[i] = odd[i][:j] + char + odd[i][j:]
-        rows[draw(st.sampled_from(edges))] = tuple(odd)
+        rows[at] = tuple(odd)
     return tuple(f"h{i}" for i in range(width)), rows
 
 
@@ -797,9 +811,10 @@ def _needs_quoting_care(row, width) -> bool:
 @example((("a", "b"), [("x", "y\nz")]))
 @example((("a", "b"), [("x", 'y"z')]))
 @example((("a", "b"), [("x", "y\rz")]))
+@example((("a", "b"), [("p", "q"), ("x", "y,z"), ("p", "q"), ('"',), ("p", "q")]))
 def test_write_csv_matches_csv_writer(table):
     """`_write_csv` writes the bytes of one plain csv.writer, and hands
-    csv.writer exactly the chunks that hold a row needing its care."""
+    csv.writer the header and exactly the rows that need its care."""
     header, rows = table
     real_writer = csv.writer
     routed = []
@@ -809,11 +824,12 @@ def test_write_csv_matches_csv_writer(table):
             self.inner = real_writer(fh, **kwargs)
 
         def writerow(self, row):
+            routed.append(row)
             return self.inner.writerow(row)
 
-        def writerows(self, chunk):
-            routed.append(list(chunk))
-            return self.inner.writerows(routed[-1])
+        def writerows(self, rows):
+            for row in rows:
+                self.writerow(row)
 
     with tempfile.TemporaryDirectory() as tmp:
         got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
@@ -821,6 +837,4 @@ def test_write_csv_matches_csv_writer(table):
             pipeline._write_csv(got, header, iter(rows))
         write_csv_reference(want, header, rows)
         assert got.read_bytes() == want.read_bytes()
-    chunk = pipeline._CSV_CHUNK
-    chunks = [rows[i:i + chunk] for i in range(0, len(rows), chunk)]
-    assert routed == [c for c in chunks if any(_needs_quoting_care(r, len(header)) for r in c)]
+    assert routed == [header] + [r for r in rows if _needs_quoting_care(r, len(header))]
