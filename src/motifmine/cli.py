@@ -9,7 +9,6 @@ speed cap, 30-day residency, 6-slot active days, 0.5% census cutoff,
 """
 
 import argparse
-import json
 import sys
 
 from . import pipeline, synth
@@ -75,25 +74,12 @@ def _run_stage(args) -> int:
 
 
 def _run_synth(args) -> int:
-    if args.synth_config:
-        with open(args.synth_config, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        templates = tuple(
-            synth.TemplateSpec(tuple(t["walk"]), t["weight"], t.get("spacing_km", 3.0))
-            for t in doc.pop("templates", [])
-        ) or synth.SynthConfig().templates
-        bots = synth.BotSpec(**doc.pop("bots", {}))
-        cfg = synth.SynthConfig(templates=templates, bots=bots, **doc)
-    else:
-        cfg = synth.SynthConfig()
-    for name in ("seed", "num_users", "days", "tourist_count"):
-        value = getattr(args, name)
-        if value is not None:
-            setattr(cfg, name, value)
-    if args.stationary_bots is not None:
-        cfg.bots.stationary = args.stationary_bots
-    if args.teleporters is not None:
-        cfg.bots.teleporter = args.teleporters
+    cfg = synth.SynthConfig()
+    for owner, names in ((cfg, ("seed", "num_users", "days", "tourist_count")),
+                         (cfg.bots, ("stationary", "teleporter"))):
+        for name in names:
+            if getattr(args, name) is not None:
+                setattr(owner, name, getattr(args, name))
     result = synth.generate(cfg, args.out_dir)
     print(f"synthetic world written to {args.out_dir}")
     for name, path in result["paths"].items():
@@ -125,9 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--users", dest="num_users", type=int)
     p.add_argument("--days", type=int)
     p.add_argument("--tourists", dest="tourist_count", type=int)
-    p.add_argument("--stationary-bots", dest="stationary_bots", type=int)
-    p.add_argument("--teleporters", dest="teleporters", type=int)
-    p.add_argument("--synth-config", help="JSON file with full synthetic config")
+    p.add_argument("--stationary-bots", dest="stationary", type=int)
+    p.add_argument("--teleporters", dest="teleporter", type=int)
     p.set_defaults(func=_run_synth)
     return parser
 

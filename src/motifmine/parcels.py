@@ -19,8 +19,8 @@ parcel contains pays for the radius search.
 Loading is a bulk build: tens of thousands of parcels, each a few tuples,
 all kept alive. None of them refers back to another, so the cyclic garbage
 collector's passes over them during the build find nothing to free;
-`gc_paused` turns those passes off while the loaders run. Reference
-counting frees memory as usual.
+`load_parcels` turns those passes off with `gc_paused`, and `pipeline.run`
+for a whole run. Reference counting frees memory as usual.
 """
 
 import gc
@@ -224,18 +224,17 @@ def read_parcels(path, scheme: ActivityScheme | None = None, category_attr: str 
     Returns (list of Parcel, LoadReport).
     """
     scheme = scheme or ActivityScheme()
-    with gc_paused():
-        features = geojson_features(path)
-        report = LoadReport(total_features=len(features))
-        parcels = []
-        for feat in features:
-            rings = geojson_polygon(feat.get("geometry"))
-            if rings is None:
-                report.skipped_invalid += 1
-                continue
-            code = scheme.code_for(str((feat.get("properties") or {}).get(category_attr, "")))
-            parcels.append(Parcel(len(parcels) + 1, rings[0], rings[1], code))
-            report.per_code[code] = report.per_code.get(code, 0) + 1
+    features = geojson_features(path)
+    report = LoadReport(total_features=len(features))
+    parcels = []
+    for feat in features:
+        rings = geojson_polygon(feat.get("geometry"))
+        if rings is None:
+            report.skipped_invalid += 1
+            continue
+        code = scheme.code_for(str((feat.get("properties") or {}).get(category_attr, "")))
+        parcels.append(Parcel(len(parcels) + 1, rings[0], rings[1], code))
+        report.per_code[code] = report.per_code.get(code, 0) + 1
     report.loaded = len(parcels)
     if not parcels:
         raise ValueError(f"no valid parcels in {path}")

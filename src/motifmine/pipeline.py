@@ -589,7 +589,7 @@ def write_filtered_records(path, users):
         (o.user_id, ing.format_timestamp(p.ts), f"{p.lat:.7f}", f"{p.lon:.7f}", p.source, p.text)
         for o in users for p in o.points or ()
     )
-    _write_csv(path, ("user_id", "timestamp", "lat", "lon", "location_source", "text"), rows)
+    _write_csv(path, ing.SCHEMA_FIELDS, rows)
 
 
 def write_annotation_dump(path, users):

@@ -92,6 +92,14 @@ class SynthConfig:
     days: int = 20  # active weekdays per resident
 
     def validate(self):
+        for flag, value, low in (("users", self.num_users, 1), ("days", self.days, 1),
+                                 ("tourists", self.tourist_count, 0),
+                                 ("stationary-bots", self.bots.stationary, 0),
+                                 ("teleporters", self.bots.teleporter, 0)):
+            if value < low:
+                raise ValueError(f"--{flag} must be at least {low}, got {value}")
+        if self.bots.stationary > self.grid_side - 2:  # they share one grid row
+            raise ValueError(f"--stationary-bots must be at most {self.grid_side - 2}")
         if abs(sum(t.weight for t in self.templates) - 1.0) > 1e-9:
             raise ValueError("template weights must sum to 1")
         if any(t.spacing_km <= 0 for t in self.templates):
@@ -347,11 +355,13 @@ def generate(cfg: SynthConfig, out_dir) -> dict:
     """Generate the synthetic world under out_dir.
 
     Writes parcels.geojson, records.csv, boundary.geojson, scheme.tsv and
-    ground_truth.json; returns their paths plus the GroundTruth object.
+    ground_truth.json; returns their paths plus the GroundTruth object. A bad
+    config or out_dir raises ValueError before anything is written.
     """
     cfg.validate()
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    if not next(p for p in (out, *out.parents) if p.exists()).is_dir():
+        raise ValueError(f"--out is not a directory: {out_dir}")
     world = _World(cfg)
 
     max_spacing_cells = max(_spacing_cells(t, cfg) for t in cfg.templates)
@@ -416,6 +426,7 @@ def generate(cfg: SynthConfig, out_dir) -> dict:
         anchor_ts = EPOCH + 42 * 86400 + 12 * 3600
         bot_lines.append(_record(uid, anchor_ts, *pa))
 
+    out.mkdir(parents=True, exist_ok=True)  # every check has passed
     paths = {
         "parcels": out / "parcels.geojson",
         "records": out / "records.csv",

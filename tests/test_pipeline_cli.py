@@ -18,6 +18,7 @@ import motifmine
 from motifmine import annotate as ann
 from motifmine import ingest as ing
 from motifmine import motifs as mot
+from motifmine import parcels as parcels_mod
 from motifmine import pipeline, synth
 from motifmine.cli import main
 from motifmine.parcels import OTHERS_CODE, ActivityScheme, read_parcels
@@ -227,6 +228,21 @@ class TestPipelineRun:
             (gc.enable if was_enabled else gc.disable)()
         assert seen == {name: {False} for _, name in stages}
 
+    def test_stage_ingest_reads_the_parcels_inside_the_pause(self, world, tmp_path,
+                                                              monkeypatch):
+        # `read_parcels` has no pause of its own; stage ingest calls it under run's
+        seen = []
+        real = parcels_mod.geojson_polygon
+        monkeypatch.setattr(parcels_mod, "geojson_polygon",
+                            lambda geometry: seen.append(gc.isenabled()) or real(geometry))
+        was_enabled = gc.isenabled()
+        gc.enable()
+        try:
+            run(world_config(world, tmp_path / "out"), "ingest")
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+        assert seen and set(seen) == {False}
+
     def test_repeat_run_byte_identical(self, world, tmp_path):
         run(world_config(world, tmp_path / "a"), "all")
         run(world_config(world, tmp_path / "b"), "all")
@@ -310,7 +326,15 @@ def assert_import_skips(module, skipped):
 def test_import_loads_no_numpy():
     # the package runs on the standard library: importing numpy would cost
     # every stage, ingest included, ~0.2 s and ~14 MiB
-    assert_import_skips("motifmine", "numpy")
+    assert_import_skips("motifmine.cli", "numpy")
+
+
+@pytest.mark.parametrize("module", ["motifmine", "motifmine.parcels"])
+@pytest.mark.parametrize("skipped", ["motifmine.pipeline", "motifmine.synth"])
+def test_package_import_loads_only_what_it_uses(module, skipped):
+    # the package re-exports nothing, so a caller that needs only the parcels
+    # (the benchmark's setup child) pays for no other module
+    assert_import_skips(module, skipped)
 
 
 def test_import_loads_no_process_pool():
@@ -586,6 +610,36 @@ class TestCli:
         assert (out_dir / "census_lbm.csv").exists()
         captured = capsys.readouterr()
         assert "users" in captured.out
+
+    def test_synth_writes_the_noise_actors_asked_for(self, tmp_path):
+        world_dir = tmp_path / "world"
+        rc = main(["synth", "--out", str(world_dir), "--users", "3", "--days", "2",
+                   "--stationary-bots", "1", "--teleporters", "1", "--tourists", "1"])
+        assert rc == 0
+        with open(world_dir / "records.csv", encoding="utf-8", newline="") as fh:
+            users = {row[0] for row in csv.reader(fh)}
+        assert users == {"u0000", "u0001", "u0002", "bot0000", "tp0000", "tour0000"}
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--users", "0"], "--users must be at least 1, got 0"),
+        (["--days", "0"], "--days must be at least 1, got 0"),
+        (["--users", "-3"], "--users must be at least 1, got -3"),
+        (["--tourists", "-1"], "--tourists must be at least 0, got -1"),
+        (["--stationary-bots", "-1"], "--stationary-bots must be at least 0, got -1"),
+        (["--teleporters", "-2"], "--teleporters must be at least 0, got -2"),
+        (["--stationary-bots", "139"], "--stationary-bots must be at most 138"),
+        (["--out", "taken"], "--out is not a directory"),
+        (["--out", "taken/world"], "--out is not a directory"),
+    ])
+    def test_bad_synth_argument_exits_2_and_writes_nothing(self, tmp_path, capsys, monkeypatch,
+                                                            argv, message):
+        monkeypatch.chdir(tmp_path)
+        Path("taken").write_text("kept\n", encoding="utf-8")
+        rc = main(["synth", "--out", "world", "--users", "2", "--days", "2", *argv])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+        assert Path("taken").read_text(encoding="utf-8") == "kept\n"
 
     def test_missing_records_nonzero_exit_names_path(self, tmp_path, capsys):
         rc = main(
