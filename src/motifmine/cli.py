@@ -11,7 +11,7 @@ speed cap, 30-day residency, 6-slot active days, 0.5% census cutoff,
 import argparse
 import sys
 
-from . import pipeline, synth
+from . import pipeline
 
 
 def _add_pipeline_args(p: argparse.ArgumentParser):
@@ -74,6 +74,8 @@ def _run_stage(args) -> int:
 
 
 def _run_synth(args) -> int:
+    from . import synth  # imported here: no pipeline stage needs the generator
+
     cfg = synth.SynthConfig()
     for owner, names in ((cfg, ("seed", "num_users", "days", "tourist_count")),
                          (cfg.bots, ("stationary", "teleporter"))):

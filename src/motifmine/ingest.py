@@ -231,14 +231,17 @@ def parse_records(lines, schema: RecordSchema | None = None):
         text = ""
         if text_col is not None and text_col < len(row):
             text = row[text_col]
-        records.append(PointRecord(user_id, ts, lat, lon, source, text))
+        # source == GPS: every record shares that one string, not its row's copy
+        records.append(PointRecord(user_id, ts, lat, lon, GPS, text))
     report.records = len(records)
     return records, report
 
 
 def parse_records_path(path, schema: RecordSchema | None = None):
-    # a byte that is not UTF-8 makes its line malformed instead of raising
-    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
+    # A byte that is not UTF-8 makes its line malformed instead of raising.
+    # Lines end at "\n" alone, so a bare "\r" stays inside its line: in an
+    # unquoted field it makes the line malformed, and a quoted one keeps it.
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="\n") as fh:
         return parse_records(fh, schema)
 
 

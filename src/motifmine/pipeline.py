@@ -43,9 +43,9 @@ from .parcels import (
     ActivityScheme,
     LoadReport,
     SpatialIndex,
+    count_parcels,
     gc_paused,
     load_parcels,
-    read_parcels,
 )
 
 STAGE_LEVELS = {"ingest": 1, "annotate": 2, "mine": 3, "shape": 4, "all": 4}
@@ -268,7 +268,7 @@ def load_inputs(cfg: RunConfig, level: int) -> Inputs:
         index, load_report = load_parcels(cfg.parcels, scheme, cfg.category_attr)
     else:  # stage ingest joins nothing, so the parcels are only read and counted
         index = None
-        _, load_report = read_parcels(cfg.parcels, scheme, cfg.category_attr)
+        load_report = count_parcels(cfg.parcels, scheme, cfg.category_attr)
     schema = ing.RecordSchema(delimiter=cfg.delimiter)
     if cfg.columns:
         schema.columns = ing.parse_schema_columns(cfg.columns)
@@ -319,7 +319,7 @@ class UserOutcome:
     rejected_open_walk: int = 0
     days: list = field(default_factory=list)  # DayOutcome
     home_anchor: tuple | None = None
-    normalized: list | None = None  # (x, y) pairs of aligned coordinates
+    density_cells: tuple | None = None  # shape.density_cells of the aligned points
     align_skip: str | None = None
 
 
@@ -392,9 +392,11 @@ def process_user(track, index, filters: ing.FilterConfig, cfg: RunConfig,
 
     try:
         aligned = shp.align_trajectory([(p.lat, p.lon) for p in history], home=out.home_anchor)
-        out.normalized = aligned.points
     except shp.DegenerateTrajectory as exc:
         out.align_skip = exc.reason
+    else:  # binned now, so no outcome holds its points until the density is pooled
+        out.density_cells = shp.density_cells(aligned.points, cfg.density_bins,
+                                              cfg.density_bound)
     return out
 
 
@@ -470,16 +472,15 @@ def _zone_correlation(zones, users):
 def shape(users, days, zones, cfg: RunConfig) -> Shaped:
     """Distance statistics, the reference-frame density and the zone correlation."""
     stats = shp.distance_stats([d.metrics for d in days], cfg.max_nodes)
-    streams = [o.normalized for o in users if o.normalized is not None]
-    density = shp.density_histogram(streams, cfg.density_bins, cfg.density_bound,
-                                    cfg.density_weight)
+    cells = [o.density_cells for o in users if o.density_cells is not None]
+    density = shp.pool_density(cells, cfg.density_bins, cfg.density_bound, cfg.density_weight)
     skip_counts = {}
     for o in users:
         if o.align_skip:
             skip_counts[o.align_skip] = skip_counts.get(o.align_skip, 0) + 1
     gyr_values = [d.metrics.gyradius_km for d in days]
     summary = {
-        "aligned_users": len(streams),
+        "aligned_users": len(cells),
         "skipped_users": skip_counts,
         "points_total": int(density.total),
         "points_in_range": int(density.in_range),
@@ -538,9 +539,20 @@ def build_manifest(cfg: RunConfig, stage: str, inputs: Inputs, ingested: Ingeste
 _CSV_CHUNK = 1024  # rows
 
 
+class _Echo:
+    """A file whose write returns the text it is given, so `csv.writer`'s
+    writerow returns the line it made."""
+
+    @staticmethod
+    def write(text):
+        return text
+
+
 def _write_csv(path, header, rows):
     """Write `header` and `rows` (tuples of str) as `csv.writer` would, with
-    minimal quoting and "\n" line ends.
+    minimal quoting and "\n" line ends, except that a field holding "\r" is
+    quoted too: csv leaves a bare "\r" unquoted, and `ingest` reads one
+    outside quotes as a malformed line.
 
     A row is plain when it has the header's width, which is at least 2 (csv
     quotes a row of one empty field), and its fields hold no ',', '"', "\r"
@@ -553,12 +565,18 @@ def _write_csv(path, header, rows):
     reference for these bytes. Streamed: the write step runs after every
     stage, so whatever a writer holds at once adds to the run's peak memory.
     """
+    # csv quotes a field holding any character of the line terminator, so
+    # "\r\n" quotes "\r" and "\n"; the line then ends in "\n" instead
+    quoting = csv.writer(_Echo(), lineterminator="\r\n")
+
+    def csv_line(row):
+        return quoting.writerow(row)[:-2] + "\n"
+
     width = len(header)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
+        fh.write(csv_line(header))
         if width < 2:
-            writer.writerows(rows)
+            fh.writelines(map(csv_line, rows))
             return
         rows = iter(rows)
         while chunk := list(itertools.islice(rows, _CSV_CHUNK)):
@@ -575,7 +593,7 @@ def _write_csv(path, header, rows):
                         and '"' not in line and "\r" not in line and "\n" not in line):
                     fh.write(line + "\n")
                 else:
-                    writer.writerow(row)
+                    fh.write(csv_line(row))
 
 
 def write_json(path, doc: dict):

@@ -3,16 +3,17 @@
 Each user's location history is projected to meters about its center of
 mass, rotated so the principal axis of the second-moment (gyration)
 tensor points due west, and scaled by the per-axis standard deviations;
-the axis comes from the 2x2 tensor in closed form. Pooled normalized
-points form a binned density over the shared intrinsic reference frame,
-held in nested lists. Distance statistics aggregate trip lengths, daily
-totals, and the gyradius about home over motif groups. A day's distances
-read the visit sequence its network holds, each visit placed at its
-parcel's per-day anchor; `day_metrics` condenses one day for the pipeline
-and the synthetic ground truth alike. The zone correlation's two-sided
-p-value is a Student-t tail written as a regularized incomplete beta and
-evaluated with `math` alone. The module needs only the standard library,
-so a run imports no third-party package.
+the axis comes from the 2x2 tensor in closed form. Each user's normalized
+points are binned as soon as they are made (`density_cells`), and only
+those per-user cell counts are pooled into the density over the shared
+intrinsic reference frame, held in nested lists. Distance statistics
+aggregate trip lengths, daily totals, and the gyradius about home over
+motif groups. A day's distances read the visit sequence its network holds,
+each visit placed at its parcel's per-day anchor; `day_metrics` condenses
+one day for the pipeline and the synthetic ground truth alike. The zone
+correlation's two-sided p-value is a Student-t tail written as a
+regularized incomplete beta and evaluated with `math` alone. The module
+needs only the standard library, so a run imports no third-party package.
 """
 
 import math
@@ -168,30 +169,40 @@ class ReferenceFrameDensity:
         return [-self.bound + cell * (k + 0.5) for k in range(self.bins)]
 
 
-def density_histogram(streams, bins: int = 80, bound: float = 4.0,
-                      weight: str = "point") -> ReferenceFrameDensity:
-    """Pool streams of normalized (x, y) points into one 2-D histogram.
+def density_cells(points, bins: int = 80, bound: float = 4.0) -> tuple:
+    """One stream of normalized (x, y) points binned: (its point count, a
+    Counter of the in-range cells it hits, keyed x_bin * bins + y_bin, in
+    the order of each cell's first hit).
 
     Cells are half-open (lower edge inclusive); points at or beyond +bound
-    fall out of range and only lower the total mass inside the grid. With
+    fall out of range, so they count only in the point count.
+    """
+    cell = 2.0 * bound / bins
+    clip = [*range(bins), bins - 1]  # a coordinate just below +bound can round to `bins`
+    floor = math.floor
+    return len(points), Counter([clip[floor((x + bound) / cell)] * bins
+                                 + clip[floor((y + bound) / cell)]
+                                 for x, y in points if -bound <= x < bound and -bound <= y < bound])
+
+
+def pool_density(cells, bins: int = 80, bound: float = 4.0,
+                 weight: str = "point") -> ReferenceFrameDensity:
+    """Pool the `density_cells` pairs of several streams, binned with the
+    same `bins` and `bound`, into one 2-D histogram.
+
+    Out-of-range points only lower the total mass inside the grid. With
     weight="user" every non-empty stream carries equal mass: its cell
     counts over its own length, averaged over the streams.
     """
     if weight not in DENSITY_WEIGHTS:
         raise ValueError(f"weight must be one of {', '.join(DENSITY_WEIGHTS)}, not {weight!r}")
-    cell = 2.0 * bound / bins
-    clip = [*range(bins), bins - 1]  # a coordinate just below +bound can round to `bins`
-    floor = math.floor
     counts = [[0] * bins for _ in range(bins)]
     user_mass = [[0.0] * bins for _ in range(bins)] if weight == "user" else None
     users = 0
     in_range = 0
     total = 0
-    for points in streams:
-        n = len(points)
+    for n, hits in cells:
         total += n
-        hits = Counter([clip[floor((x + bound) / cell)] * bins + clip[floor((y + bound) / cell)]
-                        for x, y in points if -bound <= x < bound and -bound <= y < bound])
         for key, k in hits.items():
             i, j = divmod(key, bins)
             counts[i][j] += k
@@ -200,10 +211,18 @@ def density_histogram(streams, bins: int = 80, bound: float = 4.0,
                 user_mass[i][j] += k / n
         users += n > 0
     if in_range == 0:
-        warnings.warn("density_histogram: no points fell inside the grid", stacklevel=2)
+        warnings.warn("no points fell inside the density grid", stacklevel=2)
     if user_mass is not None and users:
         user_mass = [[m / users for m in row] for row in user_mass]
     return ReferenceFrameDensity(bins, bound, counts, in_range, total - in_range, user_mass)
+
+
+def density_histogram(streams, bins: int = 80, bound: float = 4.0,
+                      weight: str = "point") -> ReferenceFrameDensity:
+    """Pool streams of normalized (x, y) points into one 2-D histogram:
+    `density_cells` of each stream, then `pool_density`."""
+    return pool_density([density_cells(points, bins, bound) for points in streams], bins,
+                        bound, weight)
 
 
 def day_anchors(day: UserDay) -> dict:
@@ -390,11 +409,12 @@ def correlation_p_value(r: float, n: int) -> float | None:
     y = tt / (df + tt)  # 1 - x, computed without cancellation
     if y == 0.0:
         return 1.0
-    a, b = df / 2.0, 0.5
-    log_front = (
-        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b) + a * math.log1p(-y) + b * math.log(y)
-    )
     x = df / (df + tt)
+    a, b = df / 2.0, 0.5
+    # log(x) from whichever of x and y is the smaller: 1 - y loses the digits
+    # of a small x, and a * log(x) multiplies that error by a
+    log_x = math.log(x) if x < 0.5 else math.log1p(-y)
+    log_front = math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b) + a * log_x + b * math.log(y)
     if x < (a + 1.0) / (a + b + 2.0):
         p = math.exp(log_front) * _beta_cf(a, b, x) / a
     else:

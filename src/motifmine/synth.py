@@ -362,6 +362,16 @@ def generate(cfg: SynthConfig, out_dir) -> dict:
     out = Path(out_dir)
     if not next(p for p in (out, *out.parents) if p.exists()).is_dir():
         raise ValueError(f"--out is not a directory: {out_dir}")
+    paths = {
+        "parcels": out / "parcels.geojson",
+        "records": out / "records.csv",
+        "boundary": out / "boundary.geojson",
+        "scheme": out / "scheme.tsv",
+        "ground_truth": out / "ground_truth.json",
+    }
+    for path in paths.values():  # a name taken by a directory would fail mid-world
+        if path.exists() and not path.is_file():
+            raise ValueError(f"cannot replace {path}: it is not a regular file")
     world = _World(cfg)
 
     max_spacing_cells = max(_spacing_cells(t, cfg) for t in cfg.templates)
@@ -427,13 +437,6 @@ def generate(cfg: SynthConfig, out_dir) -> dict:
         bot_lines.append(_record(uid, anchor_ts, *pa))
 
     out.mkdir(parents=True, exist_ok=True)  # every check has passed
-    paths = {
-        "parcels": out / "parcels.geojson",
-        "records": out / "records.csv",
-        "boundary": out / "boundary.geojson",
-        "scheme": out / "scheme.tsv",
-        "ground_truth": out / "ground_truth.json",
-    }
 
     features = []
     for r in range(cfg.grid_side):

@@ -571,8 +571,15 @@ def density_histogram_numpy(streams, bins: int, bound: float, weight: str = "poi
 
 
 def write_csv_reference(path, header, rows):
-    """A header and rows through one plain `csv.writer`, with "\n" line ends."""
+    """A header and rows through one plain `csv.writer`, with "\n" line ends,
+    except a row with a field holding "\r": csv leaves that "\r" bare, so
+    such a row is written by hand, each field that holds ',', '"', "\r" or
+    "\n" quoted and its quotes doubled."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        for row in (header, *rows):
+            if not any("\r" in f for f in row):
+                writer.writerow(row)
+                continue
+            fh.write(",".join('"' + f.replace('"', '""') + '"'
+                              if any(c in f for c in ',"\r\n') else f for f in row) + "\n")

@@ -11,6 +11,7 @@ from motifmine.ingest import (
     _END_TS,
     _MIN_TS,
     DEFAULT_BLOCKLIST,
+    GPS,
     FilterConfig,
     UserTrack,
     format_timestamp,
@@ -149,6 +150,27 @@ class TestParse:
         recs, report = parse_records_path(path)
         assert [(r.user_id, r.text) for r in recs] == [("u1", "caf\u00e9"), ("u4", "ok")]
         assert (report.lines, report.malformed) == (4, 2)
+
+
+    def test_a_bare_cr_stays_inside_its_line(self, tmp_path):
+        # only "\n" ends a line of the file: an unquoted "\r" makes its line
+        # malformed, and a quoted one is kept in its field
+        path = tmp_path / "records.csv"
+        path.write_bytes(
+            b"u1,2014-03-01T12:00:00Z,41.88,-87.63,gps,x\ry\n"
+            b'u2,2014-03-01T12:00:00Z,41.88,-87.63,gps,"p\rq"\n'
+            b"u3,2014-03-01T12:00:00Z,41.88,-87.63,gps,ok\r\n"
+            b"u4,2014-03-01T12:00:00Z,41.88,-87.63,gps,ok"
+        )
+        recs, report = parse_records_path(path)
+        assert [(r.user_id, r.text) for r in recs] == [("u2", "p\rq"), ("u3", "ok"), ("u4", "ok")]
+        assert (report.lines, report.malformed) == (4, 1)
+
+    def test_kept_records_share_one_source_string(self):
+        recs, _ = parse_records(lines("u1,2014-03-01T12:00:00Z,41.88,-87.63, GPS ,a\n",
+                                      "u2,2014-03-01T12:00:00Z,41.88,-87.63,gps,b\n"))
+        assert [r.source for r in recs] == ["gps", "gps"]
+        assert all(r.source is GPS for r in recs)
 
 
 @settings(max_examples=500, deadline=None, derandomize=True, database=None)

@@ -2,18 +2,21 @@ import gc
 import json
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from motifmine import parcels as parcels_mod
-from motifmine.geo import METERS_PER_DEGREE
+from motifmine import synth
+from motifmine.geo import METERS_PER_DEGREE, geojson_features
 from motifmine.parcels import (
     ActivityScheme,
     NearestHit,
     Parcel,
     SpatialIndex,
+    count_parcels,
     load_parcels,
     nearest_parcel,
     read_parcels,
@@ -103,6 +106,21 @@ class TestLoadParcels:
         with pytest.raises(ValueError, match="no valid parcels"):
             read_parcels(write_geojson(tmp_path / "e.geojson", []))
 
+    def test_count_parcels_is_the_report_of_read_parcels(self, tmp_path):
+        feats = [geojson_polygon_feature(square_ring(41.90 + i * 0.01, -87.60, 50), cat)
+                 for i, cat in enumerate(["Residential", 1, None, "Services"])]
+        feats.insert(2, geojson_polygon_feature(((41.9, -87.6),) * 3))  # invalid
+        del feats[-1]["properties"]["category"]
+        feats.append({"type": "Feature", "geometry": None})
+        path = write_geojson(tmp_path / "p.geojson", feats)
+        report = count_parcels(path)
+        assert report == read_parcels(path)[1]
+        assert (report.total_features, report.loaded, report.skipped_invalid) == (6, 4, 2)
+        scheme = ActivityScheme({"1": 3, "None": 5, "": 9})
+        assert count_parcels(path, scheme) == read_parcels(path, scheme)[1]
+        with pytest.raises(ValueError, match="no valid parcels"):
+            count_parcels(write_geojson(tmp_path / "bad.geojson", feats[2:3]))
+
     def test_load_report_percentages(self, tmp_path):
         feats = [
             geojson_polygon_feature(square_ring(41.90 + i * 0.02, -87.60, 50), cat)
@@ -111,6 +129,23 @@ class TestLoadParcels:
         path = write_geojson(tmp_path / "p.geojson", feats)
         _, report = load_parcels(path)
         assert report.per_code == {1: 3, 7: 1}
+
+
+def test_the_parcel_read_peaks_no_higher_than_the_decoding(tmp_path):
+    # the decoded features are released as the parcels are built, so neither
+    # the build nor the count holds the whole document and every parcel at once
+    world = synth.generate(synth.SynthConfig(num_users=10, days=4, seed=3), tmp_path / "w")
+    path = world["paths"]["parcels"]
+    peaks = {}
+    for read in (geojson_features, load_parcels, count_parcels):
+        tracemalloc.start()
+        try:
+            read(path)
+            peaks[read.__name__] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    decoded = peaks.pop("geojson_features")
+    assert max(peaks.values()) <= 1.01 * decoded, (peaks, decoded)
 
 
 @pytest.mark.parametrize("enabled", [True, False])

@@ -157,13 +157,14 @@ class TestPipelineRun:
             f'{user},0999-03-02T12:00:00Z,{lat},{lon},gps,"a, ""quoted"" text"',
             f'"{user},x",0999-03-01T12:00:00Z,{lat},{lon},gps,"one, two"',
             f'"{user},x",0999-05-01T12:00:00Z,{lat},{lon},gps,plain',
+            f'{user},0999-03-03T12:00:00Z,{lat},{lon},gps,"p\rq"',
         ]
         records = tmp_path / "records.csv"
         records.write_text(text + "\n".join(extra) + "\n", encoding="utf-8")
         cfg = world_config(world, tmp_path / "first", hash_ids=False)
         cfg.records = str(records)
         written = run(cfg, "ingest")["paths"]["filtered_records"]
-        body = written.read_text("utf-8")
+        body = written.read_bytes().decode("utf-8")
         for line in extra:  # the input lines are already in csv's minimal quoting
             assert f"\n{line}\n" in body
         cfg = world_config(world, tmp_path / "second", hash_ids=False)
@@ -335,6 +336,11 @@ def test_package_import_loads_only_what_it_uses(module, skipped):
     # the package re-exports nothing, so a caller that needs only the parcels
     # (the benchmark's setup child) pays for no other module
     assert_import_skips(module, skipped)
+
+
+def test_cli_import_loads_no_synth():
+    # only `motifmine synth` needs the generator, so no stage compiles or runs it
+    assert_import_skips("motifmine.cli", "motifmine.synth")
 
 
 def test_import_loads_no_process_pool():
@@ -640,6 +646,17 @@ class TestCli:
         assert message in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
         assert Path("taken").read_text(encoding="utf-8") == "kept\n"
+
+    @pytest.mark.parametrize("name", ["parcels.geojson", "records.csv", "ground_truth.json"])
+    def test_synth_world_name_taken_by_a_directory_exits_2_and_writes_nothing(
+            self, tmp_path, capsys, name):
+        world_dir = tmp_path / "world"
+        (world_dir / name).mkdir(parents=True)
+        rc = main(["synth", "--out", str(world_dir), "--users", "2", "--days", "2"])
+        assert rc == 2
+        assert f"cannot replace {world_dir / name}: it is not a regular file" in \
+            capsys.readouterr().err
+        assert [p.name for p in world_dir.iterdir()] == [name]
 
     def test_missing_records_nonzero_exit_names_path(self, tmp_path, capsys):
         rc = main(

@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 from datetime import date
 
 import numpy as np
@@ -18,10 +19,12 @@ from motifmine.shape import (
     correlation_report,
     day_anchors,
     day_trips_km,
+    density_cells,
     density_histogram,
     distance_stats,
     gyradius_from_home,
     pearson_r,
+    pool_density,
 )
 
 from motifmine.pipeline import write_json
@@ -343,6 +346,20 @@ class TestDensityHistogram:
         assert d.total == 0
         assert cell_sum(d.mass()) == 0.0
 
+    def test_density_cells_of_one_stream(self):
+        # bins=8 over [-4, 4): the lower edge is in, +4 is out, and a coordinate
+        # just below +4 rounds to bin 8 and is clipped into bin 7
+        top = math.nextafter(4.0, 0.0)
+        n, hits = density_cells([(top, top), (-4.0, 0.0), (4.0, 0.0), (0.0, 4.0), (top, top)],
+                                bins=8, bound=4.0)
+        assert n == 5
+        assert list(hits.items()) == [(7 * 8 + 7, 2), (0 * 8 + 4, 1)]
+        assert density_cells([], bins=8, bound=4.0) == (0, {})
+
+    def test_unknown_weight_rejected_when_pooling(self):
+        with pytest.raises(ValueError, match="weight"):
+            pool_density([density_cells([(0.0, 0.0)], 2, 1.0)], 2, 1.0, weight="day")
+
     def test_standard_normal_matches_analytic_cell_integrals(self):
         rng = np.random.default_rng(12345)
         n = 1_000_000
@@ -402,6 +419,25 @@ def test_density_matches_numpy_oracle(inputs, weight):
     assert d.counts == counts.tolist()
     assert (d.in_range, d.out_range) == (in_range, out_range)
     assert d.mass() == mass.tolist()  # the same float operations, so the same bits
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(histogram_inputs(), st.sampled_from(shape.DENSITY_WEIGHTS))
+def test_pooled_cells_match_the_histogram_of_the_streams(inputs, weight):
+    # the pipeline bins each user's points on their own and pools the pairs later
+    bins, bound, streams = inputs
+    cells = [density_cells(points, bins, bound) for points in streams]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        pooled = pool_density(cells, bins, bound, weight)
+        direct = density_histogram(streams, bins, bound, weight)
+    assert [n for n, _ in cells] == [len(points) for points in streams]
+    assert pooled.counts == direct.counts
+    assert (pooled.in_range, pooled.out_range) == (direct.in_range, direct.out_range)
+    assert pooled.mass() == direct.mass()
+    counts, in_range, _, mass = density_histogram_numpy(streams, bins, bound, weight)
+    assert (pooled.counts, pooled.in_range) == (counts.tolist(), in_range)
+    assert pooled.mass() == mass.tolist()
 
 
 def make_day(latlon_parcels):
