@@ -17,7 +17,7 @@ from . import pipeline
 def _add_pipeline_args(p: argparse.ArgumentParser):
     p.add_argument("--config", help="key=value config file")
     p.add_argument("--records", help="delimited point-record file")
-    p.add_argument("--parcels", help="GeoJSON parcel polygons")
+    p.add_argument("--parcels", help="GeoJSON parcel polygons (required from annotate on)")
     p.add_argument("--boundary", help="GeoJSON study-region polygon")
     p.add_argument("--scheme", help="category->code scheme file")
     p.add_argument("--zones", help="GeoJSON zones with population attribute")

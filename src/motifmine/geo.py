@@ -145,7 +145,7 @@ def ring_self_intersects(ring) -> bool:
                     or (alon < clon and alon < dlon and blon < clon and blon < dlon)
                     or (clon < alon and clon < blon and dlon < alon and dlon < blon)):
                 continue
-            if segments_intersect(a[::-1], b[::-1], c[::-1], d[::-1]):
+            if segments_intersect(a, b, c, d):
                 return True
     return False
 

@@ -18,12 +18,13 @@ parcel contains pays for the radius search.
 
 Loading is a bulk build: tens of thousands of parcels, each a few tuples.
 The decoded GeoJSON is released a chunk of features at a time as the
-parcels are built, so the build peaks no higher than the decoding did, and
-`count_parcels` counts the features without building any parcel. None of
-the objects refers back to another, so the cyclic garbage collector's
-passes over them during the build find nothing to free; `load_parcels`
-turns those passes off with `gc_paused`, and `pipeline.run` for a whole
-run. Reference counting frees memory as usual.
+parcels are built, so the build peaks no higher than the decoding did.
+`read_parcels` is the one reader of a parcel file, and only the stages
+that join (annotate on) read one. None of the objects refers back to
+another, so the cyclic garbage collector's passes over them during the
+build find nothing to free; `load_parcels` turns those passes off with
+`gc_paused`, and `pipeline.run` for a whole run. Reference counting frees
+memory as usual.
 """
 
 import gc
@@ -226,17 +227,23 @@ def gc_paused():
 _RELEASE_CHUNK = 1024
 
 
-def _parcel_parts(path, scheme: ActivityScheme | None, category_attr: str, report: LoadReport):
-    """Yield (exterior, holes, activity code) of each valid polygon feature of
-    a GeoJSON file, in file order, and count every feature into `report`.
-    Raises ValueError, after the last feature, when no valid one was found.
+def read_parcels(path, scheme: ActivityScheme | None = None, category_attr: str = "category"):
+    """Read a GeoJSON polygon feature file into parcels, without an index.
+
+    Parcel ids are re-assigned as sequential integers in file order, so the
+    source identifiers never leave this function. Invalid geometries are
+    skipped and counted. Raises ValueError when no valid parcel remains.
 
     The decoded features are read `_RELEASE_CHUNK` at a time, and their
     slots in the decoded list are cleared as each chunk is taken, so a chunk
-    is freed once it is read and what a caller builds from the parts takes
-    the place of the decoded document instead of adding to it.
+    is freed once it is read and the parcels built from it take the place of
+    the decoded document instead of adding to it.
+
+    Returns (list of Parcel, LoadReport).
     """
     scheme = scheme or ActivityScheme()
+    report = LoadReport()
+    parcels = []
     features = geojson_features(path)
     report.total_features = len(features)
     for start in range(0, len(features), _RELEASE_CHUNK):
@@ -250,34 +257,10 @@ def _parcel_parts(path, scheme: ActivityScheme | None, category_attr: str, repor
             code = scheme.code_for(str((feat.get("properties") or {}).get(category_attr, "")))
             report.loaded += 1
             report.per_code[code] = report.per_code.get(code, 0) + 1
-            yield rings[0], rings[1], code
-    if not report.loaded:
+            parcels.append(Parcel(report.loaded, rings[0], rings[1], code))
+    if not parcels:
         raise ValueError(f"no valid parcels in {path}")
-
-
-def read_parcels(path, scheme: ActivityScheme | None = None, category_attr: str = "category"):
-    """Read a GeoJSON polygon feature file into parcels, without an index.
-
-    Parcel ids are re-assigned as sequential integers in file order, so the
-    source identifiers never leave this function. Invalid geometries are
-    skipped and counted. Raises ValueError when no valid parcel remains.
-
-    Returns (list of Parcel, LoadReport).
-    """
-    report = LoadReport()
-    parts = _parcel_parts(path, scheme, category_attr, report)
-    parcels = [Parcel(i, exterior, holes, code)
-               for i, (exterior, holes, code) in enumerate(parts, 1)]
     return parcels, report
-
-
-def count_parcels(path, scheme: ActivityScheme | None = None,
-                  category_attr: str = "category") -> LoadReport:
-    """The LoadReport of `read_parcels`, with no parcel built."""
-    report = LoadReport()
-    for _ in _parcel_parts(path, scheme, category_attr, report):
-        pass
-    return report
 
 
 def load_parcels(path, scheme: ActivityScheme | None = None, category_attr: str = "category"):

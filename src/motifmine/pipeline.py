@@ -43,7 +43,6 @@ from .parcels import (
     ActivityScheme,
     LoadReport,
     SpatialIndex,
-    count_parcels,
     gc_paused,
     load_parcels,
 )
@@ -240,8 +239,8 @@ def _check_targets(out_dir: Path, files):
 class Inputs:
     """Every input except the record stream, read and checked."""
 
-    index: SpatialIndex | None  # only built for the stages that join
-    parcels: LoadReport
+    index: SpatialIndex | None  # the parcels are read only for the stages that join
+    parcels: LoadReport | None  # their load report, likewise
     schema: ing.RecordSchema
     filters: ing.FilterConfig
     zones: list | None  # only read for the shape stage
@@ -251,24 +250,24 @@ def load_inputs(cfg: RunConfig, level: int) -> Inputs:
     """Read and check every input file; the records are parsed by `ingest`.
 
     Every given path, the output directory and the artifact names the run
-    will take in it are checked before any file is read.
+    will take in it are checked before any file is read. An input is read
+    only by a stage that uses it: the parcels and the scheme from annotate
+    on (level 2), the zones for the shape stage (level 4).
     """
     for name in ("records", "parcels", "scheme", "boundary", "zones", "blocklist"):
         value = getattr(cfg, name)  # each is set by the flag of its name
         if value and not Path(value).is_file():
             raise FileNotFoundError(f"--{name} is not a file: {value}")
-        if not value and name in ("records", "parcels"):
+        if not value and (name == "records" or (name == "parcels" and level >= 2)):
             raise FileNotFoundError(f"--{name} is required")
     out = Path(cfg.out_dir)
     if not next(p for p in (out, *out.parents) if p.exists()).is_dir():
         raise ValueError(f"--out is not a directory: {cfg.out_dir}")
     _check_targets(out, artifact_writers(cfg, level))
-    scheme = ActivityScheme.from_file(cfg.scheme) if cfg.scheme else ActivityScheme()
+    index = load_report = None
     if level >= 2:
+        scheme = ActivityScheme.from_file(cfg.scheme) if cfg.scheme else ActivityScheme()
         index, load_report = load_parcels(cfg.parcels, scheme, cfg.category_attr)
-    else:  # stage ingest joins nothing, so the parcels are only read and counted
-        index = None
-        load_report = count_parcels(cfg.parcels, scheme, cfg.category_attr)
     schema = ing.RecordSchema(delimiter=cfg.delimiter)
     if cfg.columns:
         schema.columns = ing.parse_schema_columns(cfg.columns)
@@ -402,6 +401,8 @@ def process_user(track, index, filters: ing.FilterConfig, cfg: RunConfig,
 
 _G_ARGS = None
 
+_POOL_CHUNK = 16  # tracks sent to a worker at a time
+
 
 def _pool_init(*args):
     global _G_ARGS
@@ -414,18 +415,23 @@ def _pool_task(track):
 
 def process_users(tracks, index, filters: ing.FilterConfig, cfg: RunConfig, level: int) -> list:
     """Run the per-user stage chain, serial or in a process pool; the
-    outcomes come back sorted by user id."""
+    outcomes come back sorted by user id.
+
+    The pool has no more workers than there are chunks of tracks to send:
+    with the `fork` start method it starts all of them at once.
+    """
     if cfg.workers <= 1:
         outcomes = [process_user(t, index, filters, cfg, level) for t in tracks]
     else:
         # imported here: no default run uses the pool, and the import costs ~30 ms
         from concurrent.futures import ProcessPoolExecutor
 
+        n_chunks = math.ceil(len(tracks) / _POOL_CHUNK)
         with ProcessPoolExecutor(
-            max_workers=cfg.workers, initializer=_pool_init,
+            max_workers=max(1, min(cfg.workers, n_chunks)), initializer=_pool_init,
             initargs=(index, filters, cfg, level),
         ) as pool:
-            outcomes = list(pool.map(_pool_task, tracks, chunksize=16))
+            outcomes = list(pool.map(_pool_task, tracks, chunksize=_POOL_CHUNK))
     return sorted(outcomes, key=attrgetter("user_id"))
 
 
@@ -500,21 +506,21 @@ def build_manifest(cfg: RunConfig, stage: str, inputs: Inputs, ingested: Ingeste
                       ("bot", "after_bot_filter"), ("no_home", "with_home")):
         remaining -= sum(1 for o in users if o.drop == drop)
         funnel[key] = remaining
-    load_report = inputs.parcels
     manifest = {
         "config": cfg.thresholds_echo(),
         "stage": stage,
         "parse": asdict(ingested.parse),
         "prefilter": {"records": ingested.prefiltered},
-        "parcels": {
+        "users": funnel,
+    }
+    if STAGE_LEVELS[stage] >= 2:
+        load_report = inputs.parcels
+        manifest["parcels"] = {
             "features": load_report.total_features,
             "loaded": load_report.loaded,
             "skipped_invalid": load_report.skipped_invalid,
             "per_code": {str(k): v for k, v in sorted(load_report.per_code.items())},
-        },
-        "users": funnel,
-    }
-    if STAGE_LEVELS[stage] >= 2:
+        }
         manifest["days"] = {
             "total": sum(o.n_days for o in users),
             "active": sum(o.n_active_days for o in users),

@@ -16,7 +16,6 @@ from motifmine.parcels import (
     NearestHit,
     Parcel,
     SpatialIndex,
-    count_parcels,
     load_parcels,
     nearest_parcel,
     read_parcels,
@@ -106,20 +105,26 @@ class TestLoadParcels:
         with pytest.raises(ValueError, match="no valid parcels"):
             read_parcels(write_geojson(tmp_path / "e.geojson", []))
 
-    def test_count_parcels_is_the_report_of_read_parcels(self, tmp_path):
+    def test_read_parcels_reports_invalid_features_and_odd_categories(self, tmp_path):
+        # a category of 1, null or missing reads as "1", "None" or ""
         feats = [geojson_polygon_feature(square_ring(41.90 + i * 0.01, -87.60, 50), cat)
                  for i, cat in enumerate(["Residential", 1, None, "Services"])]
         feats.insert(2, geojson_polygon_feature(((41.9, -87.6),) * 3))  # invalid
         del feats[-1]["properties"]["category"]
         feats.append({"type": "Feature", "geometry": None})
         path = write_geojson(tmp_path / "p.geojson", feats)
-        report = count_parcels(path)
-        assert report == read_parcels(path)[1]
+        parcels, report = read_parcels(path)
         assert (report.total_features, report.loaded, report.skipped_invalid) == (6, 4, 2)
+        assert report.per_code == {1: 1, 12: 3}
+        assert [(p.parcel_id, p.activity_code) for p in parcels] == [(1, 1), (2, 12), (3, 12),
+                                                                     (4, 12)]
         scheme = ActivityScheme({"1": 3, "None": 5, "": 9})
-        assert count_parcels(path, scheme) == read_parcels(path, scheme)[1]
+        parcels, report = read_parcels(path, scheme)
+        assert (report.total_features, report.loaded, report.skipped_invalid) == (6, 4, 2)
+        assert report.per_code == {1: 1, 3: 1, 5: 1, 9: 1}
+        assert [p.activity_code for p in parcels] == [1, 3, 5, 9]
         with pytest.raises(ValueError, match="no valid parcels"):
-            count_parcels(write_geojson(tmp_path / "bad.geojson", feats[2:3]))
+            read_parcels(write_geojson(tmp_path / "bad.geojson", feats[2:3]))
 
     def test_load_report_percentages(self, tmp_path):
         feats = [
@@ -132,20 +137,19 @@ class TestLoadParcels:
 
 
 def test_the_parcel_read_peaks_no_higher_than_the_decoding(tmp_path):
-    # the decoded features are released as the parcels are built, so neither
-    # the build nor the count holds the whole document and every parcel at once
+    # the decoded features are released as the parcels are built, so the
+    # build never holds the whole document and every parcel at once
     world = synth.generate(synth.SynthConfig(num_users=10, days=4, seed=3), tmp_path / "w")
     path = world["paths"]["parcels"]
     peaks = {}
-    for read in (geojson_features, load_parcels, count_parcels):
+    for read in (geojson_features, load_parcels):
         tracemalloc.start()
         try:
             read(path)
             peaks[read.__name__] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    decoded = peaks.pop("geojson_features")
-    assert max(peaks.values()) <= 1.01 * decoded, (peaks, decoded)
+    assert peaks["load_parcels"] <= 1.01 * peaks["geojson_features"], peaks
 
 
 @pytest.mark.parametrize("enabled", [True, False])

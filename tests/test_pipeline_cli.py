@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import gc
 import json
@@ -139,14 +140,21 @@ class TestPipelineRun:
         )
         assert [(t.user_id, rows(t)) for t in hashed] == expected
 
-    def test_stage_ingest_reads_parcels_without_an_index(self, world, tmp_path):
-        cfg = world_config(world, tmp_path)
-        read_only = load_inputs(cfg, STAGE_LEVELS["ingest"])
-        indexed = load_inputs(cfg, STAGE_LEVELS["annotate"])
-        assert read_only.index is None
-        assert indexed.index is not None
-        assert read_only.parcels == indexed.parcels
-        assert read_only.parcels.loaded > 0
+    def test_stage_ingest_reads_no_parcels_and_no_scheme(self, world, tmp_path, monkeypatch):
+        def unread(*args):
+            raise AssertionError("a parcel or scheme file was read")
+
+        bare = world_config(world, tmp_path / "bare")
+        bare.parcels = bare.scheme = ""
+        run(bare, "ingest")
+        monkeypatch.setattr(parcels_mod, "geojson_features", unread)
+        monkeypatch.setattr(ActivityScheme, "from_file", unread)
+        manifest = run(world_config(world, tmp_path / "given"), "ingest")["manifest"]
+        assert "parcels" not in manifest
+        # the echoed config leaves out the input paths, so the manifests match too
+        assert output_bytes(tmp_path / "given") == output_bytes(tmp_path / "bare")
+        with pytest.raises(AssertionError, match="was read"):  # the stages that join read it
+            run(world_config(world, tmp_path / "annotated"), "annotate")
 
     def test_ingest_reads_its_own_output(self, world, tmp_path):
         # quoted fields send their chunk of filtered_records.csv through csv.writer
@@ -229,21 +237,6 @@ class TestPipelineRun:
             (gc.enable if was_enabled else gc.disable)()
         assert seen == {name: {False} for _, name in stages}
 
-    def test_stage_ingest_reads_the_parcels_inside_the_pause(self, world, tmp_path,
-                                                              monkeypatch):
-        # `read_parcels` has no pause of its own; stage ingest calls it under run's
-        seen = []
-        real = parcels_mod.geojson_polygon
-        monkeypatch.setattr(parcels_mod, "geojson_polygon",
-                            lambda geometry: seen.append(gc.isenabled()) or real(geometry))
-        was_enabled = gc.isenabled()
-        gc.enable()
-        try:
-            run(world_config(world, tmp_path / "out"), "ingest")
-        finally:
-            (gc.enable if was_enabled else gc.disable)()
-        assert seen and set(seen) == {False}
-
     def test_repeat_run_byte_identical(self, world, tmp_path):
         run(world_config(world, tmp_path / "a"), "all")
         run(world_config(world, tmp_path / "b"), "all")
@@ -253,6 +246,46 @@ class TestPipelineRun:
         run(world_config(world, tmp_path / "w1", workers=1), "all")
         run(world_config(world, tmp_path / "w2", workers=2), "all")
         assert output_bytes(tmp_path / "w1") == output_bytes(tmp_path / "w2")
+
+    @pytest.mark.parametrize("workers", [2, 4096])
+    def test_the_pool_has_no_more_workers_than_chunks(self, world, tmp_path, monkeypatch,
+                                                      workers):
+        sizes = []
+
+        class InProcessPool:  # starts no process: maps in this one
+            def __init__(self, max_workers, initializer, initargs):
+                sizes.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable, chunksize):
+                assert chunksize == pipeline._POOL_CHUNK
+                return map(fn, iterable)
+
+        def no_fork():
+            raise AssertionError("a process was started")
+
+        monkeypatch.setattr(pipeline, "_G_ARGS", None)  # restored after the test
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(os, "fork", no_fork)
+        serial = run(world_config(world, tmp_path / "serial"), "all")
+        run(world_config(world, tmp_path / "pooled", workers=workers), "all")
+        n_tracks = serial["manifest"]["users"]["total"]
+        assert 0 < n_tracks <= pipeline._POOL_CHUNK
+        assert sizes == [1]  # one chunk of tracks, through the pool all the same
+        assert output_bytes(tmp_path / "pooled") == output_bytes(tmp_path / "serial")
+        cfg = world_config(world, tmp_path, workers=workers)
+        inputs = load_inputs(cfg, STAGE_LEVELS["all"])
+        tracks = ingest(cfg, inputs).tracks * 3  # more than one chunk
+        outcomes = pipeline.process_users(tracks, inputs.index, inputs.filters, cfg, 4)
+        assert sizes[1:] == [min(workers, -(-len(tracks) // pipeline._POOL_CHUNK))]
+        cfg.workers = 1
+        assert outcomes == pipeline.process_users(tracks, inputs.index, inputs.filters, cfg, 4)
 
     def test_annotation_dump(self, world, tmp_path):
         cfg = world_config(world, tmp_path / "out", dump_annotations=True)
@@ -777,6 +810,14 @@ class TestBadPaths:
         assert main(["all", *args]) == 2
         err = capsys.readouterr().err
         assert flag in err and str(tmp_path) in err
+        assert not out_dir.exists()
+
+    def test_annotate_without_parcels_exits_2(self, world, tmp_path, capsys, no_parse):
+        out_dir = tmp_path / "out"
+        args = world_args(world, out_dir)
+        del args[args.index("--parcels"):args.index("--parcels") + 2]
+        assert main(["annotate", *args]) == 2
+        assert "--parcels is required" in capsys.readouterr().err
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("below", [False, True])

@@ -5,7 +5,7 @@ from datetime import date
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from motifmine import shape
@@ -577,6 +577,7 @@ class TestCorrelationPValue:
         st.integers(min_value=3, max_value=2000),
         st.floats(min_value=-1.0, max_value=1.0, exclude_min=True, exclude_max=True),
     )
+    @example(21, 0.9999999999999998)  # drawn only when this file runs alone; pinned for every run
     def test_matches_scipy_stdtr(self, n, r):
         want = scipy_two_sided_p(r, n)
         got = correlation_p_value(r, n)
