@@ -2,7 +2,10 @@
 
 The filter chain is fixed: parse -> prefilter (dedup, boundary clip,
 keyword blocklist) -> per-user speed filter -> per-user residency filter.
-Land-use dependent filtering lives in :mod:`motifmine.annotate`.
+The dedup key holds the user id, so the pipeline prefilters each user's
+records on their own and finds the same duplicates for any record order,
+users interleaved or not. Land-use dependent filtering lives in
+:mod:`motifmine.annotate`.
 """
 
 import csv
@@ -57,6 +60,11 @@ def parse_schema_columns(spec: str) -> dict:
         name, sep, idx = (s.strip() for s in part.partition("="))
         if not sep or name not in SCHEMA_FIELDS or not idx.isdigit():
             raise ValueError(f"bad schema column entry: {part!r}")
+        if name in columns:
+            raise ValueError(f"schema column {name!r} given twice")
+        for other, other_idx in columns.items():
+            if other_idx == int(idx):
+                raise ValueError(f"schema columns {other!r} and {name!r} share column {idx}")
         columns[name] = int(idx)
     missing = [f for f in SCHEMA_FIELDS if f != "text" and f not in columns]
     if missing:
@@ -205,6 +213,7 @@ def parse_records(lines, schema: RecordSchema | None = None):
     text_col = cols.get("text")
     report = ParseReport()
     records = []
+    user_ids = {}  # one string per distinct user id, shared by its records
     for row in _line_rows(lines, schema.delimiter):
         report.lines += 1
         if not row:
@@ -231,7 +240,9 @@ def parse_records(lines, schema: RecordSchema | None = None):
         text = ""
         if text_col is not None and text_col < len(row):
             text = row[text_col]
-        # source == GPS: every record shares that one string, not its row's copy
+        # source == GPS: every record shares that one string, not its row's
+        # copy, and every record of a user shares the user's first id string
+        user_id = user_ids.setdefault(user_id, user_id)
         records.append(PointRecord(user_id, ts, lat, lon, GPS, text))
     report.records = len(records)
     return records, report
@@ -273,18 +284,6 @@ def prefilter(records, cfg: FilterConfig):
         else:
             out.append(rec)
     return out
-
-
-def group_tracks(records) -> list:
-    """Group records into per-user chronological tracks, sorted by user id."""
-    by_user: dict[str, list] = {}
-    for rec in records:
-        by_user.setdefault(rec.user_id, []).append(rec)
-    tracks = []
-    for user_id in sorted(by_user):
-        pts = sorted(by_user[user_id], key=lambda r: r.ts)  # stable: ties keep input order
-        tracks.append(UserTrack(user_id, pts))
-    return tracks
 
 
 # haversine_m gives at most this many meters per degree of |dlat| + |dlon|:

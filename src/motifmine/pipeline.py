@@ -264,13 +264,13 @@ def load_inputs(cfg: RunConfig, level: int) -> Inputs:
     if not next(p for p in (out, *out.parents) if p.exists()).is_dir():
         raise ValueError(f"--out is not a directory: {cfg.out_dir}")
     _check_targets(out, artifact_writers(cfg, level))
+    schema = ing.RecordSchema(delimiter=cfg.delimiter)
+    if cfg.columns:
+        schema.columns = ing.parse_schema_columns(cfg.columns)
     index = load_report = None
     if level >= 2:
         scheme = ActivityScheme.from_file(cfg.scheme) if cfg.scheme else ActivityScheme()
         index, load_report = load_parcels(cfg.parcels, scheme, cfg.category_attr)
-    schema = ing.RecordSchema(delimiter=cfg.delimiter)
-    if cfg.columns:
-        schema.columns = ing.parse_schema_columns(cfg.columns)
     filters = ing.FilterConfig(
         boundary=load_boundary_ring(cfg.boundary) if cfg.boundary else None,
         keyword_blocklist=load_blocklist(cfg.blocklist) if cfg.blocklist else ing.DEFAULT_BLOCKLIST,
@@ -290,14 +290,33 @@ class Ingested:
 
 
 def ingest(cfg: RunConfig, inputs: Inputs) -> Ingested:
-    """Parse the records, pseudonymize users, prefilter and group into tracks."""
+    """Parse the records, pseudonymize users, and prefilter each user's
+    records into a track.
+
+    The records are grouped by user in input order and each group is
+    prefiltered on its own. The dedup key holds the user id, so this finds
+    the duplicates a prefilter of the whole stream would, for any record
+    order, while the dedup set holds one user's keys at a time. Each user's
+    kept records are stably sorted by time (ties keep input order); a user
+    with none kept gets no track.
+    """
     records, parse_report = ing.parse_records_path(cfg.records, inputs.schema)
-    if cfg.hash_ids:
-        pseudonym = functools.cache(pseudonymize)  # one hash per distinct user
-        for rec in records:
+    pseudonym = functools.cache(pseudonymize) if cfg.hash_ids else None  # one hash per user
+    by_user: dict[str, list] = {}
+    for rec in records:
+        if pseudonym:
             rec.user_id = pseudonym(rec.user_id)
-    filtered = ing.prefilter(records, inputs.filters)
-    return Ingested(parse_report, len(filtered), ing.group_tracks(filtered))
+        by_user.setdefault(rec.user_id, []).append(rec)
+    del records
+    tracks = []
+    prefiltered = 0
+    for user_id in sorted(by_user):
+        points = ing.prefilter(by_user.pop(user_id), inputs.filters)
+        if points:
+            points.sort(key=attrgetter("ts"))
+            tracks.append(ing.UserTrack(user_id, points))
+            prefiltered += len(points)
+    return Ingested(parse_report, prefiltered, tracks)
 
 
 @dataclass(slots=True)

@@ -7,7 +7,8 @@ node budget, label-sequence collapsing, walk-to-network construction,
 analytic Gaussian cell integrals, and the all-pairs ring check and
 two-pass GeoJSON polygon reader that `geo` replaced, timestamps formatted
 through `datetime.isoformat`, local dates and half-hour slots read from a
-`datetime`, a brute-force prefilter, the modulo-indexed crossing test that
+`datetime`, a brute-force prefilter, per-user tracks from one stable sort
+(as the package's `UserTrack`), the modulo-indexed crossing test that
 `geo.point_in_ring` replaced, the numpy trajectory alignment
 (`np.linalg.eigh` of the gyration tensor) and density histogram
 (`np.add.at`) that `shape` replaced with the standard library, and the
@@ -28,7 +29,7 @@ from datetime import datetime, timedelta
 import numpy as np
 
 from motifmine.geo import haversine_m, point_polygon_distance_m
-from motifmine.ingest import SpeedDecision
+from motifmine.ingest import SpeedDecision, UserTrack
 from motifmine.parcels import DEFAULT_RADIUS_M, NearestHit
 
 MAX_NODES = 6
@@ -394,6 +395,14 @@ def prefilter_brute_force(records, boundary, blocklist):
             continue
         out.append(r)
     return out
+
+
+def group_tracks(records):
+    """Per-user tracks in user id order, each user's records in time order
+    with ties in input order: one stable sort by (user, ts)."""
+    ordered = sorted(records, key=lambda r: (r.user_id, r.ts))
+    return [UserTrack(user_id, list(group))
+            for user_id, group in itertools.groupby(ordered, key=lambda r: r.user_id)]
 
 
 def _orient(ax, ay, bx, by, cx, cy) -> int:

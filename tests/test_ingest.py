@@ -1,11 +1,13 @@
 import math
 import random
 from datetime import datetime, timezone
+from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from motifmine import ingest, pipeline
 from motifmine.geo import haversine_m
 from motifmine.ingest import (
     _END_TS,
@@ -13,9 +15,10 @@ from motifmine.ingest import (
     DEFAULT_BLOCKLIST,
     GPS,
     FilterConfig,
+    ParseReport,
+    RecordSchema,
     UserTrack,
     format_timestamp,
-    group_tracks,
     parse_records,
     parse_records_path,
     parse_timestamp,
@@ -25,7 +28,13 @@ from motifmine.ingest import (
 )
 
 from conftest import rec
-from oracles import iso_timestamp, local_date_of, prefilter_brute_force, speed_filter_unbounded
+from oracles import (
+    group_tracks,
+    iso_timestamp,
+    local_date_of,
+    prefilter_brute_force,
+    speed_filter_unbounded,
+)
 
 R = 6_371_000.0
 
@@ -281,6 +290,47 @@ def test_prefilter_matches_brute_force(records, boundary, blocklist):
     assert [id(r) for r in prefilter(records, cfg)] == [id(r) for r in expected]
 
 
+@st.composite
+def interleaved_streams(draw):
+    """2-4 users whose records interleave and share a few (ts, lat, lon)
+    keys, so keys repeat within one user and across users."""
+    users = [f"u{i}" for i in range(draw(st.integers(2, 4)))]
+    keys = draw(st.lists(st.tuples(st.integers(0, 2), points), min_size=1, max_size=4))
+    picks = st.tuples(st.sampled_from(users), st.sampled_from(keys), texts)
+    return [rec(user, ts, *point, text=text)
+            for user, (ts, point), text in draw(st.lists(picks, max_size=30))]
+
+
+def ingest_in_memory(records, boundary, blocklist) -> pipeline.Ingested:
+    """`pipeline.ingest` on records already parsed, with user ids kept."""
+    cfg = pipeline.RunConfig(records="records.csv", hash_ids=False)
+    filters = FilterConfig(boundary=boundary, keyword_blocklist=tuple(blocklist))
+    inputs = pipeline.Inputs(None, None, RecordSchema(), filters, None)
+    with mock.patch.object(ingest, "parse_records_path", return_value=(records, ParseReport())):
+        return pipeline.ingest(cfg, inputs)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(interleaved_streams(), st.one_of(st.none(), st.just(NOTCHED_RING)), keywords)
+# a blocked first occurrence: its later duplicate is dropped too, and another
+# user's record with the same key is kept
+@example([rec("u1", 0, 1.0, 1.0, text="job"), rec("u2", 0, 1.0, 1.0),
+          rec("u1", 0, 1.0, 1.0)], None, ["job"])
+# equal times at different places: the tie keeps input order, users interleaved
+@example([rec("u1", 1, 1.0, 1.0), rec("u2", 0, 1.0, 1.0), rec("u1", 1, 3.0, 3.0),
+          rec("u1", 0, 2.0, 3.0), rec("u1", 1, 1.0, 3.0)], None, [])
+# every record of u2 is dropped (outside, blocked or a duplicate): u2 gets no track
+@example([rec("u2", 0, 5.0, 5.0), rec("u1", 0, 1.0, 1.0), rec("u2", 1, 1.0, 1.0, text="x"),
+          rec("u2", 0, 5.0, 5.0)], NOTCHED_RING, ["x"])
+def test_per_user_ingest_matches_one_prefilter_of_the_stream(records, boundary, blocklist):
+    got = ingest_in_memory(records, boundary, blocklist)
+    kept = prefilter_brute_force(records, boundary, blocklist)
+    expected = group_tracks(kept)
+    assert [(t.user_id, [id(p) for p in t.points]) for t in got.tracks] == \
+        [(t.user_id, [id(p) for p in t.points]) for t in expected]
+    assert got.prefiltered == len(kept)
+
+
 def equator_point_at_m(meters: float):
     """Oracle: along the equator, arc length = R * radians(dlon)."""
     return 0.0, math.degrees(meters / R)
@@ -452,3 +502,16 @@ def test_schema_columns_reorder():
         parse_schema_columns("lat=0")
     with pytest.raises(ValueError):
         parse_schema_columns("lat=zero,lon=1,user_id=2,timestamp=3,location_source=4")
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("user_id=0,timestamp=1,lat=2,lon=2,location_source=4", "'lat' and 'lon' share column 2"),
+    ("user_id=0,timestamp=1,lat=2,lon=3,location_source=4,lat=2", "'lat' given twice"),
+    ("user_id=0,timestamp=1,lat=2,lon=3,location_source=4,lat=5", "'lat' given twice"),
+    ("user_id=0,timestamp=1,lat=2,lon=3,location_source=4,text=1", "'timestamp' and 'text'"),
+])
+def test_schema_columns_reject_a_repeated_field_or_column(spec, message):
+    from motifmine.ingest import parse_schema_columns
+
+    with pytest.raises(ValueError, match=message):
+        parse_schema_columns(spec)

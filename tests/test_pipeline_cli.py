@@ -7,6 +7,7 @@ import stat
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import types
 from pathlib import Path
 from unittest import mock
@@ -320,6 +321,30 @@ class TestPipelineRun:
         report = json.loads(result["paths"]["correlation"].read_text())
         assert set(report) == {"n", "r", "p_value"}
         assert report["n"] == 2
+
+
+@pytest.mark.parametrize("hash_ids", [True, False])
+def test_ingest_peaks_little_above_what_it_keeps(tmp_path, hash_ids):
+    """No structure of the whole stream outlives its pass: duplicates are
+    found per user, and each user id is one string shared by its records."""
+    world = synth.generate(synth.SynthConfig(num_users=40, days=10, seed=5), tmp_path / "w")
+    cfg = RunConfig(records=str(world["paths"]["records"]),
+                    boundary=str(world["paths"]["boundary"]),
+                    out_dir=str(tmp_path / "out"), hash_ids=hash_ids)
+    inputs = load_inputs(cfg, STAGE_LEVELS["ingest"])
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ingested = ingest(cfg, inputs)
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    kept = after - before
+    assert ingested.prefiltered > 4000
+    assert peak - after < 0.15 * kept
+    for track in ingested.tracks:
+        assert all(p.user_id is track.user_id for p in track.points)
 
 
 def run_all_with_zones_in_child(world, tmp_path, prelude=""):
@@ -818,6 +843,23 @@ class TestBadPaths:
         del args[args.index("--parcels"):args.index("--parcels") + 2]
         assert main(["annotate", *args]) == 2
         assert "--parcels is required" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("columns, message", [
+        ("user_id=0,timestamp=1,lat=2,lon=2,location_source=4", "share column 2"),
+        ("user_id=0,timestamp=1,lat=2,lon=3,location_source=4,lat=5", "'lat' given twice"),
+        ("user_id=0,timestamp=1,lat=2,lon=3,location_source=4,text=0", "share column 0"),
+    ])
+    def test_a_columns_spec_that_misreads_records_exits_2(self, world, tmp_path, capsys,
+                                                          monkeypatch, no_parse, columns,
+                                                          message):
+        def unread(*args):
+            raise AssertionError("parcels read before the schema was checked")
+
+        monkeypatch.setattr(pipeline, "load_parcels", unread)
+        out_dir = tmp_path / "out"
+        assert main(["all", "--columns", columns, *world_args(world, out_dir)]) == 2
+        assert message in capsys.readouterr().err
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("below", [False, True])

@@ -6,6 +6,8 @@ import pytest
 from motifmine import annotate, ingest, parcels, synth
 from motifmine.pipeline import RunConfig, run
 
+from oracles import group_tracks
+
 
 def small_cfg(**kw):
     defaults = dict(num_users=6, days=3, seed=5)
@@ -86,7 +88,7 @@ class TestMinimalWorld:
         assert report.malformed == 0
         # one active day plus the sparse residency-anchor day
         index, _ = parcels.load_parcels(res["paths"]["parcels"])
-        track = ingest.group_tracks(records)[0]
+        track = group_tracks(records)[0]
         history = annotate.annotate_history(track, index, 0)
         days = annotate.split_days(history)
         assert len(days) == 2
@@ -146,7 +148,7 @@ def noisy_world(tmp_path_factory):
     cfg = small_cfg(bots=synth.BotSpec(stationary=1, teleporter=1), tourist_count=1)
     res = synth.generate(cfg, out)
     records, _ = ingest.parse_records_path(res["paths"]["records"])
-    tracks = {t.user_id: t for t in ingest.group_tracks(records)}
+    tracks = {t.user_id: t for t in group_tracks(records)}
     index, _ = parcels.load_parcels(res["paths"]["parcels"])
     return res, tracks, index
 
@@ -202,7 +204,7 @@ def test_residents_pass_every_filter_by_construction(tmp_path):
     index, _ = parcels.load_parcels(res["paths"]["parcels"])
     fcfg = ingest.FilterConfig()
     truth = res["ground_truth"]
-    for track in ingest.group_tracks(records):
+    for track in group_tracks(records):
         assert ingest.speed_filter(track, fcfg).keep
         assert ingest.residency_filter(track, fcfg)
         history = annotate.annotate_history(track, index, 0)
