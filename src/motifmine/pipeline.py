@@ -4,11 +4,8 @@ Stages build on each other (ingest -> annotate -> mine -> shape); each run
 executes the chain up to the requested stage and writes its artifacts plus
 a run manifest of per-stage counts. Every input is read and checked before
 any record is processed, and so is every artifact name the run will take in
-the output directory. Nothing is written until every computation has
-succeeded. The artifacts are then staged in a directory inside the output
-directory and renamed into place, the manifest last, only after the last
-one is written, so a failed run leaves the previous artifacts (and any
-unrelated file) as they were.
+the output directory. Once every stage has succeeded, the artifacts are
+published all-or-nothing (see `publish`), the manifest last.
 Users are processed independently and may fan out over worker processes;
 every reduction happens in sorted user order, so output bytes never depend
 on the worker count.
@@ -27,9 +24,6 @@ import hashlib
 import itertools
 import json
 import math
-import os
-import shutil
-import tempfile
 from dataclasses import asdict, dataclass, field, fields
 from operator import attrgetter
 from pathlib import Path
@@ -46,6 +40,7 @@ from .parcels import (
     gc_paused,
     load_parcels,
 )
+from .publish import check_targets, write_outputs
 
 STAGE_LEVELS = {"ingest": 1, "annotate": 2, "mine": 3, "shape": 4, "all": 4}
 
@@ -226,15 +221,6 @@ def load_zones(path, pop_attr: str) -> list:
     return zones
 
 
-def _check_targets(out_dir: Path, files):
-    """A rename onto a directory or other non-file fails, so refuse the run
-    (ValueError) before it publishes anything."""
-    for name in files:
-        path = out_dir / name
-        if path.exists() and not path.is_file():
-            raise ValueError(f"cannot replace {path}: it is not a regular file")
-
-
 @dataclass(slots=True)
 class Inputs:
     """Every input except the record stream, read and checked."""
@@ -260,10 +246,7 @@ def load_inputs(cfg: RunConfig, level: int) -> Inputs:
             raise FileNotFoundError(f"--{name} is not a file: {value}")
         if not value and (name == "records" or (name == "parcels" and level >= 2)):
             raise FileNotFoundError(f"--{name} is required")
-    out = Path(cfg.out_dir)
-    if not next(p for p in (out, *out.parents) if p.exists()).is_dir():
-        raise ValueError(f"--out is not a directory: {cfg.out_dir}")
-    _check_targets(out, artifact_writers(cfg, level))
+    check_targets(cfg.out_dir, artifact_writers(cfg, level))
     schema = ing.RecordSchema(delimiter=cfg.delimiter)
     if cfg.columns:
         schema.columns = ing.parse_schema_columns(cfg.columns)
@@ -726,30 +709,6 @@ def artifact_writers(cfg: RunConfig, level: int, users=(), manifest: dict | None
             writers["correlation.json"] = lambda path: write_json(path, shaped.correlation)
     writers["manifest.json"] = lambda path: write_json(path, manifest)
     return writers
-
-
-def write_outputs(out_dir: Path, writers: dict) -> dict:
-    """Publish the artifacts of a finished run, `writers` from
-    `artifact_writers`; returns their paths, keyed by file stem.
-
-    Each writer fills a file in one staging directory inside `out_dir`, so
-    every rename stays on one filesystem. Only after the last writer has
-    succeeded, and every target is checked again to be absent or a regular
-    file (else ValueError), is each file renamed into place, in the order of
-    `writers`: the manifest last. Files in `out_dir` that are not this run's
-    artifacts are left alone.
-    """
-    out_dir.mkdir(parents=True, exist_ok=True)
-    staging = Path(tempfile.mkdtemp(dir=out_dir, prefix=".staging-"))
-    try:
-        for name, writer in writers.items():
-            writer(staging / name)
-        _check_targets(out_dir, writers)  # the directory may have changed since load_inputs
-        for name in writers:
-            os.replace(staging / name, out_dir / name)
-    finally:
-        shutil.rmtree(staging, ignore_errors=True)
-    return {Path(name).stem: out_dir / name for name in writers}
 
 
 def run(cfg: RunConfig, stage: str = "all") -> dict:

@@ -9,7 +9,10 @@ short-stay visitors are generated so that each fails exactly one filter.
 
 All randomness derives from per-entity generators seeded from the run
 seed, so output is byte-identical for identical configs and legitimate
-users' records do not change when noise actors are added.
+users' records do not change when noise actors are added. A world is built
+in memory and then published all-or-nothing (see `publish`), the ground
+truth last, so a bad config or a failed write leaves the previous world as
+it was.
 """
 
 import json
@@ -25,11 +28,13 @@ from .motifs import (
     ABM,
     ACTIVITY_LABELS,
     LBM,
+    SIGNATURE_NODE_CAP,
     abm_reduce,
     canonical_signature,
     network_from_label_walk,
 )
 from .parcels import CODE_NAMES
+from .publish import check_targets, write_outputs
 from .shape import day_metrics, distance_stats
 
 # Monday 00:00 UTC anchor so weekday filtering is predictable
@@ -107,6 +112,12 @@ class SynthConfig:
         for t in self.templates:
             if t.walk[0] != "H" or t.walk[-1] != "H":
                 raise ValueError(f"template walk must start and end at home: {t.walk}")
+            if len(set(t.walk)) > SIGNATURE_NODE_CAP:
+                raise ValueError(f"template walk has {len(set(t.walk))} nodes, above the "
+                                 f"signature cap {SIGNATURE_NODE_CAP}: {t.walk}")
+            for tok in t.stops():
+                if tok.rstrip("0123456789") not in LABEL_CATEGORIES:
+                    raise ValueError(f"template stop {tok!r} has no activity label: {t.walk}")
         longest = max(len(t.walk) for t in self.templates)
         if self.tweets_per_day[1] < 2 * longest + 2:
             raise ValueError(
@@ -351,27 +362,56 @@ def _expected_truth(cfg: SynthConfig, counts, assignments, world):
     return GroundTruth(cfg.num_users, cfg.days, users_doc, templates_doc, census, expected_stats)
 
 
+def _rect_feature(lat0, lon0, lat1, lon1, properties) -> dict:
+    """A GeoJSON Feature of the closed ring of a lat/lon rectangle."""
+    ring = [[lon0, lat0], [lon1, lat0], [lon1, lat1], [lon0, lat1], [lon0, lat0]]
+    geometry = {"type": "Polygon", "coordinates": [ring]}
+    return {"type": "Feature", "properties": properties, "geometry": geometry}
+
+
+def _parcels_json(world) -> str:
+    features = [
+        _rect_feature(*world.cell_bounds((r, c)), {"category": world.category_for((r, c))})
+        for r in range(world.side) for c in range(world.side)
+    ]
+    return json.dumps({"type": "FeatureCollection", "features": features})
+
+
+def _boundary_json(world) -> str:
+    """The grid's extent padded by 0.02 degrees on every side."""
+    olat, olon = world.cfg.origin
+    pad = 0.02
+    return json.dumps(_rect_feature(olat - pad, olon - pad, olat + world.side * world.dlat + pad,
+                                    olon + world.side * world.dlon + pad, {}))
+
+
+def _scheme_tsv() -> str:
+    return "".join(f"{name}\t{code}\n" for code, name in sorted(CODE_NAMES.items()))
+
+
+def _world_writers(world=None, lines=(), truth=None) -> dict:
+    """File name -> writer(path) of each world file, in publication order:
+    the ground truth last. The names are fixed, so `generate` checks them
+    before the world is built; a writer builds its text only when called."""
+    return {
+        "parcels.geojson": lambda path: path.write_text(_parcels_json(world), encoding="utf-8"),
+        "records.csv": lambda path: path.write_text("\n".join(lines) + "\n", encoding="utf-8"),
+        "boundary.geojson": lambda path: path.write_text(_boundary_json(world), encoding="utf-8"),
+        "scheme.tsv": lambda path: path.write_text(_scheme_tsv(), encoding="utf-8"),
+        "ground_truth.json": lambda path: path.write_text(truth.to_json(), encoding="utf-8"),
+    }
+
+
 def generate(cfg: SynthConfig, out_dir) -> dict:
     """Generate the synthetic world under out_dir.
 
     Writes parcels.geojson, records.csv, boundary.geojson, scheme.tsv and
-    ground_truth.json; returns their paths plus the GroundTruth object. A bad
-    config or out_dir raises ValueError before anything is written.
+    ground_truth.json; returns their paths, keyed by file stem, plus the
+    GroundTruth object. A bad config or out_dir raises ValueError before
+    anything is written.
     """
     cfg.validate()
-    out = Path(out_dir)
-    if not next(p for p in (out, *out.parents) if p.exists()).is_dir():
-        raise ValueError(f"--out is not a directory: {out_dir}")
-    paths = {
-        "parcels": out / "parcels.geojson",
-        "records": out / "records.csv",
-        "boundary": out / "boundary.geojson",
-        "scheme": out / "scheme.tsv",
-        "ground_truth": out / "ground_truth.json",
-    }
-    for path in paths.values():  # a name taken by a directory would fail mid-world
-        if path.exists() and not path.is_file():
-            raise ValueError(f"cannot replace {path}: it is not a regular file")
+    check_targets(out_dir, _world_writers())
     world = _World(cfg)
 
     max_spacing_cells = max(_spacing_cells(t, cfg) for t in cfg.templates)
@@ -383,31 +423,31 @@ def generate(cfg: SynthConfig, out_dir) -> dict:
     counts = _template_counts(cfg, cfg.num_users)
     template_of_user = [i for i, n in enumerate(counts) for _ in range(n)]
 
-    # reserve home and stop categories
+    # reserve home and stop categories; records.csv holds the residents,
+    # then the tourists, then the bots
     assignments = {}
     slot_iter = iter(slots)
-    resident_lines = []
+    lines = []
     for u, t_idx in enumerate(template_of_user):
         uid = f"u{u:04d}"
         home = next(slot_iter)
         assignments[uid] = (t_idx, home)
         visit_cells = _settle(world, cfg.templates[t_idx], home)
         rng = random.Random(f"{cfg.seed}/user/{u}")
-        resident_lines.extend(
+        lines.extend(
             _resident_records(world, cfg, rng, uid, visit_cells, cfg.days, anchor=True)
         )
 
-    tourist_lines = []
     for k in range(cfg.tourist_count):
         uid = f"tour{k:04d}"
         t_idx = k % len(cfg.templates)
         visit_cells = _settle(world, cfg.templates[t_idx], next(slot_iter))
         rng = random.Random(f"{cfg.seed}/tourist/{k}")
-        tourist_lines.extend(
+        lines.extend(
             _resident_records(world, cfg, rng, uid, visit_cells, min(5, cfg.days), anchor=False)
         )
 
-    bot_lines = []
+    anchor_ts = EPOCH + 42 * 86400 + 12 * 3600  # each bot's last record
     for k in range(cfg.bots.stationary):
         uid = f"bot{k:04d}"
         cell = (cfg.grid_side - 2, 2 + k)
@@ -416,72 +456,21 @@ def generate(cfg: SynthConfig, out_dir) -> dict:
         for d in range(30):
             day_ts = EPOCH + _weekday_calendar_day(d) * 86400
             for hour in range(9, 17):
-                ts = day_ts + hour * 3600
-                bot_lines.append(_record(uid, ts, *center))
-        anchor_ts = EPOCH + 42 * 86400 + 12 * 3600
-        bot_lines.append(_record(uid, anchor_ts, *center))
+                lines.append(_record(uid, day_ts + hour * 3600, *center))
+        lines.append(_record(uid, anchor_ts, *center))
 
     corner_a, corner_b = (0, 0), (0, cfg.grid_side - 1)
     for cell in (corner_a, corner_b):
         world.reserve(cell, "Office/Workplace")
+    pa, pb = world.cell_center(corner_a), world.cell_center(corner_b)
     for k in range(cfg.bots.teleporter):
         uid = f"tp{k:04d}"
-        pa = world.cell_center(corner_a)
-        pb = world.cell_center(corner_b)
         for d in range(30):
             day_ts = EPOCH + _weekday_calendar_day(d) * 86400 + 9 * 3600
             for j, point in enumerate((pa, pb, pa, pb)):
-                ts = day_ts + j * 20
-                bot_lines.append(_record(uid, ts, *point))
-        anchor_ts = EPOCH + 42 * 86400 + 12 * 3600
-        bot_lines.append(_record(uid, anchor_ts, *pa))
-
-    out.mkdir(parents=True, exist_ok=True)  # every check has passed
-
-    features = []
-    for r in range(cfg.grid_side):
-        for c in range(cfg.grid_side):
-            lat0, lon0, lat1, lon1 = world.cell_bounds((r, c))
-            ring = [[lon0, lat0], [lon1, lat0], [lon1, lat1], [lon0, lat1], [lon0, lat0]]
-            features.append(
-                {
-                    "type": "Feature",
-                    "properties": {"category": world.category_for((r, c))},
-                    "geometry": {"type": "Polygon", "coordinates": [ring]},
-                }
-            )
-    paths["parcels"].write_text(
-        json.dumps({"type": "FeatureCollection", "features": features}), encoding="utf-8"
-    )
-
-    olat, olon = cfg.origin
-    blat = olat + cfg.grid_side * world.dlat
-    blon = olon + cfg.grid_side * world.dlon
-    pad = 0.02
-    boundary_ring = [
-        [olon - pad, olat - pad], [blon + pad, olat - pad],
-        [blon + pad, blat + pad], [olon - pad, blat + pad], [olon - pad, olat - pad],
-    ]
-    paths["boundary"].write_text(
-        json.dumps(
-            {
-                "type": "Feature",
-                "properties": {},
-                "geometry": {"type": "Polygon", "coordinates": [boundary_ring]},
-            }
-        ),
-        encoding="utf-8",
-    )
-
-    paths["scheme"].write_text(
-        "".join(f"{name}\t{code}\n" for code, name in sorted(CODE_NAMES.items())),
-        encoding="utf-8",
-    )
-
-    all_lines = resident_lines + tourist_lines + bot_lines
-    paths["records"].write_text("\n".join(all_lines) + "\n", encoding="utf-8")
+                lines.append(_record(uid, day_ts + j * 20, *point))
+        lines.append(_record(uid, anchor_ts, *pa))
 
     truth = _expected_truth(cfg, counts, assignments, world)
-    paths["ground_truth"].write_text(truth.to_json(), encoding="utf-8")
-
+    paths = write_outputs(Path(out_dir), _world_writers(world, lines, truth))
     return {"paths": paths, "ground_truth": truth}

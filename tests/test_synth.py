@@ -223,3 +223,57 @@ def test_ground_truth_json_round_trips(tmp_path):
     doc = json.loads(res["paths"]["ground_truth"].read_text())
     assert doc["num_users"] == 6
     assert set(doc["expected_census"]) == {"lbm", "abm"}
+
+
+# nine distinct stops, home included: one above motifs.SIGNATURE_NODE_CAP
+NINE_NODE_WALK = ("H", "W", "Sh", "E", "S", "C", "T", "O", "R1", "H")
+
+
+@pytest.mark.parametrize("walk", [NINE_NODE_WALK, ("H", "X1", "H"), ("H", "H2", "H")])
+def test_unplantable_template_is_rejected_before_out_is_created(walk, tmp_path):
+    cfg = small_cfg(templates=(synth.TemplateSpec(walk, 1.0),), tweets_per_day=(8, 22))
+    with pytest.raises(ValueError, match="template") as err:
+        synth.generate(cfg, tmp_path / "w")
+    assert str(walk) in str(err.value)
+    assert not (tmp_path / "w").exists()
+
+
+def world_bytes(out):
+    names = sorted(p.name for p in out.iterdir())  # a .staging-* directory shows here
+    return names, [(out / name).read_bytes() for name in names]
+
+
+@pytest.mark.parametrize("bad", [
+    dict(templates=(synth.TemplateSpec(NINE_NODE_WALK, 1.0),), tweets_per_day=(8, 22)),
+    dict(num_users=5000),  # found only once the grid is laid out
+])
+def test_failed_generate_keeps_the_previous_world(bad, tmp_path):
+    out = tmp_path / "w"
+    synth.generate(small_cfg(), out)
+    before = world_bytes(out)
+    with pytest.raises(ValueError):
+        synth.generate(small_cfg(seed=6, **bad), out)
+    assert world_bytes(out) == before
+
+
+def test_failed_world_write_keeps_the_previous_world(tmp_path, monkeypatch):
+    out = tmp_path / "w"
+    synth.generate(small_cfg(), out)
+    before = world_bytes(out)
+    world_writers = synth._world_writers
+
+    def full_disk_boundary(*args):
+        writers = world_writers(*args)
+
+        def full_disk(path):  # writes part of its file, then fails
+            path.write_text('{"type": "Fea', encoding="utf-8")
+            raise OSError(28, "No space left on device")
+
+        writers["boundary.geojson"] = full_disk
+        return writers
+
+    monkeypatch.setattr(synth, "_world_writers", full_disk_boundary)
+    # another seed changes parcels.geojson and records.csv, written before the boundary
+    with pytest.raises(OSError, match="No space"):
+        synth.generate(small_cfg(seed=6), out)
+    assert world_bytes(out) == before
