@@ -26,13 +26,12 @@ GEOCODED = "geocoded"
 
 @dataclass(slots=True)
 class PointRecord:
-    """One timestamped geo-located observation of one user."""
+    """One timestamped GPS fix of one user; `parse_records` keeps no other."""
 
     user_id: str
     ts: int  # UTC epoch seconds
     lat: float
     lon: float
-    source: str = GPS
     text: str = ""
 
 
@@ -90,9 +89,9 @@ class FilterConfig:
     residency_mode: str = "span"  # or "active-days"
 
     def __post_init__(self):
-        if self.max_speed_mps <= 0:
+        if not self.max_speed_mps > 0:
             raise ValueError("max_speed_mps must be positive")
-        if self.min_residency_days <= 0:
+        if not self.min_residency_days > 0:
             raise ValueError("min_residency_days must be positive")
         if self.residency_mode not in RESIDENCY_MODES:
             raise ValueError(f"unknown residency_mode {self.residency_mode!r}")
@@ -203,8 +202,8 @@ def parse_records(lines, schema: RecordSchema | None = None):
     Malformed lines are skipped and counted, never fatal; a line that is
     not UTF-8 is malformed. A quoted field ends at the end of its line, so
     a line whose quote is still open there is malformed and the next line
-    parses on its own. Records whose location source is the geocoder
-    rather than a GPS fix are dropped and counted separately.
+    parses on its own. Only GPS fixes are kept: records whose location
+    source is the geocoder are dropped and counted separately.
 
     Returns (records, ParseReport).
     """
@@ -240,10 +239,9 @@ def parse_records(lines, schema: RecordSchema | None = None):
         text = ""
         if text_col is not None and text_col < len(row):
             text = row[text_col]
-        # source == GPS: every record shares that one string, not its row's
-        # copy, and every record of a user shares the user's first id string
+        # every record of a user shares the user's first id string
         user_id = user_ids.setdefault(user_id, user_id)
-        records.append(PointRecord(user_id, ts, lat, lon, GPS, text))
+        records.append(PointRecord(user_id, ts, lat, lon, text))
     report.records = len(records)
     return records, report
 

@@ -289,8 +289,9 @@ def network_from_label_walk(label_walk) -> DailyNetwork:
 
     Tokens are location identities; a token's alphabetic prefix is its
     activity label ("W2" is a second distinct work location). "H" is home
-    and must open and close the walk. Useful for fixtures and generators.
+    and must open and close the walk, so an empty walk is refused. The one
+    reader of this rule: `synth` plants its templates from these networks.
     """
-    if label_walk[0] != HOME_LABEL or label_walk[-1] != HOME_LABEL:
-        raise ValueError("walk must start and end at home")
+    if not label_walk or label_walk[0] != HOME_LABEL or label_walk[-1] != HOME_LABEL:
+        raise ValueError(f"walk must start and end at home: {label_walk}")
     return _walk_network(LBM, label_walk, [t.rstrip("0123456789") for t in label_walk])

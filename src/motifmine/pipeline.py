@@ -183,11 +183,13 @@ def pseudonymize(user_id: str) -> str:
 
 
 def load_boundary_ring(path) -> tuple:
-    """Exterior ring of the first polygon in a GeoJSON file, as (lat, lon)."""
+    """The ring, as (lat, lon), of the first polygon in a GeoJSON file; it may have no holes."""
     features = geojson_features(path)
     rings = geojson_polygon(features[0].get("geometry")) if features else None
     if rings is None:
         raise ValueError(f"boundary file {path} does not start with a valid polygon")
+    if rings[1]:  # the prefilter tests one ring
+        raise ValueError(f"boundary file {path} has a polygon with holes; use one ring")
     return rings[0]
 
 
@@ -195,7 +197,7 @@ def load_blocklist(path) -> tuple:
     words = []
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
-            word = line.strip().lower()
+            word = line.strip()
             if word and not word.startswith("#"):
                 words.append(word)
     return tuple(words)
@@ -612,7 +614,7 @@ def write_json(path, doc: dict):
 
 def write_filtered_records(path, users):
     rows = (
-        (o.user_id, ing.format_timestamp(p.ts), f"{p.lat:.7f}", f"{p.lon:.7f}", p.source, p.text)
+        (o.user_id, ing.format_timestamp(p.ts), f"{p.lat:.7f}", f"{p.lon:.7f}", ing.GPS, p.text)
         for o in users for p in o.points or ()
     )
     _write_csv(path, ing.SCHEMA_FIELDS, rows)

@@ -55,20 +55,13 @@ DEFAULT_ACTIVITY_MIX = {
 class TemplateSpec:
     """A daily routine: a walk of stop tokens and the home-to-stop spacing.
 
-    Tokens are stop identities; the alphabetic prefix is the activity
-    label, so ("H", "R1", "H", "R2", "H") visits two distinct residences.
+    Tokens are stop identities, read by `motifs.network_from_label_walk`: the alphabetic
+    prefix is the label, so ("H", "R1", "H", "R2", "H") visits two distinct residences.
     """
 
     walk: tuple
     weight: float
     spacing_km: float = 3.0
-
-    def stops(self) -> list:
-        seen = []
-        for tok in self.walk:
-            if tok != "H" and tok not in seen:
-                seen.append(tok)
-        return seen
 
 
 @dataclass(slots=True)
@@ -96,7 +89,8 @@ class SynthConfig:
     tourist_count: int = 0
     days: int = 20  # active weekdays per resident
 
-    def validate(self):
+    def validate(self) -> list:
+        """Raise ValueError for a config no world fits; return each template's network."""
         for flag, value, low in (("users", self.num_users, 1), ("days", self.days, 1),
                                  ("tourists", self.tourist_count, 0),
                                  ("stationary-bots", self.bots.stationary, 0),
@@ -109,21 +103,27 @@ class SynthConfig:
             raise ValueError("template weights must sum to 1")
         if any(t.spacing_km <= 0 for t in self.templates):
             raise ValueError("spacing must be positive")
+        nets = []
         for t in self.templates:
-            if t.walk[0] != "H" or t.walk[-1] != "H":
-                raise ValueError(f"template walk must start and end at home: {t.walk}")
-            if len(set(t.walk)) > SIGNATURE_NODE_CAP:
-                raise ValueError(f"template walk has {len(set(t.walk))} nodes, above the "
+            if not t.weight >= 0:
+                raise ValueError(f"template weight must not be negative, got {t.weight}: {t.walk}")
+            net = network_from_label_walk(t.walk)
+            if net.node_count > SIGNATURE_NODE_CAP:
+                raise ValueError(f"template walk has {net.node_count} nodes, above the "
                                  f"signature cap {SIGNATURE_NODE_CAP}: {t.walk}")
-            for tok in t.stops():
-                if tok.rstrip("0123456789") not in LABEL_CATEGORIES:
+            for tok, label in zip(net.node_keys[1:], net.labels[1:]):
+                if label not in LABEL_CATEGORIES:
                     raise ValueError(f"template stop {tok!r} has no activity label: {t.walk}")
+            nets.append(net)
+        if self.tweets_per_day[0] > self.tweets_per_day[1]:
+            raise ValueError(f"tweets_per_day low end exceeds its high end: {self.tweets_per_day}")
         longest = max(len(t.walk) for t in self.templates)
         if self.tweets_per_day[1] < 2 * longest + 2:
             raise ValueError(
                 f"template with {longest} visits does not fit in "
                 f"tweets_per_day budget {self.tweets_per_day}"
             )
+        return nets
 
 
 @dataclass(slots=True)
@@ -214,16 +214,15 @@ def _stop_cell(home, stop_index: int, spacing_cells: int):
     return (r + stop_index // 2, c + direction * spacing_cells)
 
 
-def _settle(world, template: TemplateSpec, home) -> list:
-    """Reserve a home and its template's stop cells; returns the cell of
-    each visit of the template's walk."""
+def _settle(world, template: TemplateSpec, net, home) -> list:
+    """Reserve a home and its stops' cells (net's nodes after home); return each visit's cell."""
     world.reserve(home, "Residential")
     spacing_cells = _spacing_cells(template, world.cfg)
-    stop_cells = {}
-    for i, tok in enumerate(template.stops()):
-        stop_cells[tok] = _stop_cell(home, i, spacing_cells)
-        world.reserve(stop_cells[tok], LABEL_CATEGORIES[tok.rstrip("0123456789")])
-    return [home if tok == "H" else stop_cells[tok] for tok in template.walk]
+    cells = {"H": home}
+    for i, (tok, label) in enumerate(zip(net.node_keys[1:], net.labels[1:])):
+        cells[tok] = _stop_cell(home, i, spacing_cells)
+        world.reserve(cells[tok], LABEL_CATEGORIES[label])
+    return [cells[tok] for tok in template.walk]
 
 
 def _template_counts(cfg: SynthConfig, total: int) -> list:
@@ -299,14 +298,13 @@ def _resident_records(world, cfg, rng, user_id, visit_cells, active_days, anchor
     return lines
 
 
-def _expected_truth(cfg: SynthConfig, counts, assignments, world):
-    """Census and distance expectations derived from the config alone."""
+def _expected_truth(cfg: SynthConfig, nets, counts, assignments, world):
+    """Census and distance expectations from the config and its template networks."""
     total_days = cfg.num_users * cfg.days
     census = {LBM: {"one_node_pct": 0.0, "motifs": {}}, ABM: {"one_node_pct": 0.0, "motifs": {}}}
     templates_doc = []
     metrics = []
-    for idx, template in enumerate(cfg.templates):
-        net = network_from_label_walk(template.walk)
+    for idx, (template, net) in enumerate(zip(cfg.templates, nets)):
         reduced = abm_reduce(net)
         lbm_sig = canonical_signature(net)
         abm_sig = canonical_signature(reduced)
@@ -332,7 +330,7 @@ def _expected_truth(cfg: SynthConfig, counts, assignments, world):
         # from a home at cell (0, 0)
         spacing_cells = _spacing_cells(template, cfg)
         offsets = {"H": (0.0, 0.0)}
-        for i, tok in enumerate(template.stops()):
+        for i, tok in enumerate(net.node_keys[1:]):
             row, col = _stop_cell((0, 0), i, spacing_cells)
             offsets[tok] = (col * cfg.cell_m, row * cfg.cell_m)
         pos = [offsets[tok] for tok in template.walk]
@@ -410,7 +408,7 @@ def generate(cfg: SynthConfig, out_dir) -> dict:
     GroundTruth object. A bad config or out_dir raises ValueError before
     anything is written.
     """
-    cfg.validate()
+    nets = cfg.validate()
     check_targets(out_dir, _world_writers())
     world = _World(cfg)
 
@@ -432,7 +430,7 @@ def generate(cfg: SynthConfig, out_dir) -> dict:
         uid = f"u{u:04d}"
         home = next(slot_iter)
         assignments[uid] = (t_idx, home)
-        visit_cells = _settle(world, cfg.templates[t_idx], home)
+        visit_cells = _settle(world, cfg.templates[t_idx], nets[t_idx], home)
         rng = random.Random(f"{cfg.seed}/user/{u}")
         lines.extend(
             _resident_records(world, cfg, rng, uid, visit_cells, cfg.days, anchor=True)
@@ -441,7 +439,7 @@ def generate(cfg: SynthConfig, out_dir) -> dict:
     for k in range(cfg.tourist_count):
         uid = f"tour{k:04d}"
         t_idx = k % len(cfg.templates)
-        visit_cells = _settle(world, cfg.templates[t_idx], next(slot_iter))
+        visit_cells = _settle(world, cfg.templates[t_idx], nets[t_idx], next(slot_iter))
         rng = random.Random(f"{cfg.seed}/tourist/{k}")
         lines.extend(
             _resident_records(world, cfg, rng, uid, visit_cells, min(5, cfg.days), anchor=False)
@@ -471,6 +469,6 @@ def generate(cfg: SynthConfig, out_dir) -> dict:
                 lines.append(_record(uid, day_ts + j * 20, *point))
         lines.append(_record(uid, anchor_ts, *pa))
 
-    truth = _expected_truth(cfg, counts, assignments, world)
+    truth = _expected_truth(cfg, nets, counts, assignments, world)
     paths = write_outputs(Path(out_dir), _world_writers(world, lines, truth))
     return {"paths": paths, "ground_truth": truth}

@@ -34,8 +34,8 @@ def make_index(parcels):
     return SpatialIndex(list(parcels))
 
 
-def rec(user="u1", ts=0, lat=41.88, lon=-87.63, source="gps", text=""):
-    return PointRecord(user, ts, lat, lon, source, text)
+def rec(user="u1", ts=0, lat=41.88, lon=-87.63, text=""):
+    return PointRecord(user, ts, lat, lon, text)
 
 
 def apoint(ts=0, lat=41.88, lon=-87.63, parcel=1, code=1, local=None):

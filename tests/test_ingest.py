@@ -13,7 +13,6 @@ from motifmine.ingest import (
     _END_TS,
     _MIN_TS,
     DEFAULT_BLOCKLIST,
-    GPS,
     FilterConfig,
     ParseReport,
     RecordSchema,
@@ -54,7 +53,7 @@ class TestParse:
         r = recs[0]
         assert r.user_id == "u1"
         assert r.lat == 41.88 and r.lon == -87.63
-        assert r.source == "gps" and r.text == "hello"
+        assert r.text == "hello"
         assert report.records == 1 and report.lines == 1
 
     def test_timestamp_parses_to_utc_epoch(self):
@@ -108,8 +107,7 @@ class TestParse:
             'u1,2014-03-01T12:00:00Z,41.88,-87.63,gps,"say ""hi"", then go"\n',
             'u2,2014-03-01T12:00:00Z,41.88,-87.63,"gps","x"\n',
         ))
-        assert [(r.user_id, r.source, r.text) for r in recs] == [
-            ("u1", "gps", 'say "hi", then go'), ("u2", "gps", "x")]
+        assert [(r.user_id, r.text) for r in recs] == [("u1", 'say "hi", then go'), ("u2", "x")]
         assert (report.lines, report.malformed) == (2, 0)
 
     @pytest.mark.parametrize("end", ["\n", "\r\n", ""])
@@ -178,8 +176,7 @@ class TestParse:
     def test_kept_records_share_one_source_string(self):
         recs, _ = parse_records(lines("u1,2014-03-01T12:00:00Z,41.88,-87.63, GPS ,a\n",
                                       "u2,2014-03-01T12:00:00Z,41.88,-87.63,gps,b\n"))
-        assert [r.source for r in recs] == ["gps", "gps"]
-        assert all(r.source is GPS for r in recs)
+        assert [(r.user_id, r.text) for r in recs] == [("u1", "a"), ("u2", "b")]
 
 
 @settings(max_examples=500, deadline=None, derandomize=True, database=None)
@@ -488,6 +485,20 @@ def test_filter_config_validation():
     bowtie = ((0.0, 0.0), (1.0, 1.0), (0.0, 1.0), (1.0, 0.0))
     with pytest.raises(ValueError):
         FilterConfig(boundary=bowtie)
+
+
+@pytest.mark.parametrize("field, message", [
+    ("max_speed_mps", "max_speed_mps must be positive"),
+    ("min_residency_days", "min_residency_days must be positive"),
+])
+def test_filter_config_refuses_a_nan_threshold(field, message):
+    with pytest.raises(ValueError, match=message):
+        FilterConfig(**{field: math.nan})
+
+
+def test_an_infinite_speed_cap_means_no_cap():
+    pts = [rec(ts=0, lat=0.0, lon=0.0), rec(ts=1, lat=1.0, lon=0.0)]  # 111 km in 1 s
+    assert speed_filter(UserTrack("u1", pts), FilterConfig(max_speed_mps=math.inf)).keep
 
 
 def test_schema_columns_reorder():

@@ -501,3 +501,8 @@ def test_size_group_label():
 def test_network_from_label_walk_requires_home_ends():
     with pytest.raises(ValueError):
         network_from_label_walk(("W", "H"))
+
+
+def test_network_from_label_walk_refuses_an_empty_walk():
+    with pytest.raises(ValueError, match=r"start and end at home: \(\)"):
+        network_from_label_walk(())

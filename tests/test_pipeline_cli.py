@@ -23,6 +23,7 @@ from motifmine import motifs as mot
 from motifmine import parcels as parcels_mod
 from motifmine import pipeline, synth
 from motifmine.cli import main
+from motifmine.geo import geojson_polygon, point_in_polygon, point_in_ring
 from motifmine.parcels import OTHERS_CODE, ActivityScheme, read_parcels
 from motifmine.pipeline import (
     STAGE_LEVELS,
@@ -133,7 +134,7 @@ class TestPipelineRun:
         assert len(raw) > 1
 
         def rows(track):
-            return [(p.user_id, p.ts, p.lat, p.lon, p.source, p.text) for p in track.points]
+            return [(p.user_id, p.ts, p.lat, p.lon, p.text) for p in track.points]
 
         expected = sorted(
             (pseudonymize(t.user_id),
@@ -654,6 +655,23 @@ class TestGeojsonInputs:
             world, tmp_path, capsys, flag, make_doc,
             "feature 1 in %s has properties that are not an object" % (tmp_path / "bad.geojson"))
 
+    def test_boundary_with_a_hole_exits_2_before_any_record_is_read(
+            self, world, tmp_path, capsys, no_parse):
+        # a 1-degree square with a 0.2-degree hole; the prefilter tests one
+        # ring, so it would keep a record that lies inside the hole
+        square = ((41.0, -88.5), (41.0, -87.5), (42.0, -87.5), (42.0, -88.5))
+        hole = [[-88.1, 41.4], [-87.9, 41.4], [-87.9, 41.6], [-88.1, 41.6], [-88.1, 41.4]]
+        feature = geojson_polygon_feature(square)
+        feature["geometry"]["coordinates"].append(hole)
+        boundary = write_geojson(tmp_path / "holed.geojson", [feature])
+        ring, holes = geojson_polygon(feature["geometry"])
+        assert point_in_ring(41.5, -88.0, ring) and not point_in_polygon(41.5, -88.0, ring, holes)
+        out_dir = tmp_path / "out"
+        assert main(["ingest", "--records", str(world["paths"]["records"]),
+                     "--boundary", str(boundary), "--out", str(out_dir)]) == 2
+        assert f"boundary file {boundary} has a polygon with holes" in capsys.readouterr().err
+        assert not out_dir.exists()
+
 
 class TestCli:
     def test_synth_then_mine(self, tmp_path, capsys):
@@ -992,3 +1010,13 @@ def test_write_csv_matches_csv_writer(table):
         write_csv_reference(want, header, rows)
         assert got.read_bytes() == want.read_bytes()
     assert routed == [header] + [r for r in rows if _needs_quoting_care(r, len(header))]
+
+
+def test_an_upper_case_blocklist_word_drops_a_lower_case_text(world, tmp_path):
+    blocklist = tmp_path / "blocklist.txt"
+    blocklist.write_text("# comment\nHIRING\n", encoding="utf-8")
+    filters = load_inputs(world_config(world, tmp_path / "out", blocklist=str(blocklist)),
+                          STAGE_LEVELS["ingest"]).filters
+    kept = ing.PointRecord("u1", 1, 41.4, -88.0, "lunch")
+    assert ing.prefilter([ing.PointRecord("u1", 0, 41.4, -88.0, "now hiring"), kept],
+                         filters) == [kept]

@@ -238,6 +238,20 @@ def test_unplantable_template_is_rejected_before_out_is_created(walk, tmp_path):
     assert not (tmp_path / "w").exists()
 
 
+@pytest.mark.parametrize("bad, named", [
+    (dict(templates=(synth.TemplateSpec((), 1.0),)), "()"),
+    (dict(templates=(synth.TemplateSpec(("H", "W", "H"), 1.5), synth.TemplateSpec(("H",), -0.5))),
+     "('H',)"),
+    (dict(tweets_per_day=(30, 20)), "tweets_per_day"),
+], ids=["empty-walk", "negative-weight", "reversed-tweets-per-day"])
+def test_bad_template_or_budget_is_a_value_error_before_out_is_created(bad, named, tmp_path):
+    cfg = small_cfg(**bad)
+    with pytest.raises(ValueError) as err:
+        synth.generate(cfg, tmp_path / "w")
+    assert named in str(err.value)
+    assert not (tmp_path / "w").exists()
+
+
 def world_bytes(out):
     names = sorted(p.name for p in out.iterdir())  # a .staging-* directory shows here
     return names, [(out / name).read_bytes() for name in names]
