@@ -29,7 +29,6 @@ memory as usual.
 
 import gc
 import math
-import statistics
 from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -135,7 +134,8 @@ _BY_ID = attrgetter("parcel_id")
 class SpatialIndex:
     """Uniform grid over parcel bounding boxes.
 
-    A cell is the median parcel bbox height x width (`cell_size`, degrees).
+    A cell is the upper median parcel bbox height x width (`cell_size`,
+    degrees); any cell size gives the same query results.
     Cell (row, col) lists, in id order, the parcels whose bbox meets it,
     where a coordinate's row or column is floor(coordinate / cell size).
     That is monotone in the coordinate, so a query box and a parcel bbox
@@ -149,8 +149,9 @@ class SpatialIndex:
         cells = self.cells = defaultdict(list)
         self.oversize = []
         boxes = [p.bbox for p in self.parcels] or [(0.0, 0.0, 0.0, 0.0)]  # empty: any size
-        self.cell_size = (max(_MIN_CELL_DEG, statistics.median(b[2] - b[0] for b in boxes)),
-                          max(_MIN_CELL_DEG, statistics.median(b[3] - b[1] for b in boxes)))
+        mid = len(boxes) // 2
+        self.cell_size = (max(_MIN_CELL_DEG, sorted(b[2] - b[0] for b in boxes)[mid]),
+                          max(_MIN_CELL_DEG, sorted(b[3] - b[1] for b in boxes)[mid]))
         for parcel in sorted(self.parcels, key=_BY_ID):
             r0, c0, r1, c1, n_cells = self._cell_span(parcel.bbox)
             if n_cells > OVERSIZE_CELLS:

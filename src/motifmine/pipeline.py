@@ -6,9 +6,9 @@ a run manifest of per-stage counts. Every input is read and checked before
 any record is processed, and so is every artifact name the run will take in
 the output directory. Once every stage has succeeded, the artifacts are
 published all-or-nothing (see `publish`), the manifest last.
-Users are processed independently and may fan out over worker processes;
-every reduction happens in sorted user order, so output bytes never depend
-on the worker count.
+Users pass the user filters in `ingest`; from annotate on they are processed
+independently and may fan out over worker processes. Every reduction
+happens in sorted user order, so output bytes never depend on the worker count.
 
 `run` pauses the cyclic garbage collector from the first input read to the
 last artifact written. Its premise: the records, parcels, points, networks
@@ -270,20 +270,21 @@ def load_inputs(cfg: RunConfig, level: int) -> Inputs:
 @dataclass(slots=True)
 class Ingested:
     parse: ing.ParseReport
-    prefiltered: int  # records kept by the prefilter
-    tracks: list  # UserTrack, sorted by user id
+    prefiltered: int  # records kept by the prefilter, of every user
+    users: dict  # total, after_speed, after_residency: the first funnel counts
+    tracks: list  # UserTrack of each user both user filters keep, sorted by user id
 
 
 def ingest(cfg: RunConfig, inputs: Inputs) -> Ingested:
-    """Parse the records, pseudonymize users, and prefilter each user's
-    records into a track.
+    """Parse the records, pseudonymize users, and keep each user's
+    prefiltered records as a track if the speed and residency filters pass.
 
     The records are grouped by user in input order and each group is
     prefiltered on its own. The dedup key holds the user id, so this finds
     the duplicates a prefilter of the whole stream would, for any record
     order, while the dedup set holds one user's keys at a time. Each user's
     kept records are stably sorted by time (ties keep input order); a user
-    with none kept gets no track.
+    with none kept gets no track and is not counted.
     """
     records, parse_report = ing.parse_records_path(cfg.records, inputs.schema)
     pseudonym = functools.cache(pseudonymize) if cfg.hash_ids else None  # one hash per user
@@ -294,14 +295,21 @@ def ingest(cfg: RunConfig, inputs: Inputs) -> Ingested:
         by_user.setdefault(rec.user_id, []).append(rec)
     del records
     tracks = []
-    prefiltered = 0
+    prefiltered = total = after_speed = 0
     for user_id in sorted(by_user):
         points = ing.prefilter(by_user.pop(user_id), inputs.filters)
-        if points:
-            points.sort(key=attrgetter("ts"))
-            tracks.append(ing.UserTrack(user_id, points))
-            prefiltered += len(points)
-    return Ingested(parse_report, prefiltered, tracks)
+        if not points:
+            continue
+        points.sort(key=attrgetter("ts"))
+        prefiltered += len(points)
+        total += 1
+        track = ing.UserTrack(user_id, points)
+        if ing.speed_filter(track, inputs.filters).keep:
+            after_speed += 1
+            if ing.residency_filter(track, inputs.filters):
+                tracks.append(track)
+    users = {"total": total, "after_speed": after_speed, "after_residency": len(tracks)}
+    return Ingested(parse_report, prefiltered, users, tracks)
 
 
 @dataclass(slots=True)
@@ -314,8 +322,7 @@ class DayOutcome:
 @dataclass(slots=True)
 class UserOutcome:
     user_id: str
-    drop: str | None = None  # speed | residency | bot | no_home
-    points: list | None = None  # PointRecords for ingest-stage survivors
+    drop: str | None = None  # bot | no_home (`ingest` drops the others)
     history: list | None = None  # AnnotatedPoints, kept only for the annotation dump
     n_days: int = 0
     n_active_days: int = 0
@@ -342,19 +349,9 @@ def _day_outcome(day, home, cfg) -> DayOutcome | None:
     return DayOutcome(lbm_sig, abm_sig, shp.day_metrics(net, reduced, trips, gyr))
 
 
-def process_user(track, index, filters: ing.FilterConfig, cfg: RunConfig,
-                 level: int) -> UserOutcome:
+def process_user(track, index, cfg: RunConfig, level: int) -> UserOutcome:
+    """The stages from annotate up to `level` (2 or more) on one kept user's track."""
     out = UserOutcome(track.user_id)
-    if not ing.speed_filter(track, filters).keep:
-        out.drop = "speed"
-        return out
-    if not ing.residency_filter(track, filters):
-        out.drop = "residency"
-        return out
-    out.points = track.points
-    if level < 2:
-        return out
-
     history = ann.annotate_history(track, index, cfg.utc_offset_minutes, cfg.radius_m)
     if cfg.dump_annotations:
         out.history = history
@@ -417,7 +414,7 @@ def _pool_task(track):
     return process_user(track, *_G_ARGS)
 
 
-def process_users(tracks, index, filters: ing.FilterConfig, cfg: RunConfig, level: int) -> list:
+def process_users(tracks, index, cfg: RunConfig, level: int) -> list:
     """Run the per-user stage chain, serial or in a process pool; the
     outcomes come back sorted by user id.
 
@@ -425,7 +422,7 @@ def process_users(tracks, index, filters: ing.FilterConfig, cfg: RunConfig, leve
     with the `fork` start method it starts all of them at once.
     """
     if cfg.workers <= 1:
-        outcomes = [process_user(t, index, filters, cfg, level) for t in tracks]
+        outcomes = [process_user(t, index, cfg, level) for t in tracks]
     else:
         # imported here: no default run uses the pool, and the import costs ~30 ms
         from concurrent.futures import ProcessPoolExecutor
@@ -433,7 +430,7 @@ def process_users(tracks, index, filters: ing.FilterConfig, cfg: RunConfig, leve
         n_chunks = math.ceil(len(tracks) / _POOL_CHUNK)
         with ProcessPoolExecutor(
             max_workers=max(1, min(cfg.workers, n_chunks)), initializer=_pool_init,
-            initargs=(index, filters, cfg, level),
+            initargs=(index, cfg, level),
         ) as pool:
             outcomes = list(pool.map(_pool_task, tracks, chunksize=_POOL_CHUNK))
     return sorted(outcomes, key=attrgetter("user_id"))
@@ -467,7 +464,7 @@ class Shaped:
 
 
 def _zone_correlation(zones, users):
-    anchors = [o.home_anchor for o in users if o.home_anchor is not None and o.drop is None]
+    anchors = [o.home_anchor for o in users if o.home_anchor is not None]
     counts = []
     pops = []
     for zone in zones:
@@ -504,10 +501,9 @@ def shape(users, days, zones, cfg: RunConfig) -> Shaped:
 def build_manifest(cfg: RunConfig, stage: str, inputs: Inputs, ingested: Ingested, users,
                    mined: Mined | None) -> dict:
     """Per-stage counts: where the records, users and days went."""
-    funnel = {"total": len(users)}
-    remaining = len(users)
-    for drop, key in (("speed", "after_speed"), ("residency", "after_residency"),
-                      ("bot", "after_bot_filter"), ("no_home", "with_home")):
+    funnel = dict(ingested.users)
+    remaining = funnel["after_residency"]
+    for drop, key in (("bot", "after_bot_filter"), ("no_home", "with_home")):
         remaining -= sum(1 for o in users if o.drop == drop)
         funnel[key] = remaining
     manifest = {
@@ -612,10 +608,10 @@ def write_json(path, doc: dict):
         fh.write("\n")
 
 
-def write_filtered_records(path, users):
+def write_filtered_records(path, tracks):
     rows = (
-        (o.user_id, ing.format_timestamp(p.ts), f"{p.lat:.7f}", f"{p.lon:.7f}", ing.GPS, p.text)
-        for o in users for p in o.points or ()
+        (t.user_id, ing.format_timestamp(p.ts), f"{p.lat:.7f}", f"{p.lon:.7f}", ing.GPS, p.text)
+        for t in tracks for p in t.points
     )
     _write_csv(path, ing.SCHEMA_FIELDS, rows)
 
@@ -685,16 +681,17 @@ def write_density_csv(path, density: shp.ReferenceFrameDensity):
     _write_csv(path, ("bin_x_center", "bin_y_center", "mass"), rows)
 
 
-def artifact_writers(cfg: RunConfig, level: int, users=(), manifest: dict | None = None,
-                     mined: Mined | None = None, shaped: Shaped | None = None) -> dict:
+def artifact_writers(cfg: RunConfig, level: int, tracks=(), users=(),
+                     manifest: dict | None = None, mined: Mined | None = None,
+                     shaped: Shaped | None = None) -> dict:
     """File name -> writer(path) of every artifact a run up to `level`
     publishes, in publication order: the manifest last.
 
     The names follow from the stage and the flags alone, so `load_inputs`
-    checks them before anything is computed; a writer reads `users`,
-    `manifest`, `mined` or `shaped` only when `write_outputs` calls it.
+    checks them before anything is computed; a writer reads `tracks`,
+    `users`, `manifest`, `mined` or `shaped` only when `write_outputs` calls it.
     """
-    writers = {"filtered_records.csv": lambda path: write_filtered_records(path, users)}
+    writers = {"filtered_records.csv": lambda path: write_filtered_records(path, tracks)}
     if cfg.dump_annotations and level >= 2:
         writers["annotations.csv"] = lambda path: write_annotation_dump(path, users)
     if level >= 3:
@@ -731,10 +728,10 @@ def _run_stages(cfg: RunConfig, stage: str) -> dict:
     level = STAGE_LEVELS[stage]
     inputs = load_inputs(cfg, level)
     ingested = ingest(cfg, inputs)
-    users = process_users(ingested.tracks, inputs.index, inputs.filters, cfg, level)
+    users = process_users(ingested.tracks, inputs.index, cfg, level) if level >= 2 else []
     mined = mine(users, cfg) if level >= 3 else None
     shaped = shape(users, mined.days, inputs.zones, cfg) if level >= 4 else None
     manifest = build_manifest(cfg, stage, inputs, ingested, users, mined)
-    writers = artifact_writers(cfg, level, users, manifest, mined, shaped)
+    writers = artifact_writers(cfg, level, ingested.tracks, users, manifest, mined, shaped)
     paths = write_outputs(Path(cfg.out_dir), writers)
     return {"manifest": manifest, "paths": paths}

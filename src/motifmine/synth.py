@@ -101,10 +101,11 @@ class SynthConfig:
             raise ValueError(f"--stationary-bots must be at most {self.grid_side - 2}")
         if abs(sum(t.weight for t in self.templates) - 1.0) > 1e-9:
             raise ValueError("template weights must sum to 1")
-        if any(t.spacing_km <= 0 for t in self.templates):
-            raise ValueError("spacing must be positive")
         nets = []
         for t in self.templates:
+            if not (t.spacing_km > 0 and math.isfinite(t.spacing_km)):
+                raise ValueError(f"template spacing_km must be finite and > 0, "
+                                 f"got {t.spacing_km}: {t.walk}")
             if not t.weight >= 0:
                 raise ValueError(f"template weight must not be negative, got {t.weight}: {t.walk}")
             net = network_from_label_walk(t.walk)

@@ -16,6 +16,7 @@ from motifmine.ingest import (
     FilterConfig,
     ParseReport,
     RecordSchema,
+    SpeedDecision,
     UserTrack,
     format_timestamp,
     parse_records,
@@ -299,11 +300,14 @@ def interleaved_streams(draw):
 
 
 def ingest_in_memory(records, boundary, blocklist) -> pipeline.Ingested:
-    """`pipeline.ingest` on records already parsed, with user ids kept."""
+    """`pipeline.ingest` on records already parsed, with user ids kept and
+    user filters that keep every user."""
     cfg = pipeline.RunConfig(records="records.csv", hash_ids=False)
     filters = FilterConfig(boundary=boundary, keyword_blocklist=tuple(blocklist))
     inputs = pipeline.Inputs(None, None, RecordSchema(), filters, None)
-    with mock.patch.object(ingest, "parse_records_path", return_value=(records, ParseReport())):
+    with mock.patch.object(ingest, "parse_records_path", return_value=(records, ParseReport())), \
+            mock.patch.object(ingest, "speed_filter", return_value=SpeedDecision(True)), \
+            mock.patch.object(ingest, "residency_filter", return_value=True):
         return pipeline.ingest(cfg, inputs)
 
 

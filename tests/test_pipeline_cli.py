@@ -284,10 +284,21 @@ class TestPipelineRun:
         cfg = world_config(world, tmp_path, workers=workers)
         inputs = load_inputs(cfg, STAGE_LEVELS["all"])
         tracks = ingest(cfg, inputs).tracks * 3  # more than one chunk
-        outcomes = pipeline.process_users(tracks, inputs.index, inputs.filters, cfg, 4)
+        outcomes = pipeline.process_users(tracks, inputs.index, cfg, 4)
         assert sizes[1:] == [min(workers, -(-len(tracks) // pipeline._POOL_CHUNK))]
         cfg.workers = 1
-        assert outcomes == pipeline.process_users(tracks, inputs.index, inputs.filters, cfg, 4)
+        assert outcomes == pipeline.process_users(tracks, inputs.index, cfg, 4)
+
+    def test_stage_ingest_starts_no_pool(self, world, tmp_path, monkeypatch):
+        # the user filters run in `ingest`, so stage ingest has no per-user
+        # work to fan out, whatever --workers says
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was built")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        run(world_config(world, tmp_path / "w1", workers=1), "ingest")
+        run(world_config(world, tmp_path / "w2", workers=2), "ingest")
+        assert output_bytes(tmp_path / "w2") == output_bytes(tmp_path / "w1")
 
     def test_annotation_dump(self, world, tmp_path):
         cfg = world_config(world, tmp_path / "out", dump_annotations=True)
@@ -400,6 +411,12 @@ def test_package_import_loads_only_what_it_uses(module, skipped):
 def test_cli_import_loads_no_synth():
     # only `motifmine synth` needs the generator, so no stage compiles or runs it
     assert_import_skips("motifmine.cli", "motifmine.synth")
+
+
+def test_cli_import_loads_no_statistics():
+    # the parcel grid takes its medians by sorting; `statistics` would also
+    # load `fractions` and `decimal`, ~0.6 MiB on every run
+    assert_import_skips("motifmine.cli", "statistics")
 
 
 def test_import_loads_no_process_pool():

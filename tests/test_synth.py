@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 
 import pytest
 
@@ -249,6 +250,16 @@ def test_bad_template_or_budget_is_a_value_error_before_out_is_created(bad, name
     with pytest.raises(ValueError) as err:
         synth.generate(cfg, tmp_path / "w")
     assert named in str(err.value)
+    assert not (tmp_path / "w").exists()
+
+
+@pytest.mark.parametrize("spacing", [math.inf, math.nan])
+def test_non_finite_spacing_is_rejected_before_out_is_created(spacing, tmp_path):
+    walk = ("H", "W", "H")
+    cfg = small_cfg(templates=(synth.TemplateSpec(walk, 1.0, spacing_km=spacing),))
+    with pytest.raises(ValueError, match="spacing_km") as err:
+        synth.generate(cfg, tmp_path / "w")
+    assert str(walk) in str(err.value)
     assert not (tmp_path / "w").exists()
 
 
