@@ -34,6 +34,7 @@ class AnnotatedPoint:
 class HomeAssignment:
     home_parcel_id: int | None
     rule_used: str  # night_mode | top_residential | unknown
+    anchor: tuple | None  # (lat, lon) mean of the home parcel's points; None without a home
 
 
 @dataclass(slots=True)
@@ -101,12 +102,14 @@ def _in_night_window(local_ts: int, night_start_hour: int, night_end_hour: int) 
     return hour >= night_start_hour or hour < night_end_hour
 
 
-def infer_home(history, actives, night_start_hour: int = 21, night_end_hour: int = 6) -> HomeAssignment:
+def infer_home(history, night_start_hour: int = 21, night_end_hour: int = 6) -> HomeAssignment:
     """Home = residential parcel with the most night-window points.
 
-    Falls back to the highest-ranked residential active location, then to
-    unknown (the caller excludes such users). The night window is half-open
-    at its end and may wrap midnight.
+    Falls back to the highest-ranked residential active location (ranked by
+    `active_locations`, which runs only then), then to unknown (the caller
+    excludes such users). The night window is half-open at its end and may
+    wrap midnight. The anchor is the mean (lat, lon) of the home parcel's
+    points, summed in history order.
     """
     night_counts: dict[int, int] = {}
     total_counts: dict[int, int] = {}
@@ -117,15 +120,16 @@ def infer_home(history, actives, night_start_hour: int = 21, night_end_hour: int
         if _in_night_window(p.local_ts, night_start_hour, night_end_hour):
             night_counts[p.parcel_id] = night_counts.get(p.parcel_id, 0) + 1
     if night_counts:
-        best = min(
-            night_counts.items(),
-            key=lambda kv: (-kv[1], -total_counts[kv[0]], kv[0]),
-        )
-        return HomeAssignment(best[0], "night_mode")
-    for pid in actives:  # rank-ordered; total_counts holds the residential parcels
-        if pid in total_counts:
-            return HomeAssignment(pid, "top_residential")
-    return HomeAssignment(None, "unknown")
+        home = min(night_counts, key=lambda pid: (-night_counts[pid], -total_counts[pid], pid))
+        rule = "night_mode"
+    else:  # actives come rank-ordered; total_counts holds the residential parcels
+        home = next((pid for pid in active_locations(history) if pid in total_counts), None)
+        if home is None:
+            return HomeAssignment(None, "unknown", None)
+        rule = "top_residential"
+    pts = [(p.lat, p.lon) for p in history if p.parcel_id == home]
+    return HomeAssignment(home, rule, (sum(p[0] for p in pts) / len(pts),
+                                       sum(p[1] for p in pts) / len(pts)))
 
 
 def split_days(history) -> list:

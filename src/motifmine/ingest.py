@@ -91,8 +91,8 @@ class FilterConfig:
     def __post_init__(self):
         if not self.max_speed_mps > 0:
             raise ValueError("max_speed_mps must be positive")
-        if not self.min_residency_days > 0:
-            raise ValueError("min_residency_days must be positive")
+        if not 0 < self.min_residency_days < float("inf"):
+            raise ValueError("min_residency_days must be positive and finite")
         if self.residency_mode not in RESIDENCY_MODES:
             raise ValueError(f"unknown residency_mode {self.residency_mode!r}")
         if self.boundary is not None:

@@ -67,7 +67,7 @@ _POSITIVE = {
     "radius_m": True,
     "density_bound": True,
     "max_speed_mps": False,
-    "min_residency_days": False,
+    "min_residency_days": True,
 }
 
 
@@ -120,6 +120,9 @@ class RunConfig:
             if value < low or (high is not None and value > high):
                 bound = f"in [{low}, {high}]" if high is not None else f">= {low}"
                 raise ValueError(f"{name} must be {bound}, not {value!r}")
+        if self.night_start_hour == self.night_end_hour:  # the half-open window is empty
+            raise ValueError(f"night_start_hour and night_end_hour must differ, not both "
+                             f"{self.night_start_hour!r}")
         for name, finite in _POSITIVE.items():
             value = getattr(self, name)
             if not value > 0 or (finite and math.isinf(value)):
@@ -204,7 +207,8 @@ def load_blocklist(path) -> tuple:
 
 
 def load_zones(path, pop_attr: str) -> list:
-    """Polygon zones with their population; a correlation needs two or more."""
+    """Polygon zones with their population; a correlation needs two or more,
+    not all of one population."""
     zones = []
     for i, feat in enumerate(geojson_features(path)):
         rings = geojson_polygon(feat.get("geometry"))
@@ -220,6 +224,8 @@ def load_zones(path, pop_attr: str) -> list:
         zones.append({"exterior": rings[0], "holes": rings[1], "population": pop})
     if len(zones) < 2:
         raise ValueError(f"need at least two polygon zones in {path}, found {len(zones)}")
+    if len({z["population"] for z in zones}) == 1:  # no variance to correlate with
+        raise ValueError(f"every zone in {path} has the same {pop_attr!r}")
     return zones
 
 
@@ -359,8 +365,7 @@ def process_user(track, index, cfg: RunConfig, level: int) -> UserOutcome:
         out.drop = "bot"
         return out
 
-    actives = ann.active_locations(history)
-    home = ann.infer_home(history, actives, cfg.night_start_hour, cfg.night_end_hour)
+    home = ann.infer_home(history, cfg.night_start_hour, cfg.night_end_hour)
 
     days = ann.split_days(history)
     out.n_days = len(days)
@@ -371,11 +376,7 @@ def process_user(track, index, cfg: RunConfig, level: int) -> UserOutcome:
         out.drop = "no_home"
         return out
 
-    home_pts = [(p.lat, p.lon) for p in history if p.parcel_id == home.home_parcel_id]
-    out.home_anchor = (
-        sum(p[0] for p in home_pts) / len(home_pts),
-        sum(p[1] for p in home_pts) / len(home_pts),
-    )
+    out.home_anchor = home.anchor
 
     if level < 3:
         return out
@@ -480,7 +481,7 @@ def shape(users, days, zones, cfg: RunConfig) -> Shaped:
     """Distance statistics, the reference-frame density and the zone correlation."""
     stats = shp.distance_stats([d.metrics for d in days], cfg.max_nodes)
     cells = [o.density_cells for o in users if o.density_cells is not None]
-    density = shp.pool_density(cells, cfg.density_bins, cfg.density_bound, cfg.density_weight)
+    density = shp.density_histogram(cells, cfg.density_bins, cfg.density_bound, cfg.density_weight)
     skip_counts = {}
     for o in users:
         if o.align_skip:

@@ -5,15 +5,16 @@ mass, rotated so the principal axis of the second-moment (gyration)
 tensor points due west, and scaled by the per-axis standard deviations;
 the axis comes from the 2x2 tensor in closed form. Each user's normalized
 points are binned as soon as they are made (`density_cells`), and only
-those per-user cell counts are pooled into the density over the shared
-intrinsic reference frame, held in nested lists. Distance statistics
-aggregate trip lengths, daily totals, and the gyradius about home over
-motif groups. A day's distances read the visit sequence its network holds,
-each visit placed at its parcel's per-day anchor; `day_metrics` condenses
-one day for the pipeline and the synthetic ground truth alike. The zone
-correlation's two-sided p-value is a Student-t tail written as a
-regularized incomplete beta and evaluated with `math` alone. The module
-needs only the standard library, so a run imports no third-party package.
+those per-user cell counts are pooled (`density_histogram`) into the
+density over the shared intrinsic reference frame, held in nested lists.
+Distance statistics aggregate trip lengths, daily totals, and the
+gyradius about home over motif groups. A day's distances read the visit
+sequence its network holds, each visit placed at its parcel's per-day
+anchor; `day_metrics` condenses one day for the pipeline and the
+synthetic ground truth alike. The zone correlation's two-sided p-value is
+a Student-t tail written as a regularized incomplete beta and evaluated
+with `math` alone. The module needs only the standard library, so a run
+imports no third-party package.
 """
 
 import math
@@ -185,8 +186,8 @@ def density_cells(points, bins: int = 80, bound: float = 4.0) -> tuple:
                                  for x, y in points if -bound <= x < bound and -bound <= y < bound])
 
 
-def pool_density(cells, bins: int = 80, bound: float = 4.0,
-                 weight: str = "point") -> ReferenceFrameDensity:
+def density_histogram(cells, bins: int = 80, bound: float = 4.0,
+                      weight: str = "point") -> ReferenceFrameDensity:
     """Pool the `density_cells` pairs of several streams, binned with the
     same `bins` and `bound`, into one 2-D histogram.
 
@@ -215,14 +216,6 @@ def pool_density(cells, bins: int = 80, bound: float = 4.0,
     if user_mass is not None and users:
         user_mass = [[m / users for m in row] for row in user_mass]
     return ReferenceFrameDensity(bins, bound, counts, in_range, total - in_range, user_mass)
-
-
-def density_histogram(streams, bins: int = 80, bound: float = 4.0,
-                      weight: str = "point") -> ReferenceFrameDensity:
-    """Pool streams of normalized (x, y) points into one 2-D histogram:
-    `density_cells` of each stream, then `pool_density`."""
-    return pool_density([density_cells(points, bins, bound) for points in streams], bins,
-                        bound, weight)
 
 
 def day_anchors(day: UserDay) -> dict:

@@ -17,7 +17,9 @@ reproduce. The exceptions are the linear parcel scan, which reuses the
 package's point-to-polygon distance and hit type, because what it checks
 is the grid search and its pruning, not the distance, and the speed
 filter without its bound, which reuses the package's haversine distance and
-decision type, because what it checks is which pairs may skip the distance.
+decision type, because what it checks is which pairs may skip the distance,
+and `density_of_streams`, the package's binning and pooling composed over
+whole point streams, which the numpy histogram then checks.
 Production code is checked against these, never the reverse.
 """
 
@@ -31,6 +33,7 @@ import numpy as np
 from motifmine.geo import haversine_m, point_polygon_distance_m
 from motifmine.ingest import SpeedDecision, UserTrack
 from motifmine.parcels import DEFAULT_RADIUS_M, NearestHit
+from motifmine.shape import density_cells, density_histogram
 
 MAX_NODES = 6
 
@@ -550,8 +553,15 @@ def align_trajectory_numpy(latlon_points, home=None):
     return np.column_stack([xr / sigma_x, yr / sigma_y]), sigma_x, sigma_y, (ax, ay)
 
 
+def density_of_streams(streams, bins: int = 80, bound: float = 4.0, weight: str = "point"):
+    """Pool streams of normalized (x, y) points into one 2-D histogram:
+    `shape.density_cells` of each stream, then `shape.density_histogram`."""
+    return density_histogram([density_cells(points, bins, bound) for points in streams], bins,
+                             bound, weight)
+
+
 def density_histogram_numpy(streams, bins: int, bound: float, weight: str = "point"):
-    """`shape.density_histogram` with numpy: (counts, in_range, out_range,
+    """`density_of_streams` with numpy: (counts, in_range, out_range,
     mass), counts and mass as (bins, bins) arrays indexed [x_bin, y_bin]."""
     cell = 2.0 * bound / bins
     counts = np.zeros((bins, bins), dtype=np.int64)

@@ -1,6 +1,9 @@
 import random
 from datetime import date
 
+import pytest
+
+from motifmine import annotate
 from motifmine.annotate import (
     active_locations,
     annotate_history,
@@ -121,7 +124,7 @@ def night_point(parcel, ts, hour=22):
 class TestInferHome:
     def test_night_mode_picks_most_night_tweets(self):
         history = [night_point(1, i) for i in range(5)] + [night_point(2, 100 + i) for i in range(2)]
-        home = infer_home(history, [])
+        home = infer_home(history)
         assert (home.home_parcel_id, home.rule_used) == (1, "night_mode")
 
     def test_night_mode_wins_over_top_residential(self):
@@ -129,7 +132,7 @@ class TestInferHome:
         history = [night_point(1, 0)] + history_with_counts({2: 30, 3: 1}, code=1)
         actives = active_locations(history)
         assert actives == [2]
-        home = infer_home(history, actives)
+        home = infer_home(history)
         assert (home.home_parcel_id, home.rule_used) == (1, "night_mode")
 
     def test_top_residential_fallback(self):
@@ -139,19 +142,42 @@ class TestInferHome:
         )
         actives = active_locations(history)
         assert actives == [5, 7]
-        home = infer_home(history, actives)
+        home = infer_home(history)
         assert (home.home_parcel_id, home.rule_used) == (7, "top_residential")
 
     def test_no_residential_parcel_is_unknown(self):
         history = history_with_counts({5: 30, 6: 2}, code=6)
-        home = infer_home(history, active_locations(history))
+        home = infer_home(history)
         assert home.home_parcel_id is None
         assert home.rule_used == "unknown"
+
+    def test_anchor_is_the_mean_of_the_home_parcels_points(self):
+        history = [night_point(1, 0)] + history_with_counts({2: 3}, code=1, start_ts=10)
+        history += [apoint(ts=20 + i, lat=41.9 + i / 7, lon=-87.6 - i / 3, parcel=1)
+                    for i in range(3)]
+        home = infer_home(history)
+        pts = [(p.lat, p.lon) for p in history if p.parcel_id == 1]
+        assert (home.home_parcel_id, home.rule_used) == (1, "night_mode")
+        assert home.anchor == (sum(p[0] for p in pts) / 4, sum(p[1] for p in pts) / 4)
+        fallback = infer_home(history_with_counts({7: 20, 8: 1}, code=1))
+        assert fallback.rule_used == "top_residential"
+        assert fallback.anchor == pytest.approx((41.88, -87.63))
+        assert infer_home(history_with_counts({5: 3}, code=6)).anchor is None
+
+    def test_actives_are_ranked_only_for_the_fallback(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(annotate, "active_locations",
+                            lambda history: calls.append(history) or [7])
+        assert infer_home([night_point(1, 0)]).rule_used == "night_mode"
+        assert calls == []
+        history = history_with_counts({7: 2}, code=1)
+        assert infer_home(history).home_parcel_id == 7
+        assert calls == [history]
 
     def test_night_window_wraps_midnight(self):
         early = night_point(1, 0, hour=5)  # 05:00 counts
         late_morning = night_point(2, 1, hour=6)  # 06:00 excluded (half-open)
-        home = infer_home([early, late_morning], [])
+        home = infer_home([early, late_morning])
         assert home.home_parcel_id == 1
 
 

@@ -486,6 +486,8 @@ def test_filter_config_validation():
         FilterConfig(max_speed_mps=0)
     with pytest.raises(ValueError):
         FilterConfig(residency_mode="sometimes")
+    with pytest.raises(ValueError, match="min_residency_days must be positive and finite"):
+        FilterConfig(min_residency_days=math.inf)  # no span or day count would reach it
     bowtie = ((0.0, 0.0), (1.0, 1.0), (0.0, 1.0), (1.0, 0.0))
     with pytest.raises(ValueError):
         FilterConfig(boundary=bowtie)

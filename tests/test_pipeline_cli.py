@@ -497,6 +497,7 @@ class TestConfigValidation:
         ("max_speed_mps", float("nan")),
         ("min_residency_days", 0.0),
         ("min_residency_days", -1.0),
+        ("min_residency_days", float("inf")),
     ])
     def test_out_of_range_value_rejected(self, name, value):
         with pytest.raises(ValueError, match=name):
@@ -529,6 +530,25 @@ class TestConfigValidation:
                    "--parcels", "p.geojson", "--out", str(tmp_path / "out")])
         assert rc == 2
         assert "max_nodes" in capsys.readouterr().err
+
+    def test_infinite_min_days_exits_2_and_writes_nothing(self, world, tmp_path, capsys):
+        # no span or day count reaches it: the run would keep no user and exit 0
+        out_dir = tmp_path / "out"
+        assert main(["all", "--min-days", "inf", *world_args(world, out_dir)]) == 2
+        assert "min_residency_days" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_equal_night_hours_are_rejected(self, world, tmp_path, capsys):
+        # the half-open window [5, 5) is empty, so the night rule would never fire
+        with pytest.raises(ValueError, match="night_start_hour and night_end_hour"):
+            RunConfig(night_start_hour=5, night_end_hour=5)
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("night_start_hour = 5\nnight_end_hour = 5\n")
+        out_dir = tmp_path / "out"
+        assert main(["all", "--config", str(cfg_file), *world_args(world, out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert "night_start_hour" in err and "night_end_hour" in err
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize("minutes", [-1441, 1441])
     def test_utc_offset_beyond_a_day_exits_2(self, tmp_path, capsys, minutes):
@@ -575,6 +595,17 @@ class TestZoneFailures:
                    "--zones", str(zone_path), "--out", str(out_dir)])
         assert rc == 2
         assert message in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_zones_of_one_population_exit_2_before_any_record_is_read(
+            self, world, tmp_path, capsys, no_parse):
+        zones = [geojson_polygon_feature(square_ring(lat, -88.05, 4000),
+                                         extra_props={"population": 700})
+                 for lat in (41.43, 41.47)]
+        zone_path = write_geojson(tmp_path / "zones.geojson", zones)
+        out_dir = tmp_path / "out"
+        assert main(["all", "--zones", str(zone_path), *world_args(world, out_dir)]) == 2
+        assert f"every zone in {zone_path} has the same 'population'" in capsys.readouterr().err
         assert not out_dir.exists()
 
 
@@ -688,6 +719,39 @@ class TestGeojsonInputs:
                      "--boundary", str(boundary), "--out", str(out_dir)]) == 2
         assert f"boundary file {boundary} has a polygon with holes" in capsys.readouterr().err
         assert not out_dir.exists()
+
+
+def rename_property(src, dest, old, new):
+    """Copy a GeoJSON FeatureCollection with property `old` renamed `new` in every feature."""
+    doc = json.loads(Path(src).read_text(encoding="utf-8"))
+    for feat in doc["features"]:
+        feat["properties"][new] = feat["properties"].pop(old)
+    Path(dest).write_text(json.dumps(doc), encoding="utf-8")
+    return dest
+
+
+class TestAttributeNames:
+    def test_category_attr_reads_a_renamed_category(self, world, tmp_path):
+        parcels = rename_property(world["paths"]["parcels"], tmp_path / "parcels.geojson",
+                                  "category", "landuse")
+        assert main(["all", *world_args(world, tmp_path / "base")]) == 0
+        assert main(["all", *world_args(world, tmp_path / "renamed"), "--parcels", str(parcels),
+                     "--category-attr", "landuse"]) == 0
+        base, renamed = output_bytes(tmp_path / "base"), output_bytes(tmp_path / "renamed")
+        manifests = [json.loads(out.pop("manifest.json")) for out in (base, renamed)]
+        assert renamed == base
+        assert manifests[1]["config"].pop("category_attr") == "landuse"
+        assert manifests[0]["config"].pop("category_attr") == "category"
+        assert manifests[1] == manifests[0]
+
+    def test_zone_pop_attr_reads_a_renamed_population(self, world, tmp_path):
+        zones = write_geojson(tmp_path / "zones.geojson", two_zones())
+        renamed = rename_property(zones, tmp_path / "renamed.geojson", "population", "residents")
+        assert main(["all", *world_args(world, tmp_path / "base"), "--zones", str(zones)]) == 0
+        assert main(["all", *world_args(world, tmp_path / "renamed"), "--zones", str(renamed),
+                     "--zone-pop-attr", "residents"]) == 0
+        base = (tmp_path / "base" / "correlation.json").read_bytes()
+        assert (tmp_path / "renamed" / "correlation.json").read_bytes() == base
 
 
 class TestCli:

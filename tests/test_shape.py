@@ -24,7 +24,6 @@ from motifmine.shape import (
     distance_stats,
     gyradius_from_home,
     pearson_r,
-    pool_density,
 )
 
 from motifmine.pipeline import write_json
@@ -36,6 +35,7 @@ from oracles import (
     align_trajectory_numpy,
     collapse_label_sequence,
     density_histogram_numpy,
+    density_of_streams,
     gaussian_cell_mass,
     gyration_tensor,
     tensor_eigen,
@@ -299,26 +299,26 @@ class TestGyrationTensor:
 
 class TestDensityHistogram:
     def test_all_mass_at_origin(self):
-        d = density_histogram([[(0.0, 0.0)] * 100], bins=80, bound=4.0)
+        d = density_of_streams([[(0.0, 0.0)] * 100], bins=80, bound=4.0)
         assert d.mass()[40][40] == pytest.approx(1.0)
         assert cell_sum(d.counts) == 100
 
     def test_two_equal_clusters(self):
         pts = [(-1.0, 0.0)] * 50 + [(1.0, 0.0)] * 50
-        d = density_histogram([pts], bins=8, bound=4.0)
+        d = density_of_streams([pts], bins=8, bound=4.0)
         assert sorted(v for row in d.mass() for v in row)[-2:] == [pytest.approx(0.5),
                                                                   pytest.approx(0.5)]
 
     def test_mass_conservation_is_exact_in_counts(self):
         rng = np.random.default_rng(9)
         streams = [rng.normal(0, 2.5, size=(1000, 2)).tolist() for _ in range(5)]
-        d = density_histogram(streams, bins=40, bound=3.0)
+        d = density_of_streams(streams, bins=40, bound=3.0)
         assert d.in_range + d.out_range == d.total == 5000
         assert cell_sum(d.counts) == d.in_range
         assert d.out_range > 0  # sigma 2.5 against bound 3 spills over
 
     def test_half_open_cells_lower_edge_inclusive(self):
-        d = density_histogram([[(-4.0, 0.0), (4.0, 0.0), (0.0, 4.0)]], bins=8, bound=4.0)
+        d = density_of_streams([[(-4.0, 0.0), (4.0, 0.0), (0.0, 4.0)]], bins=8, bound=4.0)
         assert d.in_range == 1  # only the lower edge is inside
         assert d.counts[0][4] == 1
 
@@ -327,22 +327,22 @@ class TestDensityHistogram:
         # b has 4 with one out of range; the empty stream carries no weight.
         a = [(-0.5, -0.5), (0.5, 0.5)]
         b = [(-0.5, -0.5), (-0.5, -0.5), (0.5, -0.5), (2.0, 0.0)]
-        d = density_histogram([a, b, []], bins=2, bound=1.0, weight="user")
+        d = density_of_streams([a, b, []], bins=2, bound=1.0, weight="user")
         # a: 1/2 in (0,0) and (1,1); b: 2/4 in (0,0), 1/4 in (1,0); then averaged
         assert d.mass() == [[0.5, 0.0], [0.125, 0.25]]
         assert d.counts == [[3, 0], [1, 1]]
         assert (d.in_range, d.out_range) == (5, 1)
         assert d.out_of_range_mass() == 1 / 6  # counted per point in both weightings
-        point = density_histogram([a, b], bins=2, bound=1.0)
+        point = density_of_streams([a, b], bins=2, bound=1.0)
         assert point.mass() == [[0.5, 0.0], [1 / 6, 1 / 6]]
 
     def test_unknown_weight_rejected(self):
         with pytest.raises(ValueError, match="weight"):
-            density_histogram([[(0.0, 0.0)] * 3], bins=2, bound=1.0, weight="day")
+            density_of_streams([[(0.0, 0.0)] * 3], bins=2, bound=1.0, weight="day")
 
     def test_empty_input_warns(self):
         with pytest.warns(UserWarning):
-            d = density_histogram([], bins=8, bound=4.0)
+            d = density_of_streams([], bins=8, bound=4.0)
         assert d.total == 0
         assert cell_sum(d.mass()) == 0.0
 
@@ -358,14 +358,14 @@ class TestDensityHistogram:
 
     def test_unknown_weight_rejected_when_pooling(self):
         with pytest.raises(ValueError, match="weight"):
-            pool_density([density_cells([(0.0, 0.0)], 2, 1.0)], 2, 1.0, weight="day")
+            density_histogram([density_cells([(0.0, 0.0)], 2, 1.0)], 2, 1.0, weight="day")
 
     def test_standard_normal_matches_analytic_cell_integrals(self):
         rng = np.random.default_rng(12345)
         n = 1_000_000
         pts = rng.standard_normal((n, 2)).tolist()
         bins, bound = 80, 4.0
-        d = density_histogram([pts], bins=bins, bound=bound)
+        d = density_of_streams([pts], bins=bins, bound=bound)
         edges = np.linspace(-bound, bound, bins + 1)
         z_high = 0.0
         beyond3 = 0
@@ -413,9 +413,9 @@ def test_density_matches_numpy_oracle(inputs, weight):
     counts, in_range, out_range, mass = density_histogram_numpy(streams, bins, bound, weight)
     if in_range == 0:
         with pytest.warns(UserWarning):
-            d = density_histogram(streams, bins, bound, weight)
+            d = density_of_streams(streams, bins, bound, weight)
     else:
-        d = density_histogram(streams, bins, bound, weight)
+        d = density_of_streams(streams, bins, bound, weight)
     assert d.counts == counts.tolist()
     assert (d.in_range, d.out_range) == (in_range, out_range)
     assert d.mass() == mass.tolist()  # the same float operations, so the same bits
@@ -429,8 +429,8 @@ def test_pooled_cells_match_the_histogram_of_the_streams(inputs, weight):
     cells = [density_cells(points, bins, bound) for points in streams]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        pooled = pool_density(cells, bins, bound, weight)
-        direct = density_histogram(streams, bins, bound, weight)
+        pooled = density_histogram(cells, bins, bound, weight)
+        direct = density_of_streams(streams, bins, bound, weight)
     assert [n for n, _ in cells] == [len(points) for points in streams]
     assert pooled.counts == direct.counts
     assert (pooled.in_range, pooled.out_range) == (direct.in_range, direct.out_range)

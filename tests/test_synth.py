@@ -210,8 +210,7 @@ def test_residents_pass_every_filter_by_construction(tmp_path):
         assert ingest.residency_filter(track, fcfg)
         history = annotate.annotate_history(track, index, 0)
         assert annotate.stationary_bot_filter(history)
-        actives = annotate.active_locations(history)
-        home = annotate.infer_home(history, actives)
+        home = annotate.infer_home(history)
         assert home.rule_used == "night_mode"
         assert home.home_parcel_id == truth.users[track.user_id]["home_parcel_id"]
         days = annotate.split_days(history)
