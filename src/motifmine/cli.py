@@ -123,7 +123,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # a file that cannot be read or written, a bad value
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

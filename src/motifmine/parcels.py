@@ -14,7 +14,10 @@ point and returns the first, so smallest-id, one that contains it. Those
 parcels are exactly the ones the full radius search would probe first
 (distance lower bound 0, in id order), and a containing parcel there is its
 final answer, so the probe returns the same hit. Only a point that no
-parcel contains pays for the radius search.
+parcel contains pays for the radius search. A caller that has a good guess
+for the point, such as a parcel its user just visited, can skip even the
+probe: `probe_returns` says, from the guess and its `probe_rivals` alone,
+whether the probe would return that parcel.
 
 Loading is a bulk build: tens of thousands of parcels, each a few tuples.
 The decoded GeoJSON is released a chunk of features at a time as the
@@ -39,6 +42,7 @@ from .geo import (
     geojson_features,
     geojson_polygon,
     haversine_m,
+    point_in_polygon,
     point_polygon_distance_m,
     ring_bbox,
 )
@@ -279,6 +283,7 @@ class NearestHit:
     parcel_id: int
     activity_code: int
     distance_m: float
+    parcel: Parcel | None = field(default=None, compare=False, repr=False)
 
 
 def _bbox_lower_bound_m(lat, lon, bbox) -> float:
@@ -356,12 +361,58 @@ def nearest_parcel(lat: float, lon: float, index: SpatialIndex,
         for parcel in index.query_bbox((lat, lon, lat, lon)):
             d = point_polygon_distance_m(lat, lon, parcel.exterior, parcel.holes)
             if d == 0.0:
-                return NearestHit(parcel.parcel_id, parcel.activity_code, 0.0)
+                return NearestHit(parcel.parcel_id, parcel.activity_code, 0.0, parcel)
             probed[id(parcel)] = d
     candidates = index.query_bbox(_radius_bbox(lat, lon, radius_m))
     best = _best_parcel(lat, lon, candidates, radius_m, probed)
     if best is None or best[0][0] > radius_m:
         return None
     (dist, _), parcel = best
-    return NearestHit(parcel.parcel_id, parcel.activity_code, dist)
+    return NearestHit(parcel.parcel_id, parcel.activity_code, dist, parcel)
+
+
+def probe_rivals(parcel, index: SpatialIndex) -> tuple:
+    """(rivals, open rivals) of an indexed parcel, for `probe_returns`.
+
+    The rivals are the other parcels with an id no larger than the parcel's
+    whose bbox meets its bbox; the open rivals are those whose bbox meets
+    its open bbox (the bbox without its boundary), none on a gap-free grid.
+
+    Why `probe_returns` is exact. Away from 0 degrees, `nearest_parcel`
+    returns the first parcel, in id order, of those whose closed bbox holds
+    the point that lie at distance 0 from it. When the parcel's bbox holds
+    the point and its polygon contains it, `point_polygon_distance_m` puts
+    the parcel at distance 0, so
+    the probe returns it unless a parcel before it in that order is at
+    distance 0 too. Such a parcel has an id no larger than the parcel's,
+    and a bbox that holds the point and so meets the parcel's bbox: it is a
+    rival, the one query here finds every rival, and equal ids are taken
+    as rivals whatever the order between them. When the point is inside the
+    open bbox, a bbox that holds it meets the open bbox too: it is an open
+    rival. `probe_returns` evaluates exactly the (open) rivals whose bbox
+    holds the point, with the probe's own distance, and says yes only when
+    none is at distance 0.
+    """
+    rivals = tuple(r for r in index.query_bbox(parcel.bbox)
+                   if r is not parcel and r.parcel_id <= parcel.parcel_id)
+    lat0, lon0, lat1, lon1 = parcel.bbox
+    return rivals, tuple(r for r in rivals if r.bbox[0] < lat1 and lat0 < r.bbox[2]
+                         and r.bbox[1] < lon1 and lon0 < r.bbox[3])
+
+
+def probe_returns(lat: float, lon: float, parcel, rivals) -> bool:
+    """Whether `nearest_parcel` returns `parcel`, a parcel whose closed bbox
+    holds the point, by its containment probe; `rivals` is the parcel's
+    `probe_rivals`. True is always exact (see `probe_rivals`); False means
+    only that the probe must be asked."""
+    if not (abs(lat) >= _PROBE_MIN_ABS_DEG and abs(lon) >= _PROBE_MIN_ABS_DEG
+            and point_in_polygon(lat, lon, parcel.exterior, parcel.holes)):
+        return False
+    lat0, lon0, lat1, lon1 = parcel.bbox
+    for r in rivals[1] if lat0 < lat < lat1 and lon0 < lon < lon1 else rivals[0]:
+        b = r.bbox
+        if (b[0] <= lat <= b[2] and b[1] <= lon <= b[3]
+                and point_polygon_distance_m(lat, lon, r.exterior, r.holes) == 0.0):
+            return False
+    return True
 

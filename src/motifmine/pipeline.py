@@ -546,13 +546,10 @@ def build_manifest(cfg: RunConfig, stage: str, inputs: Inputs, ingested: Ingeste
 _CSV_CHUNK = 1024  # rows
 
 
-class _Echo:
-    """A file whose write returns the text it is given, so `csv.writer`'s
-    writerow returns the line it made."""
+class _Lines(list):
+    """A file whose writes collect in a list, one `csv.writer` line each."""
 
-    @staticmethod
-    def write(text):
-        return text
+    write = list.append
 
 
 def _write_csv(path, header, rows):
@@ -569,15 +566,22 @@ def _write_csv(path, header, rows):
     commas and one newline per row, and no '"' or "\r", so every row is
     plain. In any other chunk the plain rows are still written joined, one at
     a time and in order, and only the others go through `csv.writer`, the
-    reference for these bytes. Streamed: the write step runs after every
-    stage, so whatever a writer holds at once adds to the run's peak memory.
+    reference for these bytes. A chunk after one in which more than half the
+    rows went out quoted (a '"' in their line) goes through `csv.writer`
+    whole, with "\n" line ends, without trying the join; if a field of it
+    holds "\r", it goes through row by row as above instead. Streamed: the
+    write step runs after every stage, so whatever a writer holds at once
+    adds to the run's peak memory.
     """
     # csv quotes a field holding any character of the line terminator, so
     # "\r\n" quotes "\r" and "\n"; the line then ends in "\n" instead
-    quoting = csv.writer(_Echo(), lineterminator="\r\n")
+    lines = _Lines()
+    quoting = csv.writer(lines, lineterminator="\r\n")
+    plain = csv.writer(lines, lineterminator="\n")
 
     def csv_line(row):
-        return quoting.writerow(row)[:-2] + "\n"
+        quoting.writerow(row)
+        return lines.pop()[:-2] + "\n"
 
     width = len(header)
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -586,21 +590,41 @@ def _write_csv(path, header, rows):
             fh.writelines(map(csv_line, rows))
             return
         rows = iter(rows)
+        quoted = previous = 0  # quoted rows of the previous chunk, and its rows
         while chunk := list(itertools.islice(rows, _CSV_CHUNK)):
-            lines = [",".join(row) for row in chunk]
-            text = "\n".join(lines) + "\n"
-            if (all(len(row) == width for row in chunk)
-                    and text.count(",") == (width - 1) * len(chunk)
-                    and text.count("\n") == len(chunk)
-                    and '"' not in text and "\r" not in text):
-                fh.write(text)
-                continue
-            for row, line in zip(chunk, lines):
-                if (len(row) == width and line.count(",") == width - 1
-                        and '"' not in line and "\r" not in line and "\n" not in line):
-                    fh.write(line + "\n")
-                else:
-                    fh.write(csv_line(row))
+            if 2 * quoted > previous:  # the join would mostly be thrown away
+                plain.writerows(chunk)
+                quoted = sum('"' in line for line in lines)
+                text = "".join(lines)
+                lines.clear()
+                # with no "\r" in any field, "\n" quotes what "\r\n" quotes
+                fh.write(text if "\r" not in text else "".join(map(csv_line, chunk)))
+            else:
+                quoted = _write_joined(fh, chunk, width, csv_line)
+            previous = len(chunk)
+
+
+def _write_joined(fh, chunk, width, csv_line) -> int:
+    """Write a chunk of `_write_csv` rows, the plain ones joined; returns how
+    many rows went out quoted."""
+    lines = [",".join(row) for row in chunk]
+    text = "\n".join(lines) + "\n"
+    if (all(len(row) == width for row in chunk)
+            and text.count(",") == (width - 1) * len(chunk)
+            and text.count("\n") == len(chunk)
+            and '"' not in text and "\r" not in text):
+        fh.write(text)
+        return 0
+    quoted = 0
+    for row, line in zip(chunk, lines):
+        if (len(row) == width and line.count(",") == width - 1
+                and '"' not in line and "\r" not in line and "\n" not in line):
+            fh.write(line + "\n")
+        else:
+            line = csv_line(row)
+            quoted += '"' in line
+            fh.write(line)
+    return quoted
 
 
 def write_json(path, doc: dict):

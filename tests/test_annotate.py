@@ -2,6 +2,8 @@ import random
 from datetime import date
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from motifmine import annotate
 from motifmine.annotate import (
@@ -13,9 +15,10 @@ from motifmine.annotate import (
     stationary_bot_filter,
 )
 from motifmine.ingest import UserTrack
+from motifmine.parcels import NearestHit, Parcel, SpatialIndex, nearest_parcel
 
 from conftest import apoint, make_index, make_parcel, rec
-from oracles import local_date_of, slot_of
+from oracles import local_date_of, nearest_parcel_scan, slot_of
 
 HOUR = 3600
 DAY = 86400
@@ -62,6 +65,149 @@ class TestAnnotateHistory:
         history = annotate_history(UserTrack("u1", pts), idx, 0)
         assert len(history) == 20
         assert [p.ts for p in history] == [p.ts for p in pts]
+
+
+# Grid worlds share exact vertex floats between neighbours, so fixes can sit
+# exactly on a shared edge or vertex.
+LAT0, LON0, STEP = 41.90, -87.70, 0.001
+
+
+def cell_rect(row0, col0, row1, col1):
+    lat0, lat1 = LAT0 + row0 * STEP, LAT0 + row1 * STEP
+    lon0, lon1 = LON0 + col0 * STEP, LON0 + col1 * STEP
+    return ((lat0, lon0), (lat0, lon1), (lat1, lon1), (lat1, lon0))
+
+
+def track_at(*cells):
+    """A track with one fix per (row, col) grid position, a minute apart."""
+    return UserTrack("u1", [rec(ts=60 * i, lat=LAT0 + r * STEP, lon=LON0 + c * STEP)
+                            for i, (r, c) in enumerate(cells)])
+
+
+@pytest.fixture
+def probes(monkeypatch):
+    """The fixes `annotate_history` asks `nearest_parcel`, as (lat, lon)."""
+    asked = []
+    real = annotate.nearest_parcel
+
+    def counted(lat, lon, index, radius_m):
+        asked.append((lat, lon))
+        return real(lat, lon, index, radius_m)
+
+    monkeypatch.setattr(annotate, "nearest_parcel", counted)
+    return asked
+
+
+def joins(history):
+    return [(p.parcel_id, p.activity_code) for p in history]
+
+
+class TestRecentParcels:
+    def test_revisits_skip_the_probe(self, probes):
+        parcels = [Parcel(1, cell_rect(0, 0, 1, 1), (), 1), Parcel(2, cell_rect(0, 1, 1, 2), (), 6)]
+        track = track_at((0.5, 0.5), (0.5, 1.5), (0.4, 0.6), (0.6, 1.2), (0.3, 0.3))
+        history = annotate_history(track, make_index(parcels), 0)
+        assert joins(history) == [(1, 1), (2, 6), (1, 1), (2, 6), (1, 1)]
+        assert len(probes) == 2
+
+    def test_the_list_keeps_the_most_recent_distinct_parcels(self, probes):
+        n = annotate.RECENT_PARCELS
+        parcels = [Parcel(i + 1, cell_rect(0, i, 1, i + 1), (), 1) for i in range(n + 1)]
+        index = make_index(parcels)
+        annotate_history(track_at(*[(0.5, i + 0.5) for i in range(n)] * 3), index, 0)
+        assert len(probes) == n
+        probes.clear()
+        annotate_history(track_at(*[(0.5, i + 0.5) for i in range(n + 1)] * 3), index, 0)
+        assert len(probes) == 3 * (n + 1)  # each fix's parcel left the list n + 1 fixes ago
+
+    def test_an_overlapping_smaller_id_wins_over_a_listed_parcel(self, probes):
+        big = Parcel(5, cell_rect(0, 0, 3, 3), (), 6)
+        small = Parcel(3, cell_rect(1, 1, 2, 2), (), 9)
+        history = annotate_history(track_at((0.5, 0.5), (1.5, 1.5)), make_index([big, small]), 0)
+        # big is listed after the first fix and contains the second, as small does
+        assert joins(history) == [(5, 6), (3, 9)]
+        assert len(probes) == 2
+
+    def test_a_fix_in_or_on_a_listed_parcels_hole_takes_the_probe(self, probes):
+        outer = Parcel(4, cell_rect(0, 0, 3, 3), (cell_rect(1, 1, 2, 2),), 6)
+        inner = Parcel(2, cell_rect(1, 1, 2, 2), (), 9)
+        parcels = [outer, inner]
+        # in outer, in the hole and so in inner, then on the hole's top edge:
+        # the even-odd test puts that edge in outer, yet inner is at distance 0
+        track = track_at((0.5, 0.5), (1.5, 1.5), (2, 1.5))
+        history = annotate_history(track, make_index(parcels), 0)
+        edge = track.points[2]
+        assert nearest_parcel_scan(edge.lat, edge.lon, parcels) == NearestHit(2, 9, 0.0)
+        assert joins(history) == [(4, 6), (2, 9), (2, 9)]
+        assert len(probes) == 3
+
+    def test_a_fix_near_0_degrees_takes_the_probe(self, probes):
+        # parcel 1's bbox misses (0.5, 0.0) by 1e-200 degrees, a distance that
+        # rounds to 0 m, so the radius search takes it, the smaller id, over the
+        # containing parcel 2, which is listed by then
+        outside = Parcel(1, ((0.4, 1e-200), (0.4, 0.001), (0.6, 0.001), (0.6, 1e-200)), (), 3)
+        containing = Parcel(2, ((0.4, -0.001), (0.4, 0.001), (0.6, 0.001), (0.6, -0.001)), (), 5)
+        track = UserTrack("u1", [rec(ts=0, lat=0.5, lon=-0.0005), rec(ts=60, lat=0.5, lon=0.0)])
+        history = annotate_history(track, make_index([outside, containing]), 0)
+        assert joins(history) == [(2, 5), (1, 3)]
+        assert len(probes) == 2
+
+
+def grid_coord(n):
+    return st.one_of(
+        st.integers(-2, n + 2).map(float),  # on a grid line
+        st.integers(-8, 4 * n + 8).map(lambda q: q / 4.0),  # on a hole, notch or overlap edge
+        st.floats(-2.0, n + 2.0, allow_nan=False),
+    )
+
+
+@st.composite
+def join_worlds(draw):
+    """An n x n grid of unit cells, each a square, a gap, a holed square or an
+    L (concave), plus rectangles that overlap the grid and perhaps an oversize
+    holed parcel around it; ids are shuffled. Then a track that keeps
+    returning to a few fixes, many on an edge or vertex."""
+    n = draw(st.integers(2, 4))
+    rings = []
+    for r in range(n):
+        for c in range(n):
+            kind = draw(st.sampled_from(["square", "square", "gap", "hole", "notch"]))
+            if kind == "gap":
+                continue
+            ring = cell_rect(r, c, r + 1, c + 1)
+            if kind == "hole":
+                rings.append((ring, (cell_rect(r + 0.25, c + 0.25, r + 0.75, c + 0.75),)))
+            elif kind == "notch":  # an L whose notch is the upper right quarter
+                mid = cell_rect(r, c, r + 0.5, c + 0.5)[2]
+                rings.append(((ring[0], ring[1], (mid[0], ring[1][1]), mid,
+                               (ring[2][0], mid[1]), ring[3]), ()))
+            else:
+                rings.append((ring, ()))
+    quarter = st.integers(0, 4 * n).map(lambda q: q / 4.0)
+    for _ in range(draw(st.integers(1, 3))):
+        rows = sorted(draw(st.lists(quarter, min_size=2, max_size=2, unique=True)))
+        cols = sorted(draw(st.lists(quarter, min_size=2, max_size=2, unique=True)))
+        rings.append((cell_rect(rows[0], cols[0], rows[1], cols[1]), ()))
+    if draw(st.booleans()):  # over OVERSIZE_CELLS grid cells even when cells are 4 x 4
+        rings.append((cell_rect(-200, -200, 200, 200), (cell_rect(-1, -1, n + 1, n + 1),)))
+    ids = draw(st.permutations(range(1, len(rings) + 1)))
+    parcels = [Parcel(pid, ring, holes, pid % 12 + 1) for pid, (ring, holes) in zip(ids, rings)]
+    places = draw(st.lists(st.tuples(grid_coord(n), grid_coord(n)), min_size=2, max_size=8))
+    visits = draw(st.lists(st.sampled_from(places), min_size=8, max_size=40))
+    return parcels, visits
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(join_worlds())
+def test_annotate_history_joins_as_nearest_parcel_and_the_scan(world):
+    parcels, visits = world
+    index = SpatialIndex(parcels)
+    track = track_at(*visits)
+    for p, fix in zip(annotate_history(track, index, 0), track.points):
+        hit = nearest_parcel(fix.lat, fix.lon, index)
+        assert hit == nearest_parcel_scan(fix.lat, fix.lon, parcels)
+        assert (p.parcel_id, p.activity_code) == \
+            ((None, annotate.OTHERS_CODE) if hit is None else (hit.parcel_id, hit.activity_code))
 
 
 class TestStationaryBotFilter:

@@ -1,6 +1,7 @@
 import concurrent.futures
 import csv
 import gc
+import io
 import json
 import os
 import stat
@@ -886,6 +887,31 @@ def test_publication_keeps_unrelated_files_and_follows_the_umask(world, tmp_path
         assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~0o022
 
 
+def test_an_unreadable_records_file_exits_2_and_writes_nothing(world, tmp_path, capsys,
+                                                               monkeypatch):
+    # patched: a root test run reads a mode-000 file
+    def refused(path, schema):
+        raise PermissionError(13, "Permission denied", str(path))
+
+    monkeypatch.setattr(ing, "parse_records_path", refused)
+    assert main(["all", *world_args(world, tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Permission denied" in err
+    assert str(world["paths"]["records"]) in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == []  # no --out, no .staging-*
+
+
+def test_an_unwritable_artifact_exits_2_and_leaves_no_staging(world, tmp_path, capsys,
+                                                              monkeypatch):
+    def refused(path, density):
+        raise PermissionError(13, "Permission denied", str(path))
+
+    monkeypatch.setattr(pipeline, "write_density_csv", refused)
+    assert main(["all", *world_args(world, tmp_path / "out")]) == 2
+    assert "error: " in capsys.readouterr().err
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == []
+
+
 def world_args(world, out_dir):
     paths = world["paths"]
     return ["--records", str(paths["records"]), "--parcels", str(paths["parcels"]),
@@ -1031,12 +1057,16 @@ def csv_tables(draw):
     one to three odd rows at chunk edges or mid-chunk: each of any width
     near the header's, holding up to two characters from one of `,`, `"`,
     `\r` or `\n` alone, or from all four, so that each check is at times
-    the only one a chunk fails."""
+    the only one a chunk fails. In a mostly quoted table, three rows in four
+    take one of those characters too."""
     width = draw(st.integers(1, 7))
     plain = draw(st.lists(st.tuples(*[_PLAIN_FIELDS] * width), min_size=1, max_size=4))
     n_rows = draw(st.sampled_from(_EDGE_COUNTS))
-    rows = [plain[i % len(plain)] for i in range(n_rows)]
     dirt = draw(st.sampled_from([",", '"', "\r", "\n", ',"\r\n']))
+    rows = [plain[i % len(plain)] for i in range(n_rows)]
+    if draw(st.booleans()):  # mostly quoted
+        rows = [row if i % 4 == 0 else (row[0] + dirt[i % len(dirt)], *row[1:])
+                for i, row in enumerate(rows)]
     chunk = pipeline._CSV_CHUNK
     spots = sorted({i for i in (0, 1, n_rows // 2, chunk - 1, chunk, n_rows - 1)
                     if 0 <= i < n_rows})
@@ -1056,6 +1086,32 @@ def _needs_quoting_care(row, width) -> bool:
     return width < 2 or len(row) != width or any(c in f for f in row for c in ',"\r\n')
 
 
+def _csv_line(row, terminator) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator=terminator).writerow(row)
+    return buf.getvalue()
+
+
+def _routed_rows(rows, width) -> list:
+    """The rows `_write_csv` hands csv.writer: those that need its care, and
+    every row of a chunk after one in which more than half went out quoted,
+    twice when one of them holds a "\r"."""
+    routed, quoted, previous = [], 0, 0
+    for start in range(0, len(rows), pipeline._CSV_CHUNK):
+        chunk = rows[start:start + pipeline._CSV_CHUNK]
+        if width >= 2 and 2 * quoted > previous:
+            routed += chunk
+            if any("\r" in f for row in chunk for f in row):
+                routed += chunk
+            quoted = sum('"' in _csv_line(row, "\n") for row in chunk)
+        else:
+            care = [row for row in chunk if _needs_quoting_care(row, width)]
+            routed += care
+            quoted = sum('"' in _csv_line(row, "\r\n") for row in care)
+        previous = len(chunk)
+    return routed
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(csv_tables())
 @example((("a",), [("",)]))  # csv quotes a row of one empty field
@@ -1065,9 +1121,12 @@ def _needs_quoting_care(row, width) -> bool:
 @example((("a", "b"), [("x", 'y"z')]))
 @example((("a", "b"), [("x", "y\rz")]))
 @example((("a", "b"), [("p", "q"), ("x", "y,z"), ("p", "q"), ('"',), ("p", "q")]))
+@example((("a", "b"), [("x", "y,z")] * pipeline._CSV_CHUNK + [("p", "q")] * 3
+          + [("x", "y\rz")]))  # a mostly quoted chunk, then one with a "\r"
 def test_write_csv_matches_csv_writer(table):
     """`_write_csv` writes the bytes of one plain csv.writer, and hands
-    csv.writer the header and exactly the rows that need its care."""
+    csv.writer the header and exactly the rows that need its care, or every
+    row of a chunk after a mostly quoted one."""
     header, rows = table
     real_writer = csv.writer
     routed = []
@@ -1090,7 +1149,7 @@ def test_write_csv_matches_csv_writer(table):
             pipeline._write_csv(got, header, iter(rows))
         write_csv_reference(want, header, rows)
         assert got.read_bytes() == want.read_bytes()
-    assert routed == [header] + [r for r in rows if _needs_quoting_care(r, len(header))]
+    assert routed == [header] + _routed_rows(rows, len(header))
 
 
 def test_an_upper_case_blocklist_word_drops_a_lower_case_text(world, tmp_path):
