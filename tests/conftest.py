@@ -26,6 +26,17 @@ def square_ring(lat: float, lon: float, half_m: float):
     )
 
 
+# Grid worlds share exact vertex floats between neighbours, so points can sit
+# exactly on a shared edge or vertex.
+GRID_LAT0, GRID_LON0, GRID_STEP = 41.90, -87.70, 0.001
+
+
+def grid_ring(row0, col0, row1, col1):
+    lat0, lat1 = GRID_LAT0 + row0 * GRID_STEP, GRID_LAT0 + row1 * GRID_STEP
+    lon0, lon1 = GRID_LON0 + col0 * GRID_STEP, GRID_LON0 + col1 * GRID_STEP
+    return ((lat0, lon0), (lat0, lon1), (lat1, lon1), (lat1, lon0))
+
+
 def make_parcel(parcel_id, lat, lon, half_m=50.0, code=1, holes=()):
     return Parcel(parcel_id, square_ring(lat, lon, half_m), tuple(holes), code)
 

@@ -17,7 +17,16 @@ from motifmine.annotate import (
 from motifmine.ingest import UserTrack
 from motifmine.parcels import NearestHit, Parcel, SpatialIndex, nearest_parcel
 
-from conftest import apoint, make_index, make_parcel, rec
+from conftest import (
+    GRID_LAT0,
+    GRID_LON0,
+    GRID_STEP,
+    apoint,
+    grid_ring,
+    make_index,
+    make_parcel,
+    rec,
+)
 from oracles import local_date_of, nearest_parcel_scan, slot_of
 
 HOUR = 3600
@@ -67,20 +76,10 @@ class TestAnnotateHistory:
         assert [p.ts for p in history] == [p.ts for p in pts]
 
 
-# Grid worlds share exact vertex floats between neighbours, so fixes can sit
-# exactly on a shared edge or vertex.
-LAT0, LON0, STEP = 41.90, -87.70, 0.001
-
-
-def cell_rect(row0, col0, row1, col1):
-    lat0, lat1 = LAT0 + row0 * STEP, LAT0 + row1 * STEP
-    lon0, lon1 = LON0 + col0 * STEP, LON0 + col1 * STEP
-    return ((lat0, lon0), (lat0, lon1), (lat1, lon1), (lat1, lon0))
-
-
 def track_at(*cells):
     """A track with one fix per (row, col) grid position, a minute apart."""
-    return UserTrack("u1", [rec(ts=60 * i, lat=LAT0 + r * STEP, lon=LON0 + c * STEP)
+    return UserTrack("u1", [rec(ts=60 * i, lat=GRID_LAT0 + r * GRID_STEP,
+                                lon=GRID_LON0 + c * GRID_STEP)
                             for i, (r, c) in enumerate(cells)])
 
 
@@ -104,7 +103,7 @@ def joins(history):
 
 class TestRecentParcels:
     def test_revisits_skip_the_probe(self, probes):
-        parcels = [Parcel(1, cell_rect(0, 0, 1, 1), (), 1), Parcel(2, cell_rect(0, 1, 1, 2), (), 6)]
+        parcels = [Parcel(1, grid_ring(0, 0, 1, 1), (), 1), Parcel(2, grid_ring(0, 1, 1, 2), (), 6)]
         track = track_at((0.5, 0.5), (0.5, 1.5), (0.4, 0.6), (0.6, 1.2), (0.3, 0.3))
         history = annotate_history(track, make_index(parcels), 0)
         assert joins(history) == [(1, 1), (2, 6), (1, 1), (2, 6), (1, 1)]
@@ -112,7 +111,7 @@ class TestRecentParcels:
 
     def test_the_list_keeps_the_most_recent_distinct_parcels(self, probes):
         n = annotate.RECENT_PARCELS
-        parcels = [Parcel(i + 1, cell_rect(0, i, 1, i + 1), (), 1) for i in range(n + 1)]
+        parcels = [Parcel(i + 1, grid_ring(0, i, 1, i + 1), (), 1) for i in range(n + 1)]
         index = make_index(parcels)
         annotate_history(track_at(*[(0.5, i + 0.5) for i in range(n)] * 3), index, 0)
         assert len(probes) == n
@@ -121,16 +120,16 @@ class TestRecentParcels:
         assert len(probes) == 3 * (n + 1)  # each fix's parcel left the list n + 1 fixes ago
 
     def test_an_overlapping_smaller_id_wins_over_a_listed_parcel(self, probes):
-        big = Parcel(5, cell_rect(0, 0, 3, 3), (), 6)
-        small = Parcel(3, cell_rect(1, 1, 2, 2), (), 9)
+        big = Parcel(5, grid_ring(0, 0, 3, 3), (), 6)
+        small = Parcel(3, grid_ring(1, 1, 2, 2), (), 9)
         history = annotate_history(track_at((0.5, 0.5), (1.5, 1.5)), make_index([big, small]), 0)
         # big is listed after the first fix and contains the second, as small does
         assert joins(history) == [(5, 6), (3, 9)]
         assert len(probes) == 2
 
     def test_a_fix_in_or_on_a_listed_parcels_hole_takes_the_probe(self, probes):
-        outer = Parcel(4, cell_rect(0, 0, 3, 3), (cell_rect(1, 1, 2, 2),), 6)
-        inner = Parcel(2, cell_rect(1, 1, 2, 2), (), 9)
+        outer = Parcel(4, grid_ring(0, 0, 3, 3), (grid_ring(1, 1, 2, 2),), 6)
+        inner = Parcel(2, grid_ring(1, 1, 2, 2), (), 9)
         parcels = [outer, inner]
         # in outer, in the hole and so in inner, then on the hole's top edge:
         # the even-odd test puts that edge in outer, yet inner is at distance 0
@@ -174,11 +173,11 @@ def join_worlds(draw):
             kind = draw(st.sampled_from(["square", "square", "gap", "hole", "notch"]))
             if kind == "gap":
                 continue
-            ring = cell_rect(r, c, r + 1, c + 1)
+            ring = grid_ring(r, c, r + 1, c + 1)
             if kind == "hole":
-                rings.append((ring, (cell_rect(r + 0.25, c + 0.25, r + 0.75, c + 0.75),)))
+                rings.append((ring, (grid_ring(r + 0.25, c + 0.25, r + 0.75, c + 0.75),)))
             elif kind == "notch":  # an L whose notch is the upper right quarter
-                mid = cell_rect(r, c, r + 0.5, c + 0.5)[2]
+                mid = grid_ring(r, c, r + 0.5, c + 0.5)[2]
                 rings.append(((ring[0], ring[1], (mid[0], ring[1][1]), mid,
                                (ring[2][0], mid[1]), ring[3]), ()))
             else:
@@ -187,9 +186,9 @@ def join_worlds(draw):
     for _ in range(draw(st.integers(1, 3))):
         rows = sorted(draw(st.lists(quarter, min_size=2, max_size=2, unique=True)))
         cols = sorted(draw(st.lists(quarter, min_size=2, max_size=2, unique=True)))
-        rings.append((cell_rect(rows[0], cols[0], rows[1], cols[1]), ()))
+        rings.append((grid_ring(rows[0], cols[0], rows[1], cols[1]), ()))
     if draw(st.booleans()):  # over OVERSIZE_CELLS grid cells even when cells are 4 x 4
-        rings.append((cell_rect(-200, -200, 200, 200), (cell_rect(-1, -1, n + 1, n + 1),)))
+        rings.append((grid_ring(-200, -200, 200, 200), (grid_ring(-1, -1, n + 1, n + 1),)))
     ids = draw(st.permutations(range(1, len(rings) + 1)))
     parcels = [Parcel(pid, ring, holes, pid % 12 + 1) for pid, (ring, holes) in zip(ids, rings)]
     places = draw(st.lists(st.tuples(grid_coord(n), grid_coord(n)), min_size=2, max_size=8))

@@ -21,7 +21,17 @@ from motifmine.parcels import (
     read_parcels,
 )
 
-from conftest import geojson_polygon_feature, make_index, make_parcel, square_ring, write_geojson
+from conftest import (
+    GRID_LAT0,
+    GRID_LON0,
+    GRID_STEP,
+    geojson_polygon_feature,
+    grid_ring,
+    make_index,
+    make_parcel,
+    square_ring,
+    write_geojson,
+)
 from oracles import nearest_parcel_scan
 
 
@@ -284,17 +294,6 @@ def test_query_bbox_matches_brute_force():
                         (lat - 0.004, lon - 0.004, lat + 0.004, lon + 0.004)]:
                 assert [p.parcel_id for p in idx.query_bbox(box)] == \
                     brute_force_bbox(parcels, box)
-
-
-# Grid worlds share exact vertex floats between neighbours, so points can sit
-# exactly on a shared edge or vertex.
-GRID_LAT0, GRID_LON0, GRID_STEP = 41.90, -87.70, 0.001
-
-
-def grid_ring(row0, col0, row1, col1):
-    lat0, lat1 = GRID_LAT0 + row0 * GRID_STEP, GRID_LAT0 + row1 * GRID_STEP
-    lon0, lon1 = GRID_LON0 + col0 * GRID_STEP, GRID_LON0 + col1 * GRID_STEP
-    return ((lat0, lon0), (lat0, lon1), (lat1, lon1), (lat1, lon0))
 
 
 def grid_parcel(parcel_id, row, col, code=1, holes=()):
