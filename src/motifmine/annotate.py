@@ -11,14 +11,7 @@ from dataclasses import dataclass
 from datetime import date, timedelta
 
 from .ingest import UserTrack
-from .parcels import (
-    OTHERS_CODE,
-    RESIDENTIAL_CODE,
-    SpatialIndex,
-    nearest_parcel,
-    probe_returns,
-    probe_rivals,
-)
+from .parcels import OTHERS_CODE, RESIDENTIAL_CODE, SpatialIndex, nearest_parcel
 
 EPOCH_DATE = date(1970, 1, 1)
 
@@ -28,7 +21,8 @@ ACTIVE_SCOPES = ("day", "user")
 
 # Parcels a user's join tries before `nearest_parcel`: 99 % of the points of
 # the benchmark's city and coarse-long worlds fall in one of their user's
-# last 8 distinct parcels.
+# last 8 distinct parcels. A point none of them takes pays one guess test
+# per listed parcel, most of them a bbox test, on top of the probe.
 RECENT_PARCELS = 8
 
 
@@ -61,45 +55,53 @@ def annotate_history(track: UserTrack, index: SpatialIndex, utc_offset_minutes: 
     """Attach parcel context and local time to every point, order preserved.
 
     A point is joined as `nearest_parcel` joins it. A user keeps returning
-    to a few places, so the join first tries the last `RECENT_PARCELS`
-    distinct parcels that held one of the user's points at distance 0, most
-    recent first. A listed parcel whose bbox holds the point is taken when
-    `probe_returns` says the containment probe would return it; every other
-    point asks `nearest_parcel`, whose distance-0 hit goes to the list's front.
+    to a few places, so the join first tries the user's last
+    `RECENT_PARCELS` distinct listed parcels, most recent first, and takes
+    the first whose `ProbeGuess` says the containment probe would return it.
+    Every other point asks `nearest_parcel`. A parcel that two probes in a
+    row return at distance 0 goes to the list's front, joining the list if
+    it is not on it: a place left after one point, as in a track with no
+    recurring places, costs no guess. The index builds each parcel's guess
+    once, for every track.
     """
     offset_s = utc_offset_minutes * 60
     out = []
-    recent = []  # (parcel, its probe_rivals), the most recent hit first
+    recent = []  # ProbeGuess of the listed parcels, the most recent hit first
+    last = None  # the parcel of the previous probe's distance-0 hit
     for p in track.points:
         lat, lon = p.lat, p.lon
-        for i, (parcel, rivals) in enumerate(recent):
-            b = parcel.bbox
-            if b[0] <= lat <= b[2] and b[1] <= lon <= b[3]:
-                if probe_returns(lat, lon, parcel, rivals):
-                    if i:
-                        recent.insert(0, recent.pop(i))
-                    parcel_id, code = parcel.parcel_id, parcel.activity_code
-                    break
+        for guess in recent:
+            if guess.returns(lat, lon):
+                if guess is not recent[0]:
+                    recent.remove(guess)
+                    recent.insert(0, guess)
+                parcel = guess.parcel
+                parcel_id, code = parcel.parcel_id, parcel.activity_code
+                break
         else:
             hit = nearest_parcel(lat, lon, index, radius_m)
             if hit is None:
-                parcel_id, code = None, OTHERS_CODE
+                parcel_id, code, parcel = None, OTHERS_CODE, None
             else:
                 parcel_id, code = hit.parcel_id, hit.activity_code
-                if hit.distance_m == 0.0:
-                    _put_first(recent, hit.parcel, index)
+                parcel = hit.parcel if hit.distance_m == 0.0 else None
+                if parcel is last and parcel is not None:
+                    _put_first(recent, parcel, index)
+            last = parcel
         out.append(AnnotatedPoint(p.ts, lat, lon, parcel_id, code, p.ts + offset_s))
     return out
 
 
 def _put_first(recent, parcel, index):
-    """Move `parcel` to the front of a user's recent list, or add it there
-    with its rivals, dropping the least recent beyond `RECENT_PARCELS`."""
-    for i, entry in enumerate(recent):
-        if entry[0] is parcel:
-            recent.insert(0, recent.pop(i))
-            return
-    recent.insert(0, (parcel, probe_rivals(parcel, index)))
+    """Move `parcel`'s guess to the front of a user's recent list, or put a
+    new one there, dropping the least recent beyond `RECENT_PARCELS`."""
+    for guess in recent:
+        if guess.parcel is parcel:
+            recent.remove(guess)
+            break
+    else:
+        guess = index.guess(parcel)
+    recent.insert(0, guess)
     del recent[RECENT_PARCELS:]
 
 

@@ -16,8 +16,9 @@ parcels are exactly the ones the full radius search would probe first
 final answer, so the probe returns the same hit. Only a point that no
 parcel contains pays for the radius search. A caller that has a good guess
 for the point, such as a parcel its user just visited, can skip even the
-probe: `probe_returns` says, from the guess and its `probe_rivals` alone,
-whether the probe would return that parcel.
+probe: the parcel's `ProbeGuess`, which the index builds once, says from
+the parcel and the few parcels that come before it in the probe's order
+alone whether the probe would return it.
 
 Loading is a bulk build: tens of thousands of parcels, each a few tuples.
 The decoded GeoJSON is released a chunk of features at a time as the
@@ -146,12 +147,16 @@ class SpatialIndex:
     that share a point share a cell: the grid misses nothing, even on a
     shared edge or vertex. A parcel object passed twice is placed once, so
     no cell lists a parcel twice.
+
+    `guess(parcel)` builds a parcel's `ProbeGuess` on first ask and keeps
+    it, so however many tracks guess a parcel, its rivals are queried once.
     """
 
     def __init__(self, parcels):
         self.parcels = list({id(p): p for p in parcels}.values())
         cells = self.cells = defaultdict(list)
         self.oversize = []
+        self._guesses = {}  # id(parcel) -> its ProbeGuess
         boxes = [p.bbox for p in self.parcels] or [(0.0, 0.0, 0.0, 0.0)]  # empty: any size
         mid = len(boxes) // 2
         self.cell_size = (max(_MIN_CELL_DEG, sorted(b[2] - b[0] for b in boxes)[mid]),
@@ -208,6 +213,13 @@ class SpatialIndex:
         if n_cells == 1:
             return sorted(found, key=_BY_ID) if self.oversize else found
         return sorted({id(p): p for p in found}.values(), key=_BY_ID)
+
+    def guess(self, parcel) -> "ProbeGuess":
+        """The `ProbeGuess` of an indexed parcel."""
+        guess = self._guesses.get(id(parcel))
+        if guess is None:
+            guess = self._guesses[id(parcel)] = ProbeGuess(parcel, self)
+        return guess
 
 
 @contextmanager
@@ -371,48 +383,75 @@ def nearest_parcel(lat: float, lon: float, index: SpatialIndex,
     return NearestHit(parcel.parcel_id, parcel.activity_code, dist, parcel)
 
 
-def probe_rivals(parcel, index: SpatialIndex) -> tuple:
-    """(rivals, open rivals) of an indexed parcel, for `probe_returns`.
+# A parcel is guessed only when its bbox meets at most GUESS_MAX_CELLS grid
+# cells and it has at most GUESS_MAX_RIVALS rivals: building its guess then
+# costs a query of a few cells, and checking the guess a few bbox tests
+# besides its own polygon's. Each parcel of the benchmark's grid worlds meets
+# 4 cells and has at most 4 rivals.
+GUESS_MAX_CELLS = 16
+GUESS_MAX_RIVALS = 16
+
+
+class ProbeGuess:
+    """A parcel guessed to be the one `nearest_parcel`'s containment probe
+    returns for the next points, such as a place their user keeps visiting.
+
+    `returns(lat, lon)` is True only when the probe returns the parcel for
+    that point, so the caller may take the parcel without asking
+    `nearest_parcel`; False means only that the probe must be asked. It is
+    always False for a parcel whose bbox meets more than GUESS_MAX_CELLS grid
+    cells (every oversize parcel does) or that has more than GUESS_MAX_RIVALS
+    rivals: the probe is then the cheaper check.
 
     The rivals are the other parcels with an id no larger than the parcel's
-    whose bbox meets its bbox; the open rivals are those whose bbox meets
-    its open bbox (the bbox without its boundary), none on a gap-free grid.
+    whose bbox meets its bbox, found by one `query_bbox`; the open rivals
+    are those whose bbox meets its open bbox (the bbox without its
+    boundary), none on a gap-free grid.
 
-    Why `probe_returns` is exact. Away from 0 degrees, `nearest_parcel`
-    returns the first parcel, in id order, of those whose closed bbox holds
-    the point that lie at distance 0 from it. When the parcel's bbox holds
-    the point and its polygon contains it, `point_polygon_distance_m` puts
-    the parcel at distance 0, so
-    the probe returns it unless a parcel before it in that order is at
-    distance 0 too. Such a parcel has an id no larger than the parcel's,
-    and a bbox that holds the point and so meets the parcel's bbox: it is a
-    rival, the one query here finds every rival, and equal ids are taken
-    as rivals whatever the order between them. When the point is inside the
-    open bbox, a bbox that holds it meets the open bbox too: it is an open
-    rival. `probe_returns` evaluates exactly the (open) rivals whose bbox
-    holds the point, with the probe's own distance, and says yes only when
-    none is at distance 0.
+    Why `returns` is exact. Away from 0 degrees, `nearest_parcel` returns
+    the first parcel, in id order, of those whose closed bbox holds the
+    point that lie at distance 0 from it. When the parcel's bbox holds the
+    point and its polygon contains it, `point_polygon_distance_m` puts the
+    parcel at distance 0, so the probe returns it unless a parcel before it
+    in that order is at distance 0 too. Such a parcel has an id no larger
+    than the parcel's, and a bbox that holds the point and so meets the
+    parcel's bbox: it is a rival, and equal ids are taken as rivals whatever
+    the order between them. When the point is inside the open bbox, a bbox
+    that holds it meets the open bbox too: it is an open rival. `returns`
+    evaluates exactly the (open) rivals whose bbox holds the point, with the
+    probe's own distance, and says yes only when none is at distance 0.
     """
-    rivals = tuple(r for r in index.query_bbox(parcel.bbox)
-                   if r is not parcel and r.parcel_id <= parcel.parcel_id)
-    lat0, lon0, lat1, lon1 = parcel.bbox
-    return rivals, tuple(r for r in rivals if r.bbox[0] < lat1 and lat0 < r.bbox[2]
-                         and r.bbox[1] < lon1 and lon0 < r.bbox[3])
 
+    __slots__ = ("parcel", "_rivals", "_open_rivals")
 
-def probe_returns(lat: float, lon: float, parcel, rivals) -> bool:
-    """Whether `nearest_parcel` returns `parcel`, a parcel whose closed bbox
-    holds the point, by its containment probe; `rivals` is the parcel's
-    `probe_rivals`. True is always exact (see `probe_rivals`); False means
-    only that the probe must be asked."""
-    if not (abs(lat) >= _PROBE_MIN_ABS_DEG and abs(lon) >= _PROBE_MIN_ABS_DEG
-            and point_in_polygon(lat, lon, parcel.exterior, parcel.holes)):
-        return False
-    lat0, lon0, lat1, lon1 = parcel.bbox
-    for r in rivals[1] if lat0 < lat < lat1 and lon0 < lon < lon1 else rivals[0]:
-        b = r.bbox
-        if (b[0] <= lat <= b[2] and b[1] <= lon <= b[3]
-                and point_polygon_distance_m(lat, lon, r.exterior, r.holes) == 0.0):
+    def __init__(self, parcel, index: SpatialIndex):
+        self.parcel = parcel
+        self._rivals = self._open_rivals = None
+        if index._cell_span(parcel.bbox)[4] > GUESS_MAX_CELLS:
+            return
+        rivals = tuple(r for r in index.query_bbox(parcel.bbox)
+                       if r is not parcel and r.parcel_id <= parcel.parcel_id)
+        if len(rivals) > GUESS_MAX_RIVALS:
+            return
+        lat0, lon0, lat1, lon1 = parcel.bbox
+        self._rivals = rivals
+        self._open_rivals = tuple(r for r in rivals if r.bbox[0] < lat1 and lat0 < r.bbox[2]
+                                  and r.bbox[1] < lon1 and lon0 < r.bbox[3])
+
+    def returns(self, lat: float, lon: float) -> bool:
+        """Whether `nearest_parcel` returns the parcel for the point by its
+        containment probe; True is always exact, False may not be."""
+        parcel = self.parcel
+        lat0, lon0, lat1, lon1 = parcel.bbox
+        if not (lat0 <= lat <= lat1 and lon0 <= lon <= lon1) or self._rivals is None:
             return False
-    return True
-
+        if not (abs(lat) >= _PROBE_MIN_ABS_DEG and abs(lon) >= _PROBE_MIN_ABS_DEG
+                and point_in_polygon(lat, lon, parcel.exterior, parcel.holes)):
+            return False
+        open_bbox = lat0 < lat < lat1 and lon0 < lon < lon1
+        for r in self._open_rivals if open_bbox else self._rivals:
+            b = r.bbox
+            if (b[0] <= lat <= b[2] and b[1] <= lon <= b[3]
+                    and point_polygon_distance_m(lat, lon, r.exterior, r.holes) == 0.0):
+                return False
+        return True

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from motifmine import annotate
+from motifmine import parcels as parcels_mod
 from motifmine.annotate import (
     active_locations,
     annotate_history,
@@ -104,41 +105,63 @@ def joins(history):
 class TestRecentParcels:
     def test_revisits_skip_the_probe(self, probes):
         parcels = [Parcel(1, grid_ring(0, 0, 1, 1), (), 1), Parcel(2, grid_ring(0, 1, 1, 2), (), 6)]
-        track = track_at((0.5, 0.5), (0.5, 1.5), (0.4, 0.6), (0.6, 1.2), (0.3, 0.3))
+        track = track_at((0.5, 0.5), (0.4, 0.4), (0.5, 1.5), (0.6, 1.6),
+                         (0.4, 0.6), (0.6, 1.2), (0.3, 0.3))
         history = annotate_history(track, make_index(parcels), 0)
-        assert joins(history) == [(1, 1), (2, 6), (1, 1), (2, 6), (1, 1)]
-        assert len(probes) == 2
+        assert joins(history) == [(1, 1), (1, 1), (2, 6), (2, 6), (1, 1), (2, 6), (1, 1)]
+        assert len(probes) == 4  # each parcel is listed by its second probe in a row
+
+    def test_a_place_left_after_one_point_is_not_guessed(self, probes):
+        parcels = [Parcel(1, grid_ring(0, 0, 1, 1), (), 1), Parcel(2, grid_ring(0, 1, 1, 2), (), 6)]
+        index = make_index(parcels)
+        history = annotate_history(track_at(*[(0.5, 0.5), (0.5, 1.5)] * 4), index, 0)
+        assert joins(history) == [(1, 1), (2, 6)] * 4
+        assert len(probes) == 8
+        assert index._guesses == {}
 
     def test_the_list_keeps_the_most_recent_distinct_parcels(self, probes):
         n = annotate.RECENT_PARCELS
         parcels = [Parcel(i + 1, grid_ring(0, i, 1, i + 1), (), 1) for i in range(n + 1)]
         index = make_index(parcels)
-        annotate_history(track_at(*[(0.5, i + 0.5) for i in range(n)] * 3), index, 0)
-        assert len(probes) == n
+        stays = [(0.5, i + 0.5) for i in range(n) for _ in (0, 1)]
+        annotate_history(track_at(*stays * 3), index, 0)
+        assert len(probes) == 2 * n
         probes.clear()
-        annotate_history(track_at(*[(0.5, i + 0.5) for i in range(n + 1)] * 3), index, 0)
-        assert len(probes) == 3 * (n + 1)  # each fix's parcel left the list n + 1 fixes ago
+        stays = [(0.5, i + 0.5) for i in range(n + 1) for _ in (0, 1)]
+        annotate_history(track_at(*stays * 3), index, 0)
+        # each stay's parcel left the list n + 1 parcels ago
+        assert len(probes) == 3 * 2 * (n + 1)
+
+    def test_an_index_builds_a_parcels_guess_once(self):
+        index = make_index([Parcel(1, grid_ring(0, 0, 1, 1), (), 1)])
+        track = track_at((0.5, 0.5), (0.4, 0.4), (0.6, 0.6))
+        annotate_history(track, index, 0)
+        guess = index.guess(index.parcels[0])
+        annotate_history(track, index, 0)
+        assert index.guess(index.parcels[0]) is guess
 
     def test_an_overlapping_smaller_id_wins_over_a_listed_parcel(self, probes):
         big = Parcel(5, grid_ring(0, 0, 3, 3), (), 6)
         small = Parcel(3, grid_ring(1, 1, 2, 2), (), 9)
-        history = annotate_history(track_at((0.5, 0.5), (1.5, 1.5)), make_index([big, small]), 0)
-        # big is listed after the first fix and contains the second, as small does
-        assert joins(history) == [(5, 6), (3, 9)]
-        assert len(probes) == 2
+        track = track_at((0.5, 0.5), (0.6, 0.6), (1.5, 1.5))
+        history = annotate_history(track, make_index([big, small]), 0)
+        # big is listed after the second fix and contains the third, as small does
+        assert joins(history) == [(5, 6), (5, 6), (3, 9)]
+        assert len(probes) == 3
 
     def test_a_fix_in_or_on_a_listed_parcels_hole_takes_the_probe(self, probes):
         outer = Parcel(4, grid_ring(0, 0, 3, 3), (grid_ring(1, 1, 2, 2),), 6)
         inner = Parcel(2, grid_ring(1, 1, 2, 2), (), 9)
         parcels = [outer, inner]
-        # in outer, in the hole and so in inner, then on the hole's top edge:
-        # the even-odd test puts that edge in outer, yet inner is at distance 0
-        track = track_at((0.5, 0.5), (1.5, 1.5), (2, 1.5))
+        # in outer twice, in the hole and so in inner, then on the hole's top
+        # edge: the even-odd test puts that edge in outer, yet inner is at
+        # distance 0
+        track = track_at((0.5, 0.5), (0.6, 0.6), (1.5, 1.5), (2, 1.5))
         history = annotate_history(track, make_index(parcels), 0)
-        edge = track.points[2]
+        edge = track.points[3]
         assert nearest_parcel_scan(edge.lat, edge.lon, parcels) == NearestHit(2, 9, 0.0)
-        assert joins(history) == [(4, 6), (2, 9), (2, 9)]
-        assert len(probes) == 3
+        assert joins(history) == [(4, 6), (4, 6), (2, 9), (2, 9)]
+        assert len(probes) == 4
 
     def test_a_fix_near_0_degrees_takes_the_probe(self, probes):
         # parcel 1's bbox misses (0.5, 0.0) by 1e-200 degrees, a distance that
@@ -146,10 +169,43 @@ class TestRecentParcels:
         # containing parcel 2, which is listed by then
         outside = Parcel(1, ((0.4, 1e-200), (0.4, 0.001), (0.6, 0.001), (0.6, 1e-200)), (), 3)
         containing = Parcel(2, ((0.4, -0.001), (0.4, 0.001), (0.6, 0.001), (0.6, -0.001)), (), 5)
-        track = UserTrack("u1", [rec(ts=0, lat=0.5, lon=-0.0005), rec(ts=60, lat=0.5, lon=0.0)])
+        track = UserTrack("u1", [rec(ts=0, lat=0.5, lon=-0.0005), rec(ts=60, lat=0.5, lon=-0.0004),
+                                 rec(ts=120, lat=0.5, lon=0.0)])
         history = annotate_history(track, make_index([outside, containing]), 0)
-        assert joins(history) == [(2, 5), (1, 3)]
-        assert len(probes) == 2
+        assert joins(history) == [(2, 5), (2, 5), (1, 3)]
+        assert len(probes) == 3
+
+    def test_a_high_id_oversize_parcel_is_never_guessed(self, probes):
+        # a 2 x 2 grid with one gap, under an "Others" parcel of the top id
+        # that meets more than OVERSIZE_CELLS cells; its only rivals would be
+        # every other parcel, so its points keep the probe's cost
+        parcels = [Parcel(i + 1, grid_ring(r, c, r + 1, c + 1), (), 1)
+                   for i, (r, c) in enumerate([(0, 0), (0, 1), (1, 0)])]
+        others = Parcel(4, grid_ring(-200, -200, 200, 200), (), 12)
+        index = make_index(parcels + [others])
+        assert others in index.oversize
+        gap, street = [(1.5, 1.5)] * 3, [(1.6, 1.4), (1.5, 2.5), (-0.5, 0.5)]
+        history = annotate_history(track_at(*gap, (0.5, 0.5), (0.6, 0.6), *street,
+                                            (0.4, 0.4)), index, 0)
+        assert joins(history) == [(4, 12)] * 3 + [(1, 1)] * 2 + [(4, 12)] * 3 + [(1, 1)]
+        assert len(probes) == 8  # all but the last, which parcel 1's guess takes
+
+    def test_a_parcel_with_many_rivals_is_never_guessed(self, probes):
+        # a parcel of the top id over 2 x 2 grid units holds more small
+        # parcels than GUESS_MAX_RIVALS; unit parcels elsewhere keep the cells
+        # about a unit, so only the rivals bound turns its guess down
+        n = parcels_mod.GUESS_MAX_RIVALS + 1
+        units = [Parcel(i + 1, grid_ring(10, i, 11, i + 1), (), 1) for i in range(2 * n)]
+        small = [Parcel(2 * n + i + 1, grid_ring(0.05, 0.1 * i, 0.1, 0.1 * i + 0.05), (), 3)
+                 for i in range(n)]
+        crowded = Parcel(3 * n + 1, grid_ring(0, 0, 2, 2), (), 6)
+        index = make_index(units + small + [crowded])
+        assert index._cell_span(crowded.bbox)[4] <= parcels_mod.GUESS_MAX_CELLS
+        history = annotate_history(track_at(*[(1.5, 1.5)] * 4), index, 0)
+        assert joins(history) == [(3 * n + 1, 6)] * 4
+        assert len(probes) == 4
+        assert not index.guess(crowded).returns(GRID_LAT0 + 1.5 * GRID_STEP,
+                                                GRID_LON0 + 1.5 * GRID_STEP)
 
 
 def grid_coord(n):
@@ -165,7 +221,8 @@ def join_worlds(draw):
     """An n x n grid of unit cells, each a square, a gap, a holed square or an
     L (concave), plus rectangles that overlap the grid and perhaps an oversize
     holed parcel around it; ids are shuffled. Then a track that keeps
-    returning to a few fixes, many on an edge or vertex."""
+    returning to a few fixes, many on an edge or vertex, and staying for up
+    to three fixes in a row."""
     n = draw(st.integers(2, 4))
     rings = []
     for r in range(n):
@@ -192,8 +249,9 @@ def join_worlds(draw):
     ids = draw(st.permutations(range(1, len(rings) + 1)))
     parcels = [Parcel(pid, ring, holes, pid % 12 + 1) for pid, (ring, holes) in zip(ids, rings)]
     places = draw(st.lists(st.tuples(grid_coord(n), grid_coord(n)), min_size=2, max_size=8))
-    visits = draw(st.lists(st.sampled_from(places), min_size=8, max_size=40))
-    return parcels, visits
+    stays = draw(st.lists(st.tuples(st.sampled_from(places), st.integers(1, 3)),
+                          min_size=4, max_size=20))
+    return parcels, [place for place, k in stays for _ in range(k)]
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
