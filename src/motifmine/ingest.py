@@ -57,7 +57,7 @@ def parse_schema_columns(spec: str) -> dict:
     columns = {}
     for part in spec.split(","):
         name, sep, idx = (s.strip() for s in part.partition("="))
-        if not sep or name not in SCHEMA_FIELDS or not idx.isdigit():
+        if not sep or name not in SCHEMA_FIELDS or not (idx.isascii() and idx.isdigit()):
             raise ValueError(f"bad schema column entry: {part!r}")
         if name in columns:
             raise ValueError(f"schema column {name!r} given twice")
@@ -133,9 +133,56 @@ def parse_timestamp(raw: str) -> int:
     return ts
 
 
+_SS = tuple(f"{s:02d}" for s in range(60))
+# "MM:SSZ" -> its second of the hour
+_SECOND_OF_HOUR = dict(zip([m + ":" + s + "Z" for m in _SS for s in _SS], range(3600)))
+# The most hours one stream caches, ~22 months. An entry costs more to make
+# than the reference's one parse, so the cap bounds what a stream whose hours
+# seldom recur spends on entries it never reads.
+_HOUR_STARTS_MAX = 1 << 14
+# an hour prefix read as the plain hour it names: ASCII digits, hour 00..23
+_PLAIN_HOUR = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T([01][0-9]|2[0-3]):")
+
+
+def _read_timestamp(raw: str, hour_starts: dict) -> int:
+    """`parse_timestamp(raw)`, taking the hours of one stream from
+    `hour_starts`, a cache the caller keeps for the stream: hour prefix
+    "YYYY-MM-DDTHH:" -> the epoch second the hour starts at. It is a float,
+    so that int() of its sum with a second makes the int at its final size:
+    `int + int` keeps a spare digit, 4 B more in every record's ts.
+
+    The form every record of a stream usually has, exactly
+    "YYYY-MM-DDTHH:MM:SSZ", is read without `datetime` once its hour is
+    cached, with "MM:SSZ" looked up in a table of all 3,600. Any other
+    string, and the first stamp of each hour, goes to `parse_timestamp`,
+    which raises every error. Past `_HOUR_STARTS_MAX` hours no more are
+    cached. The cached path is exact:
+
+    - an hour is cached only when its prefix has that shape in ASCII digits
+      with an hour of 00..23, and the reference accepted a stamp of it; so
+      it names a plain hour of a real day, not, say, a week date, or an
+      hour 24 some parser reads as the next midnight;
+    - for such a prefix the reference reads prefix + "MM:SS" + "Z", MM and
+      SS in 00..59, as the hour's first second plus 60 * MM + SS, so the
+      accepted stamp's value less its second of the hour is that first second;
+    - `_MIN_TS` and `_END_TS` are both midnights, so an hour with one
+      accepted second lies wholly inside the range;
+    - the float sum is an integer below 2**53, so int() of it is exact.
+    """
+    second = _SECOND_OF_HOUR.get(raw[14:])  # a key only when len(raw) == 20
+    if second is None:
+        return parse_timestamp(raw)
+    start = hour_starts.get(raw[:14])
+    if start is not None:
+        return int(start + second)
+    ts = parse_timestamp(raw)
+    if len(hour_starts) < _HOUR_STARTS_MAX and _PLAIN_HOUR.match(raw):
+        hour_starts[raw[:14]] = float(ts - second)
+    return ts
+
+
 _EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
 _HH_MM = tuple(f"{h:02d}:{m:02d}:" for h in range(24) for m in range(60))
-_SS = tuple(f"{s:02d}" for s in range(60))
 
 
 @functools.lru_cache(maxsize=4096)
@@ -203,7 +250,8 @@ def parse_records(lines, schema: RecordSchema | None = None):
     not UTF-8 is malformed. A quoted field ends at the end of its line, so
     a line whose quote is still open there is malformed and the next line
     parses on its own. Only GPS fixes are kept: records whose location
-    source is the geocoder are dropped and counted separately.
+    source is the geocoder are dropped and counted separately. A schema
+    without one of the five required columns makes every line malformed.
 
     Returns (records, ParseReport).
     """
@@ -212,21 +260,30 @@ def parse_records(lines, schema: RecordSchema | None = None):
     text_col = cols.get("text")
     report = ParseReport()
     records = []
+    rows = _line_rows(lines, schema.delimiter)
+    if any(f not in cols for f in SCHEMA_FIELDS[:5]):
+        report.lines = report.malformed = sum(1 for _ in rows)
+        return records, report
+    user_col, ts_col, lat_col, lon_col, source_col = (cols[f] for f in SCHEMA_FIELDS[:5])
     user_ids = {}  # one string per distinct user id, shared by its records
-    for row in _line_rows(lines, schema.delimiter):
-        report.lines += 1
+    hour_starts = {}  # for _read_timestamp: ~140 B per distinct hour
+    n_lines = 0
+    for row in rows:
+        n_lines += 1
         if not row:
             report.malformed += 1
             continue
         try:
-            user_id = row[cols["user_id"]].strip()
-            ts = parse_timestamp(row[cols["timestamp"]])
-            lat = float(row[cols["lat"]])
-            lon = float(row[cols["lon"]])
-            source = row[cols["location_source"]].strip().lower()
-        except (IndexError, KeyError, ValueError):
+            user_id = row[user_col].strip()
+            ts = _read_timestamp(row[ts_col], hour_starts)
+            lat = float(row[lat_col])
+            lon = float(row[lon_col])
+            source = row[source_col]
+        except (IndexError, ValueError):
             report.malformed += 1
             continue
+        if source != GPS:
+            source = source.strip().lower()
         if not user_id or source not in (GPS, GEOCODED):
             report.malformed += 1
             continue
@@ -242,6 +299,7 @@ def parse_records(lines, schema: RecordSchema | None = None):
         # every record of a user shares the user's first id string
         user_id = user_ids.setdefault(user_id, user_id)
         records.append(PointRecord(user_id, ts, lat, lon, text))
+    report.lines = n_lines
     report.records = len(records)
     return records, report
 

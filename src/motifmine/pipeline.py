@@ -20,13 +20,22 @@ artifact; they are collected once the collector is back on.
 
 import csv
 import functools
-import hashlib
 import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields
 from operator import attrgetter
 from pathlib import Path
+
+# The interpreter's builtin SHA-256, as stdlib `random` takes its SHA-512:
+# `import hashlib` loads OpenSSL, 3.6 MiB of RSS for this one digest.
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 from . import annotate as ann
 from . import ingest as ing
@@ -182,7 +191,7 @@ def make_config(file_path=None, overrides=None) -> RunConfig:
 
 
 def pseudonymize(user_id: str) -> str:
-    return hashlib.sha256(user_id.encode("utf-8")).hexdigest()[:16]
+    return sha256(user_id.encode("utf-8")).hexdigest()[:16]
 
 
 def load_boundary_ring(path) -> tuple:

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from datetime import datetime, timezone
 from unittest import mock
 
@@ -193,6 +194,147 @@ def test_format_timestamp_matches_isoformat_over_the_parsed_range(ts):
 def test_naive_format_covers_every_local_time(ts):
     # a local time is a parsed UTC time shifted by up to a day either way
     assert format_timestamp(ts, zone="") == iso_timestamp(ts, zone="")
+
+
+read_timestamp = ingest._read_timestamp
+
+
+def two_digits(top, edges):
+    return st.one_of(st.sampled_from(edges), st.integers(0, top).map("{:02d}".format))
+
+
+# The fields of "YYYY-MM-DDTHH:MM:SSZ", valid and invalid: range-edge years,
+# month 00 and 13, day 00 and 32, 29 February in leap and common years, hour
+# 24, minute and second 60.
+stamp_fields = st.tuples(
+    st.one_of(st.sampled_from(["0000", "0001", "1900", "1970", "2000", "2014", "2100", "9999"]),
+              st.integers(0, 9999).map("{:04d}".format)),
+    two_digits(13, ["00", "01", "02", "12", "13"]),
+    two_digits(32, ["00", "01", "28", "29", "30", "31", "32"]),
+    two_digits(24, ["00", "23", "24"]),
+    two_digits(60, ["00", "59", "60"]),
+    two_digits(60, ["00", "59", "60"]),
+)
+
+
+@st.composite
+def twenty_char_stamps(draw):
+    """A 20-character string shaped like "YYYY-MM-DDTHH:MM:SSZ", sometimes
+    with a lowercase "z" or one digit replaced by a non-ASCII digit, a
+    space or a letter."""
+    year, month, day, hour, minute, second = draw(stamp_fields)
+    chars = list(f"{year}-{month}-{day}T{hour}:{minute}:{second}"
+                 + draw(st.sampled_from("ZZZz")))
+    if draw(st.integers(0, 3)) == 0:
+        digits = [i for i, c in enumerate(chars) if c.isdigit()]
+        chars[draw(st.sampled_from(digits))] = draw(st.sampled_from("\uff12\u0663 x"))
+    return "".join(chars)
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(twenty_char_stamps())
+@example("0001-01-01T23:59:59Z")
+@example("0001-01-02T00:00:00Z")
+@example("9999-12-30T23:59:59Z")
+@example("9999-12-31T00:00:00Z")
+@example("2000-02-29T12:34:56Z")
+@example("1900-02-29T12:34:56Z")
+@example("1970-01-01T00:00:00Z")
+@example("2014-W09-6T12:34:56Z")  # forms the reference also reads: a week date,
+@example("2014-03-01t12:34:56Z")  # a lowercase separator
+@example("2014-03-01 12:34:56Z")  # and a space for "T"
+def test_read_timestamp_equals_the_reference(stamp):
+    assert len(stamp) == 20
+    hours = {}
+    try:
+        expected = parse_timestamp(stamp)
+    except ValueError:
+        with pytest.raises(ValueError):
+            read_timestamp(stamp, hours)
+        assert hours == {}
+        return
+    got = read_timestamp(stamp, hours)
+    assert type(got) is int and got == expected
+    # again, and other seconds of its hour: from the cache if the hour was cached
+    for sibling in (stamp, stamp[:14] + "00:00Z", stamp[:14] + "07:31Z", stamp[:14] + "59:59Z"):
+        try:
+            expected = parse_timestamp(sibling)
+        except ValueError:
+            with pytest.raises(ValueError):
+                read_timestamp(sibling, hours)
+            continue
+        assert read_timestamp(sibling, hours) == expected
+
+
+def test_cached_timestamps_take_no_more_memory_than_the_reference_values():
+    # `int + int` allocates a spare digit that every record would keep
+    stamps = [format_timestamp(1_400_000_000 + 61 * i) for i in range(2000)]
+    hours = {}
+    [read_timestamp(s, hours) for s in stamps]  # fill the hour cache before tracing
+    sizes = []
+    for parse in (lambda s: read_timestamp(s, hours), parse_timestamp):
+        tracemalloc.start()
+        try:
+            values = [parse(s) for s in stamps]
+            sizes.append(tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+        del values
+    assert sizes[0] <= sizes[1]
+
+
+def test_more_hours_than_the_cache_holds_parse_exactly():
+    cap = ingest._HOUR_STARTS_MAX
+    stamps = [format_timestamp(1_400_000_000 + 3600 * h + 7 * 60 + 9) for h in range(cap + 50)]
+    hours = {}
+    for _ in range(2):
+        assert [read_timestamp(s, hours) for s in stamps] == [parse_timestamp(s) for s in stamps]
+        # the first hours stay cached; the later ones are read by the reference
+        assert list(hours) == [s[:14] for s in stamps[:cap]]
+
+
+def test_only_a_plain_hour_prefix_is_cached():
+    hours = {}
+    for stamp in ("2014-W09-6T12:34:56Z", "2014-03-01t12:34:56Z", "2014-03-01 12:34:56Z",
+                  "2014-03-01X12:34:56Z", "2014-03-01T12:34:56Z"):
+        try:
+            expected = parse_timestamp(stamp)
+        except ValueError:
+            continue  # a form this interpreter's reference refuses
+        assert read_timestamp(stamp, hours) == expected
+    assert list(hours) == ["2014-03-01T12:"]
+
+
+def test_an_hour_the_reference_reads_as_another_hour_is_not_cached(monkeypatch):
+    # a parser that took "T24:00:00" as the next midnight, and refused every
+    # other second of hour 24, must not make that hour a cached prefix
+    def next_midnight_for_24(raw):
+        if raw[10:] == "T24:00:00Z":
+            return parse_timestamp(raw[:10] + "T00:00:00Z") + 86400
+        return parse_timestamp(raw)
+
+    monkeypatch.setattr(ingest, "parse_timestamp", next_midnight_for_24)
+    hours = {}
+    assert read_timestamp("2014-03-01T24:00:00Z", hours) == epoch(2014, 3, 2)
+    with pytest.raises(ValueError):
+        read_timestamp("2014-03-01T24:30:00Z", hours)
+    assert hours == {}
+
+
+def test_z_plus_zero_and_lowercase_z_streams_parse_alike():
+    stamps = ["2014-03-01T12:00:00", "2014-03-01T12:59:59", "1970-01-01T00:00:00",
+              "0001-01-02T00:00:00", "0001-01-01T23:59:59", "9999-12-30T23:59:59",
+              "9999-12-31T00:00:00", "2014-02-29T01:02:03", "2012-02-29T01:02:03",
+              "2014-03-01T24:00:00", "2014-03-01T12:60:00", "2014-03-01T12:00:60",
+              "2014-13-01T00:00:00", "2014-03-01T\uff11\uff12:00:00"]
+
+    def stream(zone):
+        return [f"u{i % 3},{stamp}{zone},41.88,-87.63,gps,t{i}\n" for i, stamp in enumerate(stamps)]
+
+    parsed = [parse_records(stream(zone)) for zone in ("Z", "+00:00", "z")]
+    assert parsed[0] == parsed[1] == parsed[2]
+    recs, report = parsed[0]
+    assert (report.lines, report.records, report.malformed) == (14, 6, 8)
 
 
 record_field = st.one_of(
@@ -519,6 +661,16 @@ def test_schema_columns_reorder():
         parse_schema_columns("lat=0")
     with pytest.raises(ValueError):
         parse_schema_columns("lat=zero,lon=1,user_id=2,timestamp=3,location_source=4")
+
+
+@pytest.mark.parametrize("missing", ["user_id", "timestamp", "lat", "lon", "location_source"])
+def test_a_schema_without_a_required_column_makes_every_line_malformed(missing):
+    columns = {f: i for i, f in enumerate(ingest.SCHEMA_FIELDS) if f != missing}
+    recs, report = parse_records(["u1,2014-03-01T12:00:00Z,41.88,-87.63,gps,a\n", "\n",
+                                  'u2,2014-03-01T12:00:00Z,41.88,-87.63,gps,"open\n'],
+                                 RecordSchema(columns=columns))
+    assert recs == []
+    assert report == ParseReport(lines=3, malformed=3)
 
 
 @pytest.mark.parametrize("spec, message", [

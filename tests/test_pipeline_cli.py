@@ -1,6 +1,7 @@
 import concurrent.futures
 import csv
 import gc
+import hashlib
 import io
 import json
 import os
@@ -418,6 +419,16 @@ def test_cli_import_loads_no_statistics():
     # the parcel grid takes its medians by sorting; `statistics` would also
     # load `fractions` and `decimal`, ~0.6 MiB on every run
     assert_import_skips("motifmine.cli", "statistics")
+
+
+def test_cli_import_loads_no_hashlib():
+    # pseudonyms take the builtin SHA-256; `hashlib` loads OpenSSL, ~3.6 MiB
+    assert_import_skips("motifmine.cli", "hashlib")
+
+
+@pytest.mark.parametrize("user_id", ["", "u0000", "usu\u00e1rio \u6771\u4eac \U0001f600"])
+def test_pseudonym_is_the_sha256_prefix(user_id):
+    assert pseudonymize(user_id) == hashlib.sha256(user_id.encode("utf-8")).hexdigest()[:16]
 
 
 def test_import_loads_no_process_pool():
@@ -974,6 +985,11 @@ class TestBadPaths:
         ("user_id=0,timestamp=1,lat=2,lon=2,location_source=4", "share column 2"),
         ("user_id=0,timestamp=1,lat=2,lon=3,location_source=4,lat=5", "'lat' given twice"),
         ("user_id=0,timestamp=1,lat=2,lon=3,location_source=4,text=0", "share column 0"),
+        # str.isdigit() holds for these, but a column index is ASCII digits
+        ("user_id=0,timestamp=1,lat=2,lon=3,location_source=\u00b2",
+         "bad schema column entry: 'location_source=\u00b2'"),
+        ("user_id=0,timestamp=1,lat=2,lon=3,location_source=\uff14",
+         "bad schema column entry: 'location_source=\uff14'"),
     ])
     def test_a_columns_spec_that_misreads_records_exits_2(self, world, tmp_path, capsys,
                                                           monkeypatch, no_parse, columns,
