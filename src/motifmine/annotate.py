@@ -4,7 +4,10 @@ Each point is joined to its nearest parcel (code 12 when nothing lies
 within the search radius), timestamps are shifted to dataset-local time by
 a fixed offset, and users/days are selected: stationary broadcasters on
 non-residential parcels are dropped, homes are inferred from night-time
-activity, and only sufficiently observed local days survive.
+activity, and only sufficiently observed local days survive. The passes
+over a user's history do no per-point work they can skip: the night window
+is tested in integer seconds of the local day, and the day split looks up
+a day's list only where the day changes.
 """
 
 from dataclasses import dataclass
@@ -141,29 +144,27 @@ def active_locations(history) -> list:
                   key=lambda pid: (-counts[pid], pid))
 
 
-def _in_night_window(local_ts: int, night_start_hour: int, night_end_hour: int) -> bool:
-    hour = (local_ts % 86400) / 3600.0
-    if night_start_hour <= night_end_hour:
-        return night_start_hour <= hour < night_end_hour
-    return hour >= night_start_hour or hour < night_end_hour
-
-
 def infer_home(history, night_start_hour: int = 21, night_end_hour: int = 6) -> HomeAssignment:
     """Home = residential parcel with the most night-window points.
 
     Falls back to the highest-ranked residential active location (ranked by
     `active_locations`, which runs only then), then to unknown (the caller
     excludes such users). The night window is half-open at its end and may
-    wrap midnight. The anchor is the mean (lat, lon) of the home parcel's
-    points, summed in history order.
+    wrap midnight; a point's hour is tested as its second of the local day
+    against whole hours in seconds, which is exact for integer hours. The
+    anchor is the mean (lat, lon) of the home parcel's points, summed in
+    history order.
     """
     night_counts: dict[int, int] = {}
     total_counts: dict[int, int] = {}
+    lo, hi = night_start_hour * 3600, night_end_hour * 3600
+    wraps = lo > hi
     for p in history:
         if p.parcel_id is None or p.activity_code != RESIDENTIAL_CODE:
             continue
         total_counts[p.parcel_id] = total_counts.get(p.parcel_id, 0) + 1
-        if _in_night_window(p.local_ts, night_start_hour, night_end_hour):
+        second = p.local_ts % 86400
+        if (lo <= second or second < hi) if wraps else lo <= second < hi:
             night_counts[p.parcel_id] = night_counts.get(p.parcel_id, 0) + 1
     if night_counts:
         home = min(night_counts, key=lambda pid: (-night_counts[pid], -total_counts[pid], pid))
@@ -182,11 +183,20 @@ def split_days(history) -> list:
     """Partition an annotated history at local midnight.
 
     The partition is exhaustive and disjoint; slot_count is the number of
-    distinct half-hour slots occupied within the day.
+    distinct half-hour slots occupied within the day. A history is mostly
+    in time order, so the day's list is looked up only when the day changes
+    from one point to the next; any order partitions alike.
     """
     days: dict[int, list] = {}  # epoch day -> its points
+    day = pts = None
     for p in history:
-        days.setdefault(p.local_ts // 86400, []).append(p)
+        k = p.local_ts // 86400
+        if k != day:
+            day = k
+            pts = days.get(k)
+            if pts is None:
+                pts = days[k] = []
+        pts.append(p)
     # a day is a whole number of slots, so within one day the distinct
     # local_ts // SLOT_SECONDS are the distinct slots of the day
     return [

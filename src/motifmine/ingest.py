@@ -12,7 +12,7 @@ import csv
 import functools
 import re
 from dataclasses import dataclass, field
-from datetime import date, datetime, timezone
+from datetime import date, datetime, timedelta, timezone
 
 from .geo import METERS_PER_DEGREE, haversine_m, point_in_ring, ring_self_intersects
 
@@ -108,6 +108,9 @@ class SpeedDecision:
     speed_mps: float | None = None
 
 
+_UTC_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_SECOND = timedelta(seconds=1)
+
 # A record's UTC date must lie strictly between the first and the last date
 # datetime can hold, so that its local date under any UTC offset of up to a
 # day (RunConfig.utc_offset_minutes) exists too.
@@ -118,8 +121,10 @@ _END_TS = int(datetime(9999, 12, 31, tzinfo=timezone.utc).timestamp())
 def parse_timestamp(raw: str) -> int:
     """ISO-8601 string to UTC epoch seconds. Naive timestamps are taken as UTC.
 
-    Raises ValueError for a timestamp whose UTC date is the first or the
-    last representable one, or outside them.
+    A fractional second is dropped: the stamp reads as the second it lies
+    in, before 1970 too, by exact integer division rather than rounding a
+    float toward zero. Raises ValueError for a timestamp whose UTC date is
+    the first or the last representable one, or outside them.
     """
     s = raw.strip()
     if s.endswith(("Z", "z")):
@@ -127,7 +132,7 @@ def parse_timestamp(raw: str) -> int:
     dt = datetime.fromisoformat(s)
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
-    ts = int(dt.timestamp())
+    ts = (dt - _UTC_EPOCH) // _SECOND
     if not _MIN_TS <= ts < _END_TS:
         raise ValueError(f"timestamp out of range: {raw!r}")
     return ts

@@ -14,7 +14,8 @@ must be preserved. Canonical signatures are permutation-minimal adjacency
 encodings, so signature equality is exactly isomorphism under the regime's
 admissible mappings. Daily networks recur, so each process canonicalizes a
 distinct input once and caches its string, at most SIGNATURE_CACHE_SIZE of
-them.
+them; and a run reduces and canonicalizes each distinct day shape (its walk
+and node labels) once, in a `DayShapes` it keeps for its days.
 """
 
 import functools
@@ -54,6 +55,12 @@ SIGNATURE_NODE_CAP = 8
 # an entry (edge-set key plus string) of a 6-node network takes ~1.1 KB: ~1 MiB in all
 SIGNATURE_CACHE_SIZE = 1024
 
+# The most day shapes a `DayShapes` keeps. An entry of a 6-node day (its
+# walk and labels key, the ABM network) takes ~0.8 KB, and its strings are
+# the signature cache's: under 1 MiB in all. A benchmark world has 4-5
+# distinct shapes in 3,000 days.
+DAY_SHAPES_SIZE = 1024
+
 
 @dataclass(slots=True)
 class DailyNetwork:
@@ -61,6 +68,9 @@ class DailyNetwork:
     node_keys: tuple  # parcel ids (LBM), labels (ABM) or stop tokens, by first visit
     labels: tuple
     walk: tuple  # chronological node-index sequence, starts/ends at home
+    # per node [lat sum, lon sum, point count] over a day's points, in
+    # chronological order; None for a network not built from points
+    node_sums: tuple | None = None
 
     @property
     def node_count(self) -> int:
@@ -90,39 +100,57 @@ def _check_closed_walk(n: int, edges) -> None:
         raise RuntimeError("closed walk produced a node without both edge directions")
 
 
-def _walk_network(kind: str, keys, labels) -> DailyNetwork:
-    """The network of a walk over node keys, labels[i] being the label of keys[i].
+def _walk_network(kind: str, keys, label_at, points=None) -> DailyNetwork:
+    """The network of a walk over node keys.
 
     Consecutive repeats of a key are one visit; nodes are numbered in order
-    of first visit and take the label of that visit.
+    of first visit and labeled `label_at(j)`, j being the position in `keys`
+    where the node is first visited, so a label is looked up once per node.
+    Given `points`, points[j] being where keys[j] was seen (it has .lat and
+    .lon), the same pass sums each node's points, repeats included, into
+    the network's `node_sums`.
     """
     index: dict = {}
     node_labels = []
     walk = []
+    sums = None if points is None else []
     prev = object()  # no key equals it
-    for key, label in zip(keys, labels):
-        if key == prev:
-            continue
-        prev = key
-        if key not in index:
-            index[key] = len(index)
-            node_labels.append(label)
-        walk.append(index[key])
+    for j, key in enumerate(keys):
+        if key != prev:
+            prev = key
+            node = index.get(key)
+            if node is None:
+                node = index[key] = len(index)
+                node_labels.append(label_at(j))
+                if sums is not None:
+                    sums.append([0.0, 0.0, 0])
+            walk.append(node)
+        if sums is not None:
+            p = points[j]
+            acc = sums[node]
+            acc[0] += p.lat
+            acc[1] += p.lon
+            acc[2] += 1
     _check_closed_walk(len(index), zip(walk, walk[1:]))
-    return DailyNetwork(kind, tuple(index), tuple(node_labels), tuple(walk))
+    return DailyNetwork(kind, tuple(index), tuple(node_labels), tuple(walk),
+                        None if sums is None else tuple(sums))
 
 
 def build_daily_network(day: UserDay, home_parcel_id: int) -> DailyNetwork | None:
     """The day's directed network, or None when its walk is open (it does
     not start and end at the home parcel). A day spent entirely at home
-    yields the one-node network.
+    yields the one-node network. One pass over the day's points builds it
+    and sums each node's points (`node_sums`).
     """
-    keys = [parcel_key(p) for p in day.points]
-    if keys[0] != home_parcel_id or keys[-1] != home_parcel_id:
+    points = day.points
+    if parcel_key(points[0]) != home_parcel_id or parcel_key(points[-1]) != home_parcel_id:
         return None
-    labels = [HOME_LABEL if k == home_parcel_id else ACTIVITY_LABELS[p.activity_code]
-              for k, p in zip(keys, day.points)]
-    return _walk_network(LBM, keys, labels)
+
+    def label_at(j):
+        p = points[j]
+        return HOME_LABEL if parcel_key(p) == home_parcel_id else ACTIVITY_LABELS[p.activity_code]
+
+    return _walk_network(LBM, map(parcel_key, points), label_at, points)
 
 
 def abm_reduce(net: DailyNetwork) -> DailyNetwork:
@@ -133,7 +161,7 @@ def abm_reduce(net: DailyNetwork) -> DailyNetwork:
     Idempotent, never increases the node count.
     """
     label_walk = [net.labels[i] for i in net.walk]
-    return _walk_network(ABM, label_walk, label_walk)
+    return _walk_network(ABM, label_walk, label_walk.__getitem__)
 
 
 def _permutation_groups(node_count: int, labels, pin_home: bool):
@@ -220,6 +248,41 @@ def census_signature(net: DailyNetwork, max_nodes: int = 6, pin_home: bool = Tru
     return None
 
 
+class DayShapes:
+    """The census view of each distinct day shape one run meets: a day's
+    LBM census signature, its `abm_reduce` network and that network's
+    census signature.
+
+    All three depend only on the day network's walk and node labels (and
+    on `max_nodes` and `pin_home`, fixed per instance), and days repeat a
+    few shapes, so each shape is reduced and canonicalized once. The first
+    DAY_SHAPES_SIZE shapes are kept; a later one is computed afresh each
+    time. A run keeps one per process for its days, so the cache lives as
+    long as the days it serves. The ABM network it returns is shared
+    between the days of a shape and is not to be changed.
+    """
+
+    __slots__ = ("max_nodes", "pin_home", "_views")
+
+    def __init__(self, max_nodes: int = 6, pin_home: bool = True):
+        self.max_nodes = max_nodes
+        self.pin_home = pin_home
+        self._views: dict = {}  # (walk, labels) -> view
+
+    def view(self, net: DailyNetwork) -> tuple:
+        """(LBM census signature, ABM network, ABM census signature) of a
+        day's LBM network; each signature None outside the census."""
+        key = (net.walk, net.labels)
+        found = self._views.get(key)
+        if found is None:
+            reduced = abm_reduce(net)
+            found = (census_signature(net, self.max_nodes, self.pin_home), reduced,
+                     census_signature(reduced, self.max_nodes, self.pin_home))
+            if len(self._views) < DAY_SHAPES_SIZE:
+                self._views[key] = found
+        return found
+
+
 def size_group_label(node_count: int, max_nodes: int = 6) -> str:
     if node_count <= max_nodes:
         return str(node_count)
@@ -294,4 +357,4 @@ def network_from_label_walk(label_walk) -> DailyNetwork:
     """
     if not label_walk or label_walk[0] != HOME_LABEL or label_walk[-1] != HOME_LABEL:
         raise ValueError(f"walk must start and end at home: {label_walk}")
-    return _walk_network(LBM, label_walk, [t.rstrip("0123456789") for t in label_walk])
+    return _walk_network(LBM, label_walk, lambda j: label_walk[j].rstrip("0123456789"))

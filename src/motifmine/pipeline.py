@@ -348,24 +348,23 @@ class UserOutcome:
     align_skip: str | None = None
 
 
-def _day_outcome(day, home, cfg) -> DayOutcome | None:
+def _day_outcome(day, home_parcel_id, shapes) -> DayOutcome | None:
     """The day's outcome, or None when its walk is open."""
-    net = mot.build_daily_network(day, home.home_parcel_id)
+    net = mot.build_daily_network(day, home_parcel_id)
     if net is None:
         return None
-    reduced = mot.abm_reduce(net)
-    lbm_sig = mot.census_signature(net, cfg.max_nodes, cfg.pin_home)
-    abm_sig = mot.census_signature(reduced, cfg.max_nodes, cfg.pin_home)
-    visits = [net.node_keys[i] for i in net.walk]
-    anchors = shp.day_anchors(day)
-    trips = shp.day_trips_km(visits, anchors)
-    # the walk starts at home, so the day has an anchor there
-    gyr = shp.gyradius_from_home(visits, anchors, anchors[home.home_parcel_id])
+    lbm_sig, reduced, abm_sig = shapes.view(net)
+    anchors = shp.day_anchors(net)
+    trips = shp.day_trips_km(net.walk, anchors)
+    # the walk starts at home, so node 0 is home
+    gyr = shp.gyradius_from_home(net.walk, anchors, anchors[0])
     return DayOutcome(lbm_sig, abm_sig, shp.day_metrics(net, reduced, trips, gyr))
 
 
-def process_user(track, index, cfg: RunConfig, level: int) -> UserOutcome:
-    """The stages from annotate up to `level` (2 or more) on one kept user's track."""
+def process_user(track, index, cfg: RunConfig, level: int,
+                 shapes: mot.DayShapes) -> UserOutcome:
+    """The stages from annotate up to `level` (2 or more) on one kept user's
+    track; `shapes` holds the census views of the day shapes met so far."""
     out = UserOutcome(track.user_id)
     history = ann.annotate_history(track, index, cfg.utc_offset_minutes, cfg.radius_m)
     if cfg.dump_annotations:
@@ -391,7 +390,7 @@ def process_user(track, index, cfg: RunConfig, level: int) -> UserOutcome:
         return out
 
     for day in active_days:
-        day_out = _day_outcome(day, home, cfg)
+        day_out = _day_outcome(day, home.home_parcel_id, shapes)
         if day_out is None:
             out.rejected_open_walk += 1
         else:
@@ -429,10 +428,12 @@ def process_users(tracks, index, cfg: RunConfig, level: int) -> list:
     outcomes come back sorted by user id.
 
     The pool has no more workers than there are chunks of tracks to send:
-    with the `fork` start method it starts all of them at once.
+    with the `fork` start method it starts all of them at once. Each
+    process keeps its own `DayShapes` for the run.
     """
+    shapes = mot.DayShapes(cfg.max_nodes, cfg.pin_home)
     if cfg.workers <= 1:
-        outcomes = [process_user(t, index, cfg, level) for t in tracks]
+        outcomes = [process_user(t, index, cfg, level, shapes) for t in tracks]
     else:
         # imported here: no default run uses the pool, and the import costs ~30 ms
         from concurrent.futures import ProcessPoolExecutor
@@ -440,7 +441,7 @@ def process_users(tracks, index, cfg: RunConfig, level: int) -> list:
         n_chunks = math.ceil(len(tracks) / _POOL_CHUNK)
         with ProcessPoolExecutor(
             max_workers=max(1, min(cfg.workers, n_chunks)), initializer=_pool_init,
-            initargs=(index, cfg, level),
+            initargs=(index, cfg, level, shapes),
         ) as pool:
             outcomes = list(pool.map(_pool_task, tracks, chunksize=_POOL_CHUNK))
     return sorted(outcomes, key=attrgetter("user_id"))

@@ -9,9 +9,11 @@ those per-user cell counts are pooled (`density_histogram`) into the
 density over the shared intrinsic reference frame, held in nested lists.
 Distance statistics aggregate trip lengths, daily totals, and the
 gyradius about home over motif groups. A day's distances read the visit
-sequence its network holds, each visit placed at its parcel's per-day
-anchor; `day_metrics` condenses one day for the pipeline and the
-synthetic ground truth alike. The zone correlation's two-sided p-value is
+sequence its network holds (its walk over node indices), each visit placed
+at its node's per-day anchor: the centroid of the day's points on that
+parcel, from the sums the network's one pass over the points took.
+`day_metrics` condenses one day for the pipeline and the synthetic ground
+truth alike. The zone correlation's two-sided p-value is
 a Student-t tail written as a regularized incomplete beta and evaluated
 with `math` alone. The module needs only the standard library, so a run
 imports no third-party package.
@@ -22,9 +24,8 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass
 
-from .annotate import UserDay
 from .geo import METERS_PER_DEGREE, haversine_m
-from .motifs import HOME_LABEL, parcel_key, size_group_label
+from .motifs import HOME_LABEL, size_group_label
 
 DENSITY_WEIGHTS = ("point", "user")
 
@@ -218,39 +219,37 @@ def density_histogram(cells, bins: int = 80, bound: float = 4.0,
     return ReferenceFrameDensity(bins, bound, counts, in_range, total - in_range, user_mass)
 
 
-def day_anchors(day: UserDay) -> dict:
-    """Per-parcel anchor for one day: centroid of that parcel's points."""
-    sums: dict = {}
-    for p in day.points:
-        key = parcel_key(p)
-        lat_s, lon_s, n = sums.get(key, (0.0, 0.0, 0))
-        sums[key] = (lat_s + p.lat, lon_s + p.lon, n + 1)
-    return {k: (lat_s / n, lon_s / n) for k, (lat_s, lon_s, n) in sums.items()}
+def day_anchors(net) -> list:
+    """Per-node anchor of a day network built from points: the centroid
+    (lat, lon) of the day's points on that node, by node index."""
+    return [(lat_s / n, lon_s / n) for lat_s, lon_s, n in net.node_sums]
 
 
-def day_trips_km(keys, anchors) -> list:
-    """Trip lengths in km between consecutive visits, given the parcel key
-    of each of a day's visits and its `day_anchors`."""
+def day_trips_km(walk, anchors) -> list:
+    """Trip lengths in km between consecutive visits, given a day's walk
+    (the node index of each visit) and its `day_anchors`."""
     trips = []
-    for a, b in zip(keys, keys[1:]):
+    for a, b in zip(walk, walk[1:]):
         pa, pb = anchors[a], anchors[b]
         trips.append(haversine_m(pa[0], pa[1], pb[0], pb[1]) / 1000.0)
     return trips
 
 
-def gyradius_from_home(keys, anchors, home_latlon) -> float:
-    """RMS distance (km) from home of a day's visits, given the parcel key
-    of each visit and the day's `day_anchors`.
+def gyradius_from_home(walk, anchors, home_latlon) -> float:
+    """RMS distance (km) from home of a day's visits, given its walk (the
+    node index of each visit) and its `day_anchors`.
 
-    One sample per collapsed visit, each evaluated at its parcel's per-day
-    anchor, so bursts of points at one stop do not weight the measure.
+    One sample per collapsed visit, each evaluated at its node's per-day
+    anchor, so bursts of points at one stop do not weight the measure. A
+    node's distance is taken once, however often the walk visits it.
     """
+    home_lat, home_lon = home_latlon
+    node_km = [haversine_m(lat, lon, home_lat, home_lon) / 1000.0 for lat, lon in anchors]
     sq_sum = 0.0
-    for key in keys:
-        a = anchors[key]
-        d_km = haversine_m(a[0], a[1], home_latlon[0], home_latlon[1]) / 1000.0
+    for node in walk:
+        d_km = node_km[node]
         sq_sum += d_km * d_km
-    return math.sqrt(sq_sum / len(keys))
+    return math.sqrt(sq_sum / len(walk))
 
 
 @dataclass(slots=True)
@@ -329,21 +328,55 @@ def distance_stats(metrics, max_nodes: int = 6) -> list:
     return out
 
 
-def pearson_r(xs, ys) -> float:
-    """Product-moment correlation; raises ValueError on degenerate input."""
-    n = len(xs)
-    if n != len(ys):
-        raise ValueError("length mismatch")
-    if n < 2:
-        raise ValueError("need at least two observations")
+def _moments(xs, ys, n: int) -> tuple:
+    """(sxy, sxx, syy): the centered cross and square sums of two series."""
     mx = sum(xs) / n
     my = sum(ys) / n
     sxy = sum((a - mx) * (b - my) for a, b in zip(xs, ys))
     sxx = sum((a - mx) ** 2 for a in xs)
     syy = sum((b - my) ** 2 for b in ys)
+    return sxy, sxx, syy
+
+
+def _unit_scaled(vs) -> list:
+    """The series times the power of two that brings its largest magnitude
+    into [0.5, 1): exact, unless a value far below the largest underflows."""
+    exp = math.frexp(max(abs(v) for v in vs))[1]
+    return [math.ldexp(v, -exp) for v in vs]
+
+
+def _varies(vs) -> bool:
+    first = vs[0]
+    return any(v != first for v in vs)
+
+
+def pearson_r(xs, ys) -> float:
+    """Product-moment correlation; raises ValueError on degenerate input.
+
+    The moments are summed as given. When that overflows, or a variance
+    (or the product of the two) underflows to zero while both series vary,
+    they are summed again over each series scaled by a power of two
+    (`_unit_scaled`), which leaves r unchanged in exact arithmetic. So an
+    input the plain sums handle keeps its r bit for bit, and any finite
+    input of any scale has one. A product of the variances that is a
+    subnormal float still takes the plain sums, and loses digits there.
+    """
+    n = len(xs)
+    if n != len(ys):
+        raise ValueError("length mismatch")
+    if n < 2:
+        raise ValueError("need at least two observations")
+    try:
+        sxy, sxx, syy = _moments(xs, ys, n)
+        denom = sxx * syy
+    except OverflowError:  # a square too large for a float
+        denom = math.inf
+    if denom == math.inf or (denom == 0.0 and _varies(xs) and _varies(ys)):
+        sxy, sxx, syy = _moments(_unit_scaled(xs), _unit_scaled(ys), n)
+        denom = sxx * syy
     if sxx == 0.0 or syy == 0.0:
         raise ValueError("zero variance makes the correlation undefined")
-    return sxy / math.sqrt(sxx * syy)
+    return sxy / math.sqrt(denom)
 
 
 P_VALUE_FLOOR = 1e-300  # a smaller p-value is reported as 0.0

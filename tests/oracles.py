@@ -18,8 +18,15 @@ package's point-to-polygon distance and hit type, because what it checks
 is the grid search and its pruning, not the distance, and the speed
 filter without its bound, which reuses the package's haversine distance and
 decision type, because what it checks is which pairs may skip the distance,
-and `density_of_streams`, the package's binning and pooling composed over
-whole point streams, which the numpy histogram then checks.
+`density_of_streams`, the package's binning and pooling composed over
+whole point streams, which the numpy histogram then checks, and
+`day_outcome_by_key`, a day's outcome composed as the pipeline once
+composed it (a key and a label per point, the walk built from them, and
+anchors, trips and gyradius looked up by parcel key), which reuses the
+package's signatures, haversine distance and metrics type, because what it
+checks is the one-pass network and the per-run shape cache, not the
+canonicalization. Beside it stand the `setdefault` day split and the
+float-hour night window that `annotate` replaced.
 Production code is checked against these, never the reverse.
 """
 
@@ -30,10 +37,12 @@ from datetime import datetime, timedelta
 
 import numpy as np
 
+from motifmine.annotate import EPOCH_DATE, UserDay
 from motifmine.geo import haversine_m, point_polygon_distance_m
 from motifmine.ingest import SpeedDecision, UserTrack
+from motifmine.motifs import ACTIVITY_LABELS, HOME_LABEL, UNKNOWN_PARCEL, graph_signature
 from motifmine.parcels import DEFAULT_RADIUS_M, NearestHit
-from motifmine.shape import density_cells, density_histogram
+from motifmine.shape import DayMetrics, density_cells, density_histogram
 
 MAX_NODES = 6
 
@@ -309,6 +318,105 @@ def walk_network(keys, labels):
         walk.append(node_index[key])
     node_keys = tuple(sorted(node_index, key=node_index.get))
     return node_keys, tuple(node_labels), frozenset(zip(walk, walk[1:])), tuple(walk)
+
+
+def day_keys(day) -> list:
+    """The location key of each of a day's points: its parcel id, or
+    UNKNOWN_PARCEL without one."""
+    return [UNKNOWN_PARCEL if p.parcel_id is None else p.parcel_id for p in day.points]
+
+
+def day_anchors_by_key(day) -> dict:
+    """Per-parcel-key anchor for one day: the centroid of the key's points,
+    summed in point order."""
+    sums: dict = {}
+    for key, p in zip(day_keys(day), day.points):
+        lat_s, lon_s, n = sums.get(key, (0.0, 0.0, 0))
+        sums[key] = (lat_s + p.lat, lon_s + p.lon, n + 1)
+    return {k: (lat_s / n, lon_s / n) for k, (lat_s, lon_s, n) in sums.items()}
+
+
+def day_trips_km_by_key(visits, anchors) -> list:
+    """Trip lengths in km between consecutive visits, given each visit's
+    parcel key and the `day_anchors_by_key`."""
+    return [haversine_m(*anchors[a], *anchors[b]) / 1000.0 for a, b in zip(visits, visits[1:])]
+
+
+def gyradius_by_key(visits, anchors, home_latlon) -> float:
+    """RMS distance (km) from home of a day's visits, each at its parcel
+    key's anchor."""
+    sq_sum = 0.0
+    for key in visits:
+        d_km = haversine_m(*anchors[key], *home_latlon) / 1000.0
+        sq_sum += d_km * d_km
+    return math.sqrt(sq_sum / len(visits))
+
+
+def _census_sig(n, walk, labels, max_nodes, pin_home):
+    if 1 < n <= max_nodes:
+        return graph_signature(n, zip(walk, walk[1:]), labels, pin_home)
+    return None
+
+
+def day_outcome_by_key(day, home_parcel_id, max_nodes=MAX_NODES, pin_home=True):
+    """(LBM signature, ABM signature, DayMetrics) of one day, None for an
+    open walk: a key and a label per point, the LBM network from
+    `walk_network`, its ABM view from the collapsed label walk, and
+    anchors, trips and gyradius by parcel key."""
+    keys = day_keys(day)
+    if keys[0] != home_parcel_id or keys[-1] != home_parcel_id:
+        return None
+    labels = [HOME_LABEL if k == home_parcel_id else ACTIVITY_LABELS[p.activity_code]
+              for k, p in zip(keys, day.points)]
+    node_keys, node_labels, _, walk = walk_network(keys, labels)
+    label_walk = collapse_label_sequence([node_labels[i] for i in walk])
+    _, abm_labels, _, abm_walk = walk_network(label_walk, label_walk)
+    visits = [node_keys[i] for i in walk]
+    anchors = day_anchors_by_key(day)
+    trips = day_trips_km_by_key(visits, anchors)
+    gyr = gyradius_by_key(visits, anchors, anchors[home_parcel_id])
+    pair = None
+    if len(abm_labels) == 2:
+        pair = next(lab for lab in abm_labels if lab != HOME_LABEL)
+    metrics = DayMetrics(len(node_keys), len(abm_labels), pair, len(trips), sum(trips), gyr)
+    return (_census_sig(len(node_keys), walk, None, max_nodes, pin_home),
+            _census_sig(len(abm_labels), abm_walk, abm_labels, max_nodes, pin_home), metrics)
+
+
+def split_days_setdefault(history) -> list:
+    """Reference local-day partition: one `setdefault` per point."""
+    days: dict = {}
+    for p in history:
+        days.setdefault(p.local_ts // 86400, []).append(p)
+    return [UserDay(EPOCH_DATE + timedelta(days=k), pts, len({p.local_ts // 1800 for p in pts}))
+            for k, pts in sorted(days.items())]
+
+
+def in_night_window_float(local_ts: int, night_start_hour: int, night_end_hour: int) -> bool:
+    """Reference night window: the local hour as a float, half-open at its
+    end, wrapping midnight when the start is after the end."""
+    hour = (local_ts % 86400) / 3600.0
+    if night_start_hour <= night_end_hour:
+        return night_start_hour <= hour < night_end_hour
+    return hour >= night_start_hour or hour < night_end_hour
+
+
+def pearson_r_plain(xs, ys):
+    """The product-moment r as `shape.pearson_r` computed it before it
+    rescaled: the centered sums as given. None where they fail, that is
+    raise, or leave the product of the variances infinite or zero."""
+    n = len(xs)
+    try:
+        mx = sum(xs) / n
+        my = sum(ys) / n
+        sxy = sum((a - mx) * (b - my) for a, b in zip(xs, ys))
+        sxx = sum((a - mx) ** 2 for a in xs)
+        syy = sum((b - my) ** 2 for b in ys)
+    except OverflowError:
+        return None
+    if not 0.0 < sxx * syy < math.inf:
+        return None
+    return sxy / math.sqrt(sxx * syy)
 
 
 def gaussian_cell_mass(x0, x1, y0, y1) -> float:

@@ -28,7 +28,13 @@ from conftest import (
     make_parcel,
     rec,
 )
-from oracles import local_date_of, nearest_parcel_scan, slot_of
+from oracles import (
+    in_night_window_float,
+    local_date_of,
+    nearest_parcel_scan,
+    slot_of,
+    split_days_setdefault,
+)
 
 HOUR = 3600
 DAY = 86400
@@ -383,6 +389,20 @@ class TestInferHome:
         home = infer_home([early, late_morning])
         assert home.home_parcel_id == 1
 
+    def test_integer_window_matches_the_float_hours_for_every_pair(self):
+        # one residential point per history: it is in the window exactly
+        # when the night rule finds a home; the probes sit on and around
+        # every hour's first second, before and after the epoch
+        probes = [d * DAY + h * HOUR + e for d in (-1, 0, 9) for h in range(24) for e in (-1, 0, 1)]
+        probes += random.Random(3).sample(range(-2 * DAY, 2 * DAY), 200)
+        for start in range(24):
+            for end in range(24):
+                if start == end:
+                    continue
+                for t in probes:
+                    rule = infer_home([apoint(ts=t, parcel=1, code=1, local=t)], start, end).rule_used
+                    assert (rule == "night_mode") == in_night_window_float(t, start, end)
+
 
 class TestSplitDays:
     def test_same_slot_counts_once(self):
@@ -429,6 +449,18 @@ class TestSplitDays:
                 expected.setdefault(local_date_of(t), set()).add(slot_of(t))
             assert [(d.local_date, d.slot_count) for d in days] == [
                 (k, len(v)) for k, v in sorted(expected.items())]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(local=st.lists(st.integers(-3 * DAY, 5 * DAY), max_size=80), seed=st.integers(0, 2**16))
+def test_split_days_matches_the_reference_on_shuffled_histories(local, seed):
+    pts = [apoint(ts=i, local=t) for i, t in enumerate(sorted(local))]
+    random.Random(seed).shuffle(pts)  # the day changes at random points
+    got = split_days(pts)
+    want = split_days_setdefault(pts)
+    assert [(d.local_date, d.slot_count) for d in got] == [
+        (d.local_date, d.slot_count) for d in want]
+    assert [[id(p) for p in d.points] for d in got] == [[id(p) for p in d.points] for d in want]
 
 
 class TestSelectActiveDays:

@@ -64,6 +64,15 @@ class TestParse:
         recs, _ = parse_records(lines("u1,1970-01-01T01:00:00+01:00,0,0,gps,"))
         assert recs[0].ts == 0
 
+    def test_a_fractional_stamp_stays_in_its_second(self):
+        # rounding the float toward zero moved a stamp before 1970 forward
+        assert parse_timestamp("0999-03-01T23:59:59.9Z") == epoch(999, 3, 2) - 1
+        assert parse_timestamp("1969-12-31T23:59:59.5Z") == -1
+        assert parse_timestamp("2014-06-02T00:01:00.75Z") == 1401667260
+        # an offset with a fractional second, before and after 1970
+        assert parse_timestamp("1969-12-31T23:00:00-00:59:59.5") == -1
+        assert parse_timestamp("1970-01-01T01:00:01+00:59:59.5") == 1
+
     def test_format_timestamp_round_trips(self):
         assert format_timestamp(0) == "1970-01-01T00:00:00Z"
         assert format_timestamp(1401667260) == "2014-06-02T00:01:00Z"

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from motifmine import motifs
 from motifmine.annotate import UserDay
 from motifmine.motifs import (
+    DayShapes,
     ABM,
     LBM,
     _check_closed_walk,
@@ -22,10 +23,13 @@ from motifmine.motifs import (
     size_group_label,
 )
 
+from motifmine.pipeline import _day_outcome
+
 from conftest import apoint
 from oracles import (
     brute_force_isomorphic,
     collapse_label_sequence,
+    day_outcome_by_key,
     graphs_isomorphic,
     isomorphic,
     walk_network,
@@ -202,7 +206,8 @@ def test_walk_constructors_match_the_reference(stops, close):
 def test_walk_network_labels_each_node_from_its_first_visit(visits):
     # labels that vary between visits of one key, which no caller produces
     keys, labels = zip(*[(0, "h"), *visits, (0, "z")])
-    assert network_fields(motifs._walk_network(ABM, keys, labels)) == walk_network(keys, labels)
+    net = motifs._walk_network(ABM, keys, labels.__getitem__)
+    assert network_fields(net) == walk_network(keys, labels)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -212,6 +217,87 @@ def test_network_from_label_walk_matches_the_reference(middle):
     net = network_from_label_walk(tokens)
     assert net.kind == LBM
     assert network_fields(net) == walk_network(tokens, [t.rstrip("0123456789") for t in tokens])
+
+
+# a day's stops: (parcel id or None, activity code, lat, lon); a parcel's
+# code may differ between its points, and its first point's labels its node
+DAY_STOPS = st.lists(
+    st.tuples(st.sampled_from([1, 2, 3, 4, 5, 6, None]), st.sampled_from([1, 4, 6, 9, 11, 12]),
+              st.floats(41.0, 42.0), st.floats(-88.5, -87.5)),
+    min_size=1, max_size=16)
+
+
+def day_from_stops(stops, runs):
+    """A day of points, stop i repeated runs[i] times in a row."""
+    pts = []
+    for (pid, code, lat, lon), run in zip(stops, runs):
+        for _ in range(run):
+            pts.append(apoint(ts=len(pts) * 60, lat=lat, lon=lon, parcel=pid, code=code,
+                              local=len(pts) * 60))
+    return UserDay(date(2014, 6, 2), pts, slot_count=len(pts))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(stops=DAY_STOPS, runs=st.lists(st.integers(1, 3), min_size=16, max_size=16),
+       shape=st.sampled_from(["closed", "open", "home_only"]),
+       max_nodes=st.sampled_from([2, 6]), pin_home=st.booleans())
+def test_day_outcome_matches_the_composition_by_parcel_key(stops, runs, shape, max_nodes,
+                                                           pin_home):
+    home = (HOME, 1, 41.5, -88.0)
+    if shape == "closed":
+        stops = [home, *stops, home]
+    elif shape == "home_only":
+        stops = [(HOME, 1, lat, lon) for _, _, lat, lon in stops]
+    day = day_from_stops(stops, runs + [1, 1])
+    want = day_outcome_by_key(day, HOME, max_nodes, pin_home)
+    shapes = DayShapes(max_nodes, pin_home)
+    for _ in range(2):  # the second time from the cache
+        got = _day_outcome(day, HOME, shapes)
+        if want is None:
+            assert got is None
+        else:
+            assert (got.lbm_sig, got.abm_sig, got.metrics) == want
+
+
+def random_closed_days(rng, n_days):
+    codes = {1: 1, 2: 1, 3: 6, 4: 9, 5: 6, 6: 11, 7: 4}
+    days = []
+    for _ in range(n_days):
+        walk = [1]
+        for _ in range(rng.randrange(0, 9)):
+            walk.append(rng.choice([p for p in codes if p != walk[-1]]))
+        if walk[-1] != 1:
+            walk.append(1)
+        days.append(day_from_parcels([(p, codes[p]) for p in walk]))
+    return days
+
+
+class TestDayShapes:
+    def test_a_hit_equals_a_fresh_view(self):
+        shapes = DayShapes(6, True)
+        nets = [build_daily_network(day, HOME) for day in random_closed_days(random.Random(5), 300)]
+        for net in nets:
+            hit = shapes.view(net)
+            fresh = DayShapes(6, True).view(net)
+            assert (hit[0], hit[2]) == (fresh[0], fresh[2])
+            assert network_fields(hit[1]) == network_fields(fresh[1])
+            reduced = abm_reduce(net)
+            assert network_fields(hit[1]) == network_fields(reduced)
+            assert hit[0] == census_signature(net, 6, True)
+            assert hit[2] == census_signature(reduced, 6, True)
+        assert len(shapes._views) == len({(net.walk, net.labels) for net in nets}) < len(nets)
+
+    def test_the_cache_stays_bounded(self, monkeypatch):
+        monkeypatch.setattr(motifs, "DAY_SHAPES_SIZE", 3)
+        shapes = DayShapes(6, False)
+        nets = [build_daily_network(day, HOME) for day in random_closed_days(random.Random(8), 60)]
+        assert len({(net.walk, net.labels) for net in nets}) > 3
+        for net in nets:
+            view = shapes.view(net)
+            assert len(shapes._views) <= 3
+            assert view[0] == census_signature(net, 6, False)
+            assert view[2] == census_signature(abm_reduce(net), 6, False)
+        assert len(shapes._views) == 3
 
 
 class TestCanonicalSignature:

@@ -2,6 +2,7 @@ import math
 import random
 import warnings
 from datetime import date
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from motifmine import shape
 from motifmine.annotate import UserDay
-from motifmine.motifs import parcel_key
+from motifmine.motifs import LBM, DailyNetwork, parcel_key
 from motifmine.shape import (
     DayMetrics,
     DegenerateTrajectory,
@@ -33,13 +34,23 @@ from oracles import (
     M_PER_DEG,
     OracleDegenerate,
     align_trajectory_numpy,
-    collapse_label_sequence,
     density_histogram_numpy,
     density_of_streams,
     gaussian_cell_mass,
     gyration_tensor,
+    pearson_r_plain,
     tensor_eigen,
+    walk_network,
 )
+
+
+def pearson_exact(xs, ys) -> float:
+    """r from exact rational sums, rounded once at the end."""
+    fx, fy = [Fraction(x) for x in xs], [Fraction(y) for y in ys]
+    mx, my = sum(fx) / len(fx), sum(fy) / len(fy)
+    sxy = sum((a - mx) * (b - my) for a, b in zip(fx, fy))
+    r2 = sxy * sxy / (sum((a - mx) ** 2 for a in fx) * sum((b - my) ** 2 for b in fy))
+    return math.copysign(math.sqrt(r2), sxy)
 
 
 def latlon_from_xy(xy, lat0=41.9, lon0=-87.6):
@@ -448,28 +459,37 @@ def make_day(latlon_parcels):
     return UserDay(date(2014, 6, 2), pts, slot_count=48)
 
 
-def day_visits(day):
-    """The parcel key of each visit: consecutive points on one key are one visit."""
-    return collapse_label_sequence([parcel_key(p) for p in day.points])
+def walk_and_anchors(day):
+    """A day's walk over node indices, nodes numbered by first visit, and
+    the `day_anchors` of a network holding its node sums; open walks too,
+    which `build_daily_network` refuses."""
+    keys = [parcel_key(p) for p in day.points]
+    node_keys, _, _, walk = walk_network(keys, keys)
+    sums = {k: (0.0, 0.0, 0) for k in node_keys}
+    for k, p in zip(keys, day.points):
+        lat_s, lon_s, n = sums[k]
+        sums[k] = (lat_s + p.lat, lon_s + p.lon, n + 1)
+    net = DailyNetwork(LBM, node_keys, node_keys, walk, tuple(sums[k] for k in node_keys))
+    return walk, day_anchors(net)
 
 
 class TestGyradiusFromHome:
     def test_all_visits_at_home(self):
         day = make_day([(41.9, -87.6, 1), (41.9, -87.6, 1)])
-        assert gyradius_from_home(day_visits(day), day_anchors(day), (41.9, -87.6)) == 0.0
+        assert gyradius_from_home(*walk_and_anchors(day), (41.9, -87.6)) == 0.0
 
     def test_home_and_two_km_away(self):
         lat2 = 41.9 + 2000.0 / M_PER_DEG
         day = make_day([(41.9, -87.6, 1), (lat2, -87.6, 2)])
-        rms = gyradius_from_home(day_visits(day), day_anchors(day), (41.9, -87.6))
+        rms = gyradius_from_home(*walk_and_anchors(day), (41.9, -87.6))
         assert rms == pytest.approx(math.sqrt(2.0), abs=2e-3)  # sqrt((0 + 4)/2)
 
     def test_burstiness_does_not_weight_visits(self):
         lat2 = 41.9 + 2000.0 / M_PER_DEG
         single = make_day([(41.9, -87.6, 1), (lat2, -87.6, 2)])
         bursty = make_day([(41.9, -87.6, 1)] + [(lat2, -87.6, 2)] * 10)
-        a = gyradius_from_home(day_visits(single), day_anchors(single), (41.9, -87.6))
-        b = gyradius_from_home(day_visits(bursty), day_anchors(bursty), (41.9, -87.6))
+        a = gyradius_from_home(*walk_and_anchors(single), (41.9, -87.6))
+        b = gyradius_from_home(*walk_and_anchors(bursty), (41.9, -87.6))
         assert a == pytest.approx(b, abs=1e-9)
 
 
@@ -477,7 +497,7 @@ class TestDistanceStats:
     def test_single_day_pendulum(self):
         lat2 = 41.9 + 5000.0 / M_PER_DEG
         day = make_day([(41.9, -87.6, 1), (lat2, -87.6, 2), (41.9, -87.6, 1)])
-        trips = day_trips_km(day_visits(day), day_anchors(day))
+        trips = day_trips_km(*walk_and_anchors(day))
         assert len(trips) == 2
         assert trips[0] == pytest.approx(5.0, abs=5e-3)
         dm = DayMetrics(2, 2, "W", len(trips), sum(trips), 0.0)
@@ -534,6 +554,48 @@ class TestPearson:
             pearson_r([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
         with pytest.raises(ValueError):
             pearson_r([1.0, 2.0], [3.0])
+
+    def test_any_scale_has_an_r(self):
+        # a square too large for a float used to raise OverflowError, and
+        # variances too small for one read as zero variance
+        assert pearson_r([1e200, 1, 2], [1, 2, 4]) == pytest.approx(
+            pearson_exact([1e200, 1, 2], [1, 2, 4]), abs=1e-15)
+        assert pearson_r([1e-200, 2e-200, 3e-200], [1, 2, 4]) == pytest.approx(
+            pearson_r([1, 2, 3], [1, 2, 4]), abs=1e-15)
+        # a product of the variances that overflowed made r 0.0, and one
+        # that underflowed divided by zero
+        assert pearson_r([1e150, 2e150, 4e150], [1e150, 3e150, 2e150]) == pytest.approx(
+            pearson_r([1, 2, 4], [1, 3, 2]), abs=1e-15)
+        assert pearson_r([1e-100, 2e-100, 4e-100], [1e-100, 3e-100, 2e-100]) == pytest.approx(
+            pearson_r([1, 2, 4], [1, 3, 2]), abs=1e-15)
+
+    def test_a_constant_series_still_raises_at_any_scale(self):
+        for c in (1e-200, 1e200):
+            with pytest.raises(ValueError, match="zero variance"):
+                pearson_r([c, c, c], [1.0, 2.0, 3.0])
+            with pytest.raises(ValueError, match="zero variance"):
+                pearson_r([1.0, 2.0, 3.0], [c, c, c])
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(pairs=st.lists(st.tuples(st.integers(-1000, 1000), st.integers(-1000, 1000)),
+                          min_size=2, max_size=20),
+           kx=st.integers(-240, 1000), ky=st.integers(-240, 1000))
+    def test_scaling_by_powers_of_two_keeps_r_bit_for_bit(self, pairs, kx, ky):
+        # from 2**-240 up the variances and their product stay normal floats
+        # or overflow; a subnormal product keeps the plain sums' r, digits lost
+        xs, ys = ([float(v) for v in vs] for vs in zip(*pairs))
+        assume(len(set(xs)) > 1 and len(set(ys)) > 1)
+        assert pearson_r([math.ldexp(x, kx) for x in xs],
+                         [math.ldexp(y, ky) for y in ys]) == pearson_r(xs, ys)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(pairs=st.lists(st.tuples(st.floats(-1e300, 1e300), st.floats(-1e300, 1e300)),
+                          min_size=2, max_size=12))
+    def test_r_is_unchanged_wherever_the_plain_sums_give_one(self, pairs):
+        xs, ys = (list(vs) for vs in zip(*pairs))
+        want = pearson_r_plain(xs, ys)
+        assume(want is not None)
+        assert pearson_r(xs, ys) == want
 
     def test_matches_scipy_on_random_data(self):
         from scipy import stats
