@@ -10,46 +10,27 @@ speed cap, 30-day residency, 6-slot active days, 0.5% census cutoff,
 
 import argparse
 import sys
+from dataclasses import fields
 
 from . import pipeline
 
 
 def _add_pipeline_args(p: argparse.ArgumentParser):
+    """`--config` and a flag for each `RunConfig` field that declares one."""
     p.add_argument("--config", help="key=value config file")
-    p.add_argument("--records", help="delimited point-record file")
-    p.add_argument("--parcels", help="GeoJSON parcel polygons (required from annotate on)")
-    p.add_argument("--boundary", help="GeoJSON study-region polygon")
-    p.add_argument("--scheme", help="category->code scheme file")
-    p.add_argument("--zones", help="GeoJSON zones with population attribute")
-    p.add_argument("--blocklist", help="keyword blocklist file, one per line")
-    p.add_argument("--out", dest="out_dir", help="output directory (default: out)")
-    p.add_argument("--category-attr", dest="category_attr")
-    p.add_argument("--zone-pop-attr", dest="zone_pop_attr")
-    p.add_argument("--delimiter", choices=[",", "tab"], help="input field delimiter")
-    p.add_argument("--columns", help='record schema override, e.g. "user_id=0,timestamp=1,..."')
-    p.add_argument("--radius", dest="radius_m", type=float, help="parcel join radius, m")
-    p.add_argument("--max-speed", dest="max_speed_mps", type=float, help="speed cap, m/s")
-    p.add_argument("--min-days", dest="min_residency_days", type=float)
-    p.add_argument("--residency-mode", dest="residency_mode",
-                   choices=pipeline.CONFIG_CHOICES["residency_mode"])
-    p.add_argument("--utc-offset", dest="utc_offset_minutes", type=int,
-                   help="dataset-local offset from UTC in minutes")
-    p.add_argument("--min-slots", dest="min_slots", type=int)
-    p.add_argument("--include-weekends", dest="weekdays_only", action="store_false",
-                   default=None)
-    p.add_argument("--active-scope", dest="active_scope",
-                   choices=pipeline.CONFIG_CHOICES["active_scope"])
-    p.add_argument("--cutoff", dest="cutoff", type=float, help="census frequency cutoff")
-    p.add_argument("--max-nodes", dest="max_nodes", type=int)
-    p.add_argument("--no-pin-home", dest="pin_home", action="store_false", default=None)
-    p.add_argument("--density-bins", dest="density_bins", type=int)
-    p.add_argument("--density-bound", dest="density_bound", type=float)
-    p.add_argument("--density-weight", dest="density_weight",
-                   choices=pipeline.CONFIG_CHOICES["density_weight"])
-    p.add_argument("--workers", dest="workers", type=int)
-    p.add_argument("--no-hash-ids", dest="hash_ids", action="store_false", default=None)
-    p.add_argument("--dump-annotations", dest="dump_annotations", action="store_true",
-                   default=None)
+    for f in fields(pipeline.RunConfig):
+        if f.metadata["flag"] is None:  # config-file-only
+            continue
+        kwargs = {"dest": f.name, "help": f.metadata["help"]}
+        if f.type is bool:  # the flag sets the field to the other value
+            kwargs.update(action="store_false" if f.default else "store_true", default=None)
+        elif f.type in (int, float):
+            kwargs["type"] = f.type
+        if f.name == "delimiter":  # a config file may give any one character
+            kwargs["choices"] = [",", "tab"]
+        elif "choices" in f.metadata:
+            kwargs["choices"] = f.metadata["choices"]
+        p.add_argument(f.metadata["flag"], **kwargs)
 
 
 def _pipeline_config(args) -> pipeline.RunConfig:

@@ -12,7 +12,7 @@ import csv
 import functools
 import re
 from dataclasses import dataclass, field
-from datetime import date, datetime, timedelta, timezone
+from datetime import date, datetime, timezone
 
 from .geo import METERS_PER_DEGREE, haversine_m, point_in_ring, ring_self_intersects
 
@@ -108,8 +108,7 @@ class SpeedDecision:
     speed_mps: float | None = None
 
 
-_UTC_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
-_SECOND = timedelta(seconds=1)
+_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
 
 # A record's UTC date must lie strictly between the first and the last date
 # datetime can hold, so that its local date under any UTC offset of up to a
@@ -117,22 +116,44 @@ _SECOND = timedelta(seconds=1)
 _MIN_TS = int(datetime(1, 1, 2, tzinfo=timezone.utc).timestamp())
 _END_TS = int(datetime(9999, 12, 31, tzinfo=timezone.utc).timestamp())
 
+# The one timestamp grammar, in ASCII digits: YYYY-MM-DD, "T", "t" or a
+# space, HH:MM[:SS[.f...]], then optionally "Z", "z" or +-HH:MM[:SS[.f...]],
+# each time of day within 00:00:00..23:59:59. It is matched here, not left to
+# `datetime.fromisoformat`, whose accepted forms differ between Python
+# versions: 3.10 reads only 3- or 6-digit fractions, and 3.11 adds week dates
+# and basic forms.
+_CLOCK = r"((?:[01]\d|2[0-3]):[0-5]\d)(?::([0-5]\d)(?:\.(\d+))?)?"
+_STAMP = re.compile(r"(\d{4}-\d\d-\d\d)[Tt ]" + _CLOCK + r"(?:[Zz]|([+-])" + _CLOCK + ")?",
+                    re.ASCII)
+# a clock's "HH:MM" and "SS" (None when it has none) -> seconds
+_HH_MM_SECONDS = {f"{h:02d}:{m:02d}": 3600 * h + 60 * m for h in range(24) for m in range(60)}
+_SS_SECONDS = {f"{s:02d}": s for s in range(60)} | {None: 0}
+
 
 def parse_timestamp(raw: str) -> int:
-    """ISO-8601 string to UTC epoch seconds. Naive timestamps are taken as UTC.
+    """An ISO-8601 string of `_STAMP`'s grammar to UTC epoch seconds. A
+    stamp with no zone is taken as UTC.
 
-    A fractional second is dropped: the stamp reads as the second it lies
-    in, before 1970 too, by exact integer division rather than rounding a
-    float toward zero. Raises ValueError for a timestamp whose UTC date is
-    the first or the last representable one, or outside them.
+    A fractional second, of the stamp and of its offset alike, is dropped
+    after the offset is applied: the stamp reads as the second it lies in,
+    before 1970 too, by exact integer arithmetic. Raises ValueError for a
+    string outside the grammar, a date that does not exist, and a timestamp
+    whose UTC date is the first or the last representable one, or outside them.
     """
-    s = raw.strip()
-    if s.endswith(("Z", "z")):
-        s = s[:-1] + "+00:00"
-    dt = datetime.fromisoformat(s)
-    if dt.tzinfo is None:
-        dt = dt.replace(tzinfo=timezone.utc)
-    ts = (dt - _UTC_EPOCH) // _SECOND
+    m = _STAMP.fullmatch(raw.strip())
+    if m is None:
+        raise ValueError(f"not a timestamp: {raw!r}")
+    ymd, hh_mm, ss, frac, sign, off_hh_mm, off_ss, off_frac = m.groups()
+    day_number = date.fromisoformat(ymd).toordinal() - _EPOCH_ORDINAL  # a form all versions read
+    # the stamp's own fraction adds less than a second
+    ts = 86400 * day_number + _HH_MM_SECONDS[hh_mm] + _SS_SECONDS[ss]
+    if sign is not None:
+        east = 1 if sign == "+" else -1
+        ts -= east * (_HH_MM_SECONDS[off_hh_mm] + _SS_SECONDS[off_ss])
+        if off_frac:  # the whole seconds, -1, 0 or 1, of the two fractions over one denominator
+            digits = max(len(frac or ""), len(off_frac))
+            ts += (int((frac or "").ljust(digits, "0"))
+                   - east * int(off_frac.ljust(digits, "0"))) // 10 ** digits
     if not _MIN_TS <= ts < _END_TS:
         raise ValueError(f"timestamp out of range: {raw!r}")
     return ts
@@ -186,7 +207,6 @@ def _read_timestamp(raw: str, hour_starts: dict) -> int:
     return ts
 
 
-_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
 _HH_MM = tuple(f"{h:02d}:{m:02d}:" for h in range(24) for m in range(60))
 
 

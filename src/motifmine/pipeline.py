@@ -53,99 +53,87 @@ from .publish import check_targets, write_outputs
 
 STAGE_LEVELS = {"ingest": 1, "annotate": 2, "mine": 3, "shape": 4, "all": 4}
 
-CONFIG_CHOICES = {
-    "residency_mode": ing.RESIDENCY_MODES,
-    "active_scope": ann.ACTIVE_SCOPES,
-    "density_weight": shp.DENSITY_WEIGHTS,
-}
 
-# field -> inclusive (low, high); None leaves that side open
-_CONFIG_RANGES = {
-    "min_slots": (1, 48),  # half-hour slots in a day
-    "night_start_hour": (0, 23),
-    "night_end_hour": (0, 23),
-    "max_nodes": (1, mot.SIGNATURE_NODE_CAP),
-    "workers": (1, None),
-    "density_bins": (1, None),
-    "utc_offset_minutes": (-1440, 1440),  # ingest.parse_timestamp leaves a day's margin
-}
+def _option(default, flag=None, help=None, echo=True, **check):
+    """A `RunConfig` field, the one declaration of its option: its default,
+    CLI flag and --help text (no flag: config-file-only) and the check each
+    value must pass, from flag, file or default: `choices=(...)`, inclusive
+    `bounds=(low, high)` (`high=None`: no upper bound), or `positive=True`,
+    with `finite=True` if infinity is refused too. `echo=False` keeps a path
+    or a setting that changes no result out of the manifest's config block."""
+    return field(default=default, metadata=dict(flag=flag, help=help, echo=echo, **check))
 
-# field -> whether it must also be finite; each must be > 0, which NaN is not.
-# An infinite speed cap means no cap.
-_POSITIVE = {
-    "radius_m": True,
-    "density_bound": True,
-    "max_speed_mps": False,
-    "min_residency_days": True,
-}
+
+def _violation(check, value):
+    """What a value must be but is not, by its field's check; None if it passes."""
+    if "choices" in check and value not in check["choices"]:
+        return "one of " + ", ".join(check["choices"])
+    if "bounds" in check:
+        low, high = check["bounds"]
+        if value < low or (high is not None and value > high):
+            return f"in [{low}, {high}]" if high is not None else f">= {low}"
+    # NaN is not > 0; an infinite speed cap means no cap
+    if check.get("positive") and (not value > 0 or check.get("finite") and math.isinf(value)):
+        return "finite and > 0" if check.get("finite") else "> 0"
+    return None
 
 
 @dataclass
 class RunConfig:
-    records: str = ""
-    parcels: str = ""
-    boundary: str = ""
-    scheme: str = ""
-    zones: str = ""
-    blocklist: str = ""
-    out_dir: str = "out"
-    category_attr: str = "category"
-    zone_pop_attr: str = "population"
-    delimiter: str = ","
-    columns: str = ""  # "field=index,..." override of the record schema
-    radius_m: float = 250.0
-    max_speed_mps: float = 240.0
-    min_residency_days: float = 30.0
-    residency_mode: str = "span"
-    utc_offset_minutes: int = 0
-    night_start_hour: int = 21
-    night_end_hour: int = 6
-    min_slots: int = 6
-    weekdays_only: bool = True
-    active_scope: str = "day"
-    cutoff: float = 0.005
-    max_nodes: int = 6
-    pin_home: bool = True
-    density_bins: int = 80
-    density_bound: float = 4.0
-    density_weight: str = "point"  # or "user"
-    workers: int = 1
-    hash_ids: bool = True
-    dump_annotations: bool = False
+    records: str = _option("", "--records", "delimited point-record file", echo=False)
+    parcels: str = _option("", "--parcels", "GeoJSON parcel polygons (required from annotate on)",
+                           echo=False)
+    boundary: str = _option("", "--boundary", "GeoJSON study-region polygon", echo=False)
+    scheme: str = _option("", "--scheme", "category->code scheme file", echo=False)
+    zones: str = _option("", "--zones", "GeoJSON zones with population attribute", echo=False)
+    blocklist: str = _option("", "--blocklist", "keyword blocklist file, one per line",
+                             echo=False)
+    out_dir: str = _option("out", "--out", "output directory (default: out)", echo=False)
+    category_attr: str = _option("category", "--category-attr")
+    zone_pop_attr: str = _option("population", "--zone-pop-attr")
+    delimiter: str = _option(",", "--delimiter", "input field delimiter")  # or "tab"
+    columns: str = _option("", "--columns",
+                           'record schema override, e.g. "user_id=0,timestamp=1,..."')
+    radius_m: float = _option(250.0, "--radius", "parcel join radius, m",
+                              positive=True, finite=True)
+    max_speed_mps: float = _option(240.0, "--max-speed", "speed cap, m/s", positive=True)
+    min_residency_days: float = _option(30.0, "--min-days", positive=True, finite=True)
+    residency_mode: str = _option("span", "--residency-mode", choices=ing.RESIDENCY_MODES)
+    utc_offset_minutes: int = _option(  # ingest.parse_timestamp leaves a day's margin
+        0, "--utc-offset", "dataset-local offset from UTC in minutes", bounds=(-1440, 1440))
+    night_start_hour: int = _option(21, bounds=(0, 23))
+    night_end_hour: int = _option(6, bounds=(0, 23))
+    min_slots: int = _option(6, "--min-slots", bounds=(1, 48))  # half-hour slots in a day
+    weekdays_only: bool = _option(True, "--include-weekends")
+    active_scope: str = _option("day", "--active-scope", choices=ann.ACTIVE_SCOPES)
+    cutoff: float = _option(0.005, "--cutoff", "census frequency cutoff")
+    max_nodes: int = _option(6, "--max-nodes", bounds=(1, mot.SIGNATURE_NODE_CAP))
+    pin_home: bool = _option(True, "--no-pin-home")
+    density_bins: int = _option(80, "--density-bins", bounds=(1, None))
+    density_bound: float = _option(4.0, "--density-bound", positive=True, finite=True)
+    density_weight: str = _option("point", "--density-weight", choices=shp.DENSITY_WEIGHTS)
+    workers: int = _option(1, "--workers", bounds=(1, None), echo=False)
+    hash_ids: bool = _option(True, "--no-hash-ids")
+    dump_annotations: bool = _option(False, "--dump-annotations")
 
     def __post_init__(self):
         if self.delimiter == "tab":
             self.delimiter = "\t"
         if len(self.delimiter) != 1:
             raise ValueError(f"delimiter must be one character or tab, not {self.delimiter!r}")
-        for name, allowed in CONFIG_CHOICES.items():
-            value = getattr(self, name)
-            if value not in allowed:
-                raise ValueError(f"{name} must be one of {', '.join(allowed)}, not {value!r}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            bound = _violation(f.metadata, value)
+            if bound is not None:
+                raise ValueError(f"{f.name} must be {bound}, not {value!r}")
         if not 0.0 <= self.cutoff < 1.0:
             raise ValueError(f"cutoff must be in [0, 1), not {self.cutoff!r}")
-        for name, (low, high) in _CONFIG_RANGES.items():
-            value = getattr(self, name)
-            if value < low or (high is not None and value > high):
-                bound = f"in [{low}, {high}]" if high is not None else f">= {low}"
-                raise ValueError(f"{name} must be {bound}, not {value!r}")
         if self.night_start_hour == self.night_end_hour:  # the half-open window is empty
             raise ValueError(f"night_start_hour and night_end_hour must differ, not both "
                              f"{self.night_start_hour!r}")
-        for name, finite in _POSITIVE.items():
-            value = getattr(self, name)
-            if not value > 0 or (finite and math.isinf(value)):
-                bound = "finite and > 0" if finite else "> 0"
-                raise ValueError(f"{name} must be {bound}, not {value!r}")
 
     def thresholds_echo(self) -> dict:
-        skip = {"records", "parcels", "boundary", "scheme", "zones", "blocklist",
-                "out_dir", "workers"}
-        return {
-            f.name: getattr(self, f.name)
-            for f in fields(self)
-            if f.name not in skip
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.metadata["echo"]}
 
 
 _BOOL_VALUES = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}

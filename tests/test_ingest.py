@@ -73,6 +73,59 @@ class TestParse:
         assert parse_timestamp("1969-12-31T23:00:00-00:59:59.5") == -1
         assert parse_timestamp("1970-01-01T01:00:01+00:59:59.5") == 1
 
+    # One grammar on every supported Python: YYYY-MM-DD, "T", "t" or " ",
+    # HH:MM[:SS[.f...]], then "Z", "z", +-HH:MM[:SS[.f...]] or nothing.
+    # datetime.fromisoformat reads some refused forms on 3.11 and up only,
+    # and 3.10 refused fractions of other than 3 or 6 digits.
+    @pytest.mark.parametrize("stamp, expected", [
+        ("2014-03-01T12:34:56Z", 1393677296),
+        ("2014-03-01T12:34:56z", 1393677296),
+        ("2014-03-01t12:34:56Z", 1393677296),
+        ("2014-03-01 12:34:56Z", 1393677296),
+        ("2014-03-01T12:34:56", 1393677296),
+        (" 2014-03-01T12:34:56Z\n", 1393677296),
+        ("2014-03-01T12:34Z", 1393677240),
+        ("2014-03-01T12:34", 1393677240),
+        ("2014-03-01T12:34:56.5Z", 1393677296),
+        ("2014-03-01T12:34:56.1234567Z", 1393677296),
+        ("2014-03-01T12:34:56.999999999", 1393677296),
+        ("2014-03-01T12:34:56+01:00", 1393673696),
+        ("2014-03-01T12:34:56-01:30", 1393682696),
+        ("2014-03-01T12:34:56+01:00:30", 1393673666),
+        ("2014-03-01T12:34:56.25+01:00:00.5", 1393673695),
+        ("2014-03-01T12:34:56+23:59:59.999999", 1393590896),
+        ("1970-01-01T00:00:01+00:00:00.5", 0),
+        ("1970-01-01T00:00:00-00:00:00.5", 0),
+        ("2012-02-29T00:00:00Z", 1330473600),
+        ("2014-W09-6T12:34:56Z", None),  # a week date
+        ("20140301T120000Z", None),  # the basic form
+        ("2014-03-01X12:34:56Z", None),
+        ("2014-03-01T12Z", None),
+        ("2014-03-01", None),
+        ("2014-03-01T12:34:56,5Z", None),
+        ("2014-03-01T12:34:56.Z", None),
+        ("2014-03-01T12:34:56+0100", None),
+        ("2014-03-01T12:34:56+01", None),
+        ("2014-03-01T12:34:56+24:00", None),
+        ("2014-03-01T12:34:56+01:60", None),
+        ("2014-03-01T12:34:56 Z", None),
+        ("2014-03-01T12:34:56ZZ", None),
+        ("2014-03-01T24:00:00Z", None),
+        ("2014-03-01T12:60:00Z", None),
+        ("2014-03-01T12:34:60Z", None),
+        ("2014-02-29T12:34:56Z", None),
+        ("2014-13-01T12:34:56Z", None),
+        ("0000-01-01T00:00:00Z", None),
+        ("2014-03-01T\uff11\uff12:00:00Z", None),
+        ("", None),
+    ])
+    def test_timestamp_grammar(self, stamp, expected):
+        if expected is None:
+            with pytest.raises(ValueError):
+                parse_timestamp(stamp)
+        else:
+            assert parse_timestamp(stamp) == expected
+
     def test_format_timestamp_round_trips(self):
         assert format_timestamp(0) == "1970-01-01T00:00:00Z"
         assert format_timestamp(1401667260) == "2014-06-02T00:01:00Z"

@@ -1,5 +1,7 @@
+import argparse
 import concurrent.futures
 import csv
+import dataclasses
 import gc
 import hashlib
 import io
@@ -23,8 +25,8 @@ from motifmine import annotate as ann
 from motifmine import ingest as ing
 from motifmine import motifs as mot
 from motifmine import parcels as parcels_mod
-from motifmine import pipeline, synth
-from motifmine.cli import main
+from motifmine import cli, pipeline, synth
+from motifmine.cli import build_parser, main
 from motifmine.geo import geojson_polygon, point_in_polygon, point_in_ring
 from motifmine.parcels import OTHERS_CODE, ActivityScheme, read_parcels
 from motifmine.pipeline import (
@@ -571,6 +573,97 @@ class TestConfigValidation:
         assert rc == 2
         assert "utc_offset_minutes" in capsys.readouterr().err
         assert not out_dir.exists()
+
+
+# The pipeline subcommands' options: flag -> (dest, action, type, choices,
+# default, help). Every subcommand from ingest to all takes the same ones.
+PIPELINE_FLAGS = {
+    "--config": ("config", "store", None, None, None, "key=value config file"),
+    "--records": ("records", "store", None, None, None, "delimited point-record file"),
+    "--parcels": ("parcels", "store", None, None, None,
+                  "GeoJSON parcel polygons (required from annotate on)"),
+    "--boundary": ("boundary", "store", None, None, None, "GeoJSON study-region polygon"),
+    "--scheme": ("scheme", "store", None, None, None, "category->code scheme file"),
+    "--zones": ("zones", "store", None, None, None, "GeoJSON zones with population attribute"),
+    "--blocklist": ("blocklist", "store", None, None, None,
+                    "keyword blocklist file, one per line"),
+    "--out": ("out_dir", "store", None, None, None, "output directory (default: out)"),
+    "--category-attr": ("category_attr", "store", None, None, None, None),
+    "--zone-pop-attr": ("zone_pop_attr", "store", None, None, None, None),
+    "--delimiter": ("delimiter", "store", None, (",", "tab"), None, "input field delimiter"),
+    "--columns": ("columns", "store", None, None, None,
+                  'record schema override, e.g. "user_id=0,timestamp=1,..."'),
+    "--radius": ("radius_m", "store", float, None, None, "parcel join radius, m"),
+    "--max-speed": ("max_speed_mps", "store", float, None, None, "speed cap, m/s"),
+    "--min-days": ("min_residency_days", "store", float, None, None, None),
+    "--residency-mode": ("residency_mode", "store", None, ("span", "active-days"), None, None),
+    "--utc-offset": ("utc_offset_minutes", "store", int, None, None,
+                     "dataset-local offset from UTC in minutes"),
+    "--min-slots": ("min_slots", "store", int, None, None, None),
+    "--include-weekends": ("weekdays_only", "store_false", None, None, None, None),
+    "--active-scope": ("active_scope", "store", None, ("day", "user"), None, None),
+    "--cutoff": ("cutoff", "store", float, None, None, "census frequency cutoff"),
+    "--max-nodes": ("max_nodes", "store", int, None, None, None),
+    "--no-pin-home": ("pin_home", "store_false", None, None, None, None),
+    "--density-bins": ("density_bins", "store", int, None, None, None),
+    "--density-bound": ("density_bound", "store", float, None, None, None),
+    "--density-weight": ("density_weight", "store", None, ("point", "user"), None, None),
+    "--workers": ("workers", "store", int, None, None, None),
+    "--no-hash-ids": ("hash_ids", "store_false", None, None, None, None),
+    "--dump-annotations": ("dump_annotations", "store_true", None, None, None, None),
+}
+
+CONFIG_FILE_ONLY = {"night_start_hour", "night_end_hour"}
+
+# a value other than the default for each option that takes one, as the flag
+# and the config file both spell it; a bool flag sets its field to `not default`
+NON_DEFAULT_VALUES = {
+    "records": "r.csv", "parcels": "p.geojson", "boundary": "b.geojson",
+    "scheme": "s.tsv", "zones": "z.geojson", "blocklist": "k.txt", "out_dir": "elsewhere",
+    "category_attr": "landuse", "zone_pop_attr": "pop", "delimiter": "tab",
+    "columns": "user_id=1,timestamp=0,lat=2,lon=3,location_source=4,text=5",
+    "radius_m": "100", "max_speed_mps": "120.5", "min_residency_days": "14",
+    "residency_mode": "active-days", "utc_offset_minutes": "-300", "min_slots": "9",
+    "active_scope": "user", "cutoff": "0.01", "max_nodes": "5", "density_bins": "40",
+    "density_bound": "2.5", "density_weight": "user", "workers": "2",
+}
+
+
+class TestCliSurface:
+    @pytest.mark.parametrize("command", ["ingest", "annotate", "mine", "shape", "all"])
+    def test_each_pipeline_subcommand_takes_the_pinned_flags(self, command):
+        parser = build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        got = {}
+        for action in sub.choices[command]._actions:
+            if "--help" in action.option_strings:
+                continue
+            (flag,) = action.option_strings
+            kind = next(name for name in ("store", "store_true", "store_false")
+                        if type(action) is parser._registry_get("action", name))
+            choices = tuple(action.choices) if action.choices is not None else None
+            got[flag] = (action.dest, kind, action.type, choices, action.default, action.help)
+        assert got == PIPELINE_FLAGS
+        assert list(got) == list(PIPELINE_FLAGS)  # the order --help lists them in
+
+    def test_each_field_has_a_flag_or_is_config_file_only(self):
+        dests = {dest for dest, *_ in PIPELINE_FLAGS.values()}
+        names = {f.name for f in dataclasses.fields(RunConfig)}
+        assert names - dests == CONFIG_FILE_ONLY
+        assert dests - names == {"config"}
+
+    @pytest.mark.parametrize("flag", [f for f in PIPELINE_FLAGS if f != "--config"])
+    def test_a_flag_and_its_config_key_give_equal_configs(self, flag, tmp_path):
+        name, kind = PIPELINE_FLAGS[flag][:2]
+        if kind == "store":
+            argv, text = [flag, NON_DEFAULT_VALUES[name]], NON_DEFAULT_VALUES[name]
+        else:
+            argv, text = [flag], str(kind == "store_true").lower()
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"{name} = {text}\n", encoding="utf-8")
+        by_flag = cli._pipeline_config(build_parser().parse_args(["all", *argv]))
+        by_file = make_config(cfg_file)
+        assert by_flag == by_file != RunConfig()
 
 
 @pytest.mark.parametrize("utc_offset", [-1440, 1440])
