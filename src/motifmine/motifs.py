@@ -1,21 +1,26 @@
 """Daily mobility networks, canonical signatures, and the motif census.
 
 A user-day becomes a directed graph whose walk starts and ends at the home
-parcel (constraint I); every node on a closed walk automatically has at
-least one incoming and one outgoing edge (constraint II). One constructor
-builds every network from a walk over keys (a day's parcels, an LBM walk's
-labels for its ABM view, a template's stop tokens): consecutive repeats
-are one visit, and nodes are numbered and labeled by first visit. The
-network is the day's one record of its visits: `node_keys[i] for i in walk`
-is its visit sequence, and its kind names its comparison regime. Two
-comparison regimes exist: location-based (LBM), where only structure and
-the pinned home node matter, and activity-based (ABM), where node labels
-must be preserved. Canonical signatures are permutation-minimal adjacency
-encodings, so signature equality is exactly isomorphism under the regime's
-admissible mappings. Daily networks recur, so each process canonicalizes a
-distinct input once and caches its string, at most SIGNATURE_CACHE_SIZE of
-them; and a run reduces and canonicalizes each distinct day shape (its walk
-and node labels) once, in a `DayShapes` it keeps for its days.
+parcel (constraint I): `build_daily_network` returns None for an open day,
+and `network_from_label_walk` refuses a walk that "H" does not open and
+close. Every node of a closed walk then has an incoming and an outgoing
+edge (constraint II); `abm_reduce` of a closed walk is closed, and the
+collapse of repeats leaves no self-loop. So both constraints are the walk
+constructors' contract, checked by a property test, not again per network.
+One constructor builds every network from a walk over keys (a day's
+parcels, an LBM walk's labels for its ABM view, a template's stop tokens):
+consecutive repeats are one visit, and nodes are numbered and labeled by
+first visit. The network is the day's one record of its visits:
+`node_keys[i] for i in walk` is its visit sequence, and its kind names its
+comparison regime. Two comparison regimes exist: location-based (LBM),
+where only structure and the pinned home node matter, and activity-based
+(ABM), where node labels must be preserved. Canonical signatures are
+permutation-minimal adjacency encodings, so signature equality is exactly
+isomorphism under the regime's admissible mappings. Daily networks recur,
+so each process canonicalizes a distinct input once and caches its string,
+at most SIGNATURE_CACHE_SIZE of them; and a run reduces and canonicalizes
+each distinct day shape (its walk and node labels) once, in a `DayShapes`
+it keeps for its days.
 """
 
 import functools
@@ -86,20 +91,6 @@ def parcel_key(point):
     return UNKNOWN_PARCEL if point.parcel_id is None else point.parcel_id
 
 
-def _check_closed_walk(n: int, edges) -> None:
-    """Raise when a network of more than one node has a node lacking an
-    incoming or an outgoing edge, which no closed walk can produce."""
-    if n <= 1:
-        return
-    indeg = [0] * n
-    outdeg = [0] * n
-    for u, v in edges:
-        outdeg[u] += 1
-        indeg[v] += 1
-    if not all(indeg[i] >= 1 and outdeg[i] >= 1 for i in range(n)):
-        raise RuntimeError("closed walk produced a node without both edge directions")
-
-
 def _walk_network(kind: str, keys, label_at, points=None) -> DailyNetwork:
     """The network of a walk over node keys.
 
@@ -131,7 +122,6 @@ def _walk_network(kind: str, keys, label_at, points=None) -> DailyNetwork:
             acc[0] += p.lat
             acc[1] += p.lon
             acc[2] += 1
-    _check_closed_walk(len(index), zip(walk, walk[1:]))
     return DailyNetwork(kind, tuple(index), tuple(node_labels), tuple(walk),
                         None if sums is None else tuple(sums))
 

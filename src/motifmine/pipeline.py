@@ -316,13 +316,6 @@ def ingest(cfg: RunConfig, inputs: Inputs) -> Ingested:
 
 
 @dataclass(slots=True)
-class DayOutcome:
-    lbm_sig: str | None  # None unless the network joins the motif census
-    abm_sig: str | None
-    metrics: shp.DayMetrics
-
-
-@dataclass(slots=True)
 class UserOutcome:
     user_id: str
     drop: str | None = None  # bot | no_home (`ingest` drops the others)
@@ -330,14 +323,14 @@ class UserOutcome:
     n_days: int = 0
     n_active_days: int = 0
     rejected_open_walk: int = 0
-    days: list = field(default_factory=list)  # DayOutcome
+    days: list = field(default_factory=list)  # shape.DayMetrics
     home_anchor: tuple | None = None
     density_cells: tuple | None = None  # shape.density_cells of the aligned points
     align_skip: str | None = None
 
 
-def _day_outcome(day, home_parcel_id, shapes) -> DayOutcome | None:
-    """The day's outcome, or None when its walk is open."""
+def _day_outcome(day, home_parcel_id, shapes) -> shp.DayMetrics | None:
+    """The day's metrics and census signatures, or None when its walk is open."""
     net = mot.build_daily_network(day, home_parcel_id)
     if net is None:
         return None
@@ -346,7 +339,7 @@ def _day_outcome(day, home_parcel_id, shapes) -> DayOutcome | None:
     trips = shp.day_trips_km(net.walk, anchors)
     # the walk starts at home, so node 0 is home
     gyr = shp.gyradius_from_home(net.walk, anchors, anchors[0])
-    return DayOutcome(lbm_sig, abm_sig, shp.day_metrics(net, reduced, trips, gyr))
+    return shp.day_metrics(net, reduced, trips, gyr, lbm_sig, abm_sig)
 
 
 def process_user(track, index, cfg: RunConfig, level: int,
@@ -437,7 +430,7 @@ def process_users(tracks, index, cfg: RunConfig, level: int) -> list:
 
 @dataclass(slots=True)
 class Mined:
-    days: list  # DayOutcome of every built network, in user order
+    days: list  # shape.DayMetrics of every built network, in user order
     lbm: mot.MotifCensus
     abm: mot.MotifCensus
 
@@ -446,10 +439,10 @@ def mine(users, cfg: RunConfig) -> Mined:
     """Census the daily networks of every user."""
     days = [d for o in users for d in o.days]
     lbm = mot.census_from_signatures(
-        [(d.metrics.lbm_nodes, d.lbm_sig) for d in days], mot.LBM, cfg.cutoff, cfg.max_nodes
+        [(d.lbm_nodes, d.lbm_sig) for d in days], mot.LBM, cfg.cutoff, cfg.max_nodes
     )
     abm = mot.census_from_signatures(
-        [(d.metrics.abm_nodes, d.abm_sig) for d in days], mot.ABM, cfg.cutoff, cfg.max_nodes
+        [(d.abm_nodes, d.abm_sig) for d in days], mot.ABM, cfg.cutoff, cfg.max_nodes
     )
     return Mined(days, lbm, abm)
 
@@ -477,14 +470,14 @@ def _zone_correlation(zones, users):
 
 def shape(users, days, zones, cfg: RunConfig) -> Shaped:
     """Distance statistics, the reference-frame density and the zone correlation."""
-    stats = shp.distance_stats([d.metrics for d in days], cfg.max_nodes)
+    stats = shp.distance_stats(days, cfg.max_nodes)
     cells = [o.density_cells for o in users if o.density_cells is not None]
     density = shp.density_histogram(cells, cfg.density_bins, cfg.density_bound, cfg.density_weight)
     skip_counts = {}
     for o in users:
         if o.align_skip:
             skip_counts[o.align_skip] = skip_counts.get(o.align_skip, 0) + 1
-    gyr_values = [d.metrics.gyradius_km for d in days]
+    gyr_values = [d.gyradius_km for d in days]
     summary = {
         "aligned_users": len(cells),
         "skipped_users": skip_counts,

@@ -12,14 +12,15 @@ gyradius about home over motif groups. A day's distances read the visit
 sequence its network holds (its walk over node indices), each visit placed
 at its node's per-day anchor: the centroid of the day's points on that
 parcel, from the sums the network's one pass over the points took.
-`day_metrics` condenses one day for the pipeline and the synthetic ground
-truth alike. The zone correlation's two-sided p-value is
-a Student-t tail written as a regularized incomplete beta and evaluated
-with `math` alone. The module needs only the standard library, so a run
-imports no third-party package.
+`day_metrics` condenses one day for the pipeline, with its census
+signatures, and for the synthetic ground truth alike. The zone
+correlation's two-sided p-value is a Student-t tail written as a
+regularized incomplete beta and evaluated with `math` alone. The module
+needs only the standard library, so a run imports no third-party package.
 """
 
 import math
+import sys
 import warnings
 from collections import Counter
 from dataclasses import dataclass
@@ -254,7 +255,8 @@ def gyradius_from_home(walk, anchors, home_latlon) -> float:
 
 @dataclass(slots=True)
 class DayMetrics:
-    """Per-day inputs to the distance statistics."""
+    """One network day: its inputs to the distance statistics and, for a
+    run's day, its census signatures."""
 
     lbm_nodes: int
     abm_nodes: int
@@ -262,16 +264,20 @@ class DayMetrics:
     n_trips: int
     total_km: float  # sum of the day's trip lengths
     gyradius_km: float
+    lbm_sig: str | None = None  # None outside the motif census
+    abm_sig: str | None = None
 
 
-def day_metrics(net, reduced, trips_km, gyradius_km: float) -> DayMetrics:
+def day_metrics(net, reduced, trips_km, gyradius_km: float, lbm_sig=None,
+                abm_sig=None) -> DayMetrics:
     """A day's metrics from its LBM network, that network's ABM reduction,
-    its trip lengths (km) and its gyradius about home (km)."""
+    its trip lengths (km) and its gyradius about home (km); a run's day
+    also carries its LBM and ABM census signatures."""
     pair = None
     if reduced.node_count == 2:
         pair = next(lab for lab in reduced.labels if lab != HOME_LABEL)
     return DayMetrics(net.node_count, reduced.node_count, pair, len(trips_km), sum(trips_km),
-                      gyradius_km)
+                      gyradius_km, lbm_sig, abm_sig)
 
 
 @dataclass(slots=True)
@@ -353,13 +359,12 @@ def _varies(vs) -> bool:
 def pearson_r(xs, ys) -> float:
     """Product-moment correlation; raises ValueError on degenerate input.
 
-    The moments are summed as given. When that overflows, or a variance
-    (or the product of the two) underflows to zero while both series vary,
-    they are summed again over each series scaled by a power of two
-    (`_unit_scaled`), which leaves r unchanged in exact arithmetic. So an
-    input the plain sums handle keeps its r bit for bit, and any finite
-    input of any scale has one. A product of the variances that is a
-    subnormal float still takes the plain sums, and loses digits there.
+    The moments are summed as given. When that overflows, or the product
+    of the two variances falls below the normal floats (to a subnormal or
+    to zero) while both series vary, they are summed again over each
+    series scaled by a power of two (`_unit_scaled`), which leaves r
+    unchanged in exact arithmetic. So an input the plain sums handle keeps
+    its r bit for bit, and any finite input of any scale has one.
     """
     n = len(xs)
     if n != len(ys):
@@ -371,7 +376,7 @@ def pearson_r(xs, ys) -> float:
         denom = sxx * syy
     except OverflowError:  # a square too large for a float
         denom = math.inf
-    if denom == math.inf or (denom == 0.0 and _varies(xs) and _varies(ys)):
+    if denom == math.inf or (denom < sys.float_info.min and _varies(xs) and _varies(ys)):
         sxy, sxx, syy = _moments(_unit_scaled(xs), _unit_scaled(ys), n)
         denom = sxx * syy
     if sxx == 0.0 or syy == 0.0:

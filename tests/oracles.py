@@ -33,6 +33,7 @@ Production code is checked against these, never the reverse.
 import csv
 import itertools
 import math
+import sys
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -359,7 +360,7 @@ def _census_sig(n, walk, labels, max_nodes, pin_home):
 
 
 def day_outcome_by_key(day, home_parcel_id, max_nodes=MAX_NODES, pin_home=True):
-    """(LBM signature, ABM signature, DayMetrics) of one day, None for an
+    """The DayMetrics of one day, census signatures included, None for an
     open walk: a key and a label per point, the LBM network from
     `walk_network`, its ABM view from the collapsed label walk, and
     anchors, trips and gyradius by parcel key."""
@@ -378,9 +379,9 @@ def day_outcome_by_key(day, home_parcel_id, max_nodes=MAX_NODES, pin_home=True):
     pair = None
     if len(abm_labels) == 2:
         pair = next(lab for lab in abm_labels if lab != HOME_LABEL)
-    metrics = DayMetrics(len(node_keys), len(abm_labels), pair, len(trips), sum(trips), gyr)
-    return (_census_sig(len(node_keys), walk, None, max_nodes, pin_home),
-            _census_sig(len(abm_labels), abm_walk, abm_labels, max_nodes, pin_home), metrics)
+    return DayMetrics(len(node_keys), len(abm_labels), pair, len(trips), sum(trips), gyr,
+                      _census_sig(len(node_keys), walk, None, max_nodes, pin_home),
+                      _census_sig(len(abm_labels), abm_walk, abm_labels, max_nodes, pin_home))
 
 
 def split_days_setdefault(history) -> list:
@@ -404,7 +405,8 @@ def in_night_window_float(local_ts: int, night_start_hour: int, night_end_hour: 
 def pearson_r_plain(xs, ys):
     """The product-moment r as `shape.pearson_r` computed it before it
     rescaled: the centered sums as given. None where they fail, that is
-    raise, or leave the product of the variances infinite or zero."""
+    raise, or leave the product of the variances infinite or below the
+    normal floats (subnormal or zero)."""
     n = len(xs)
     try:
         mx = sum(xs) / n
@@ -414,7 +416,7 @@ def pearson_r_plain(xs, ys):
         syy = sum((b - my) ** 2 for b in ys)
     except OverflowError:
         return None
-    if not 0.0 < sxx * syy < math.inf:
+    if not sys.float_info.min <= sxx * syy < math.inf:
         return None
     return sxy / math.sqrt(sxx * syy)
 

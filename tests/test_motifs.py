@@ -11,7 +11,6 @@ from motifmine.motifs import (
     DayShapes,
     ABM,
     LBM,
-    _check_closed_walk,
     abm_reduce,
     build_daily_network,
     canonical_signature,
@@ -74,12 +73,6 @@ class TestBuildDailyNetwork:
         day = day_from_parcels([(2, 6), (1, 1), (2, 6)])
         net = build_daily_network(day, HOME)
         assert net is None
-
-    def test_closed_walk_check_raises_without_assert(self):
-        # an explicit raise, so the check also runs under python -O
-        _check_closed_walk(2, frozenset({(0, 1), (1, 0)}))
-        with pytest.raises(RuntimeError, match="closed walk"):
-            _check_closed_walk(2, frozenset({(0, 1)}))
 
     def test_labels_home_vs_other_residential(self):
         day = day_from_parcels([(1, 1), (9, 1), (1, 1)])
@@ -256,7 +249,54 @@ def test_day_outcome_matches_the_composition_by_parcel_key(stops, runs, shape, m
         if want is None:
             assert got is None
         else:
-            assert (got.lbm_sig, got.abm_sig, got.metrics) == want
+            assert got == want
+
+
+def assert_constraints_one_and_two(net, home_key):
+    """Constraint I: the walk opens and closes at node 0, the home. II: it
+    visits every node, no edge is a self-loop, and with more than one node
+    every node has an incoming and an outgoing edge."""
+    assert net.walk[0] == net.walk[-1] == 0
+    assert net.node_keys[0] == home_key and net.labels[0] == "H"
+    assert set(net.walk) == set(range(net.node_count))
+    edges = net.edges
+    assert all(u != v for u, v in edges)
+    if net.node_count > 1:
+        assert {u for u, _ in edges} == {v for _, v in edges} == set(range(net.node_count))
+
+
+STOP_TOKENS = st.sampled_from(["H", "W", "W2", "Sh", "S", "E", "R1"])
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(stops=DAY_STOPS, runs=st.lists(st.integers(1, 3), min_size=18, max_size=18),
+       close=st.booleans(),
+       tokens=st.lists(st.tuples(STOP_TOKENS, st.integers(1, 3)), min_size=1, max_size=12),
+       close_tokens=st.booleans())
+def test_every_walk_constructor_keeps_constraints_one_and_two(stops, runs, close, tokens,
+                                                             close_tokens):
+    # the constructors' contract: no network is checked again once built
+    home = (HOME, 1, 41.5, -88.0)
+    if close:
+        stops = [home, *stops, home]
+    day = day_from_stops(stops, runs)
+    net = build_daily_network(day, HOME)
+    if stops[0][0] != HOME or stops[-1][0] != HOME:
+        assert net is None
+    else:
+        assert_constraints_one_and_two(net, HOME)
+        assert_constraints_one_and_two(abm_reduce(net), "H")
+
+    walk = [tok for tok, run in tokens for _ in range(run)]
+    if close_tokens:
+        walk = ["H", *walk, "H"]
+    if walk[0] != "H" or walk[-1] != "H":
+        with pytest.raises(ValueError, match="start and end at home"):
+            network_from_label_walk(walk)
+    else:
+        planted = network_from_label_walk(walk)
+        assert_constraints_one_and_two(planted, "H")
+        assert_constraints_one_and_two(abm_reduce(planted), "H")
 
 
 def random_closed_days(rng, n_days):

@@ -339,6 +339,38 @@ class TestPipelineRun:
         assert report["n"] == 2
 
 
+def test_an_open_walk_is_counted_and_left_out_of_the_census(tmp_path):
+    # no synthetic world plants an open walk: one resident, home and work a
+    # kilometre apart; Monday, Tuesday and Thursday close at home, and
+    # Wednesday's 7 slots end at work
+    home, work = (41.50, -88.00), (41.509, -88.00)
+    parcels = write_geojson(tmp_path / "parcels.geojson", [
+        geojson_polygon_feature(square_ring(*home, 100), "Residential"),
+        geojson_polygon_feature(square_ring(*work, 100), "Office/Workplace"),
+    ])
+    closed = [(home, 420), (home, 460), (work, 540), (work, 720), (work, 900), (home, 1140),
+              (home, 1270), (home, 1350)]
+    open_day = closed[:-2] + [(work, 1270)]
+    at_home = [(home, minute) for _, minute in closed]
+    monday = 1401667200  # 2014-06-02T00:00:00Z
+    lines = [f"u1,{iso_timestamp(monday + day * 86400 + minute * 60)},{lat},{lon},gps,"
+             for day, stops in ((0, closed), (1, closed), (2, open_day), (3, at_home),
+                                (35, [(home, 600)]))
+             for (lat, lon), minute in stops]
+    records = tmp_path / "records.csv"
+    records.write_text("\n".join(lines) + "\n")
+    cfg = RunConfig(records=str(records), parcels=str(parcels), out_dir=str(tmp_path / "out"))
+    manifest = run(cfg, "mine")["manifest"]
+    d = manifest["days"]
+    assert (d["total"], d["active"], d["rejected_open_walk"], d["networks"]) == (5, 4, 1, 3)
+    assert d["networks"] + d["rejected_open_walk"] + d["rejected_no_home"] == d["active"]
+    # the census holds the three closed days: two H-W-H, one at home
+    for kind in ("lbm", "abm"):
+        census = manifest["census"][kind]
+        assert census["total"] == 3
+        assert (census["size_groups"]["1"], census["size_groups"]["2"]) == (1, 2)
+
+
 @pytest.mark.parametrize("hash_ids", [True, False])
 def test_ingest_peaks_little_above_what_it_keeps(tmp_path, hash_ids):
     """No structure of the whole stream outlives its pass: duplicates are

@@ -569,6 +569,12 @@ class TestPearson:
         assert pearson_r([1e-100, 2e-100, 4e-100], [1e-100, 3e-100, 2e-100]) == pytest.approx(
             pearson_r([1, 2, 4], [1, 3, 2]), abs=1e-15)
 
+    def test_a_subnormal_product_of_the_variances_keeps_its_digits(self):
+        # the product lands among the subnormal floats, neither 0 nor inf:
+        # the plain sums read 0.9999999999999999 here
+        assert pearson_r([0, 0, 1], [0, 0, 2**-511]) == 1.0
+        assert pearson_r([0, 0, 2**-511], [0, 0, 1]) == 1.0
+
     def test_a_constant_series_still_raises_at_any_scale(self):
         for c in (1e-200, 1e200):
             with pytest.raises(ValueError, match="zero variance"):
@@ -582,7 +588,7 @@ class TestPearson:
            kx=st.integers(-240, 1000), ky=st.integers(-240, 1000))
     def test_scaling_by_powers_of_two_keeps_r_bit_for_bit(self, pairs, kx, ky):
         # from 2**-240 up the variances and their product stay normal floats
-        # or overflow; a subnormal product keeps the plain sums' r, digits lost
+        # or overflow
         xs, ys = ([float(v) for v in vs] for vs in zip(*pairs))
         assume(len(set(xs)) > 1 and len(set(ys)) > 1)
         assert pearson_r([math.ldexp(x, kx) for x in xs],
